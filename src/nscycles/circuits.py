@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     CircuitExplosion,
@@ -21,6 +20,7 @@ from .graph_core import (
     contract_edges,
     fingerprint,
     is_connected,
+    memoized,
 )
 from .cycle_space import is_cycle_space_member
 
@@ -114,41 +114,42 @@ def _validate_circuit(g: Graph, c: Circuit) -> Circuit:
     return rebuilt
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _enumerate(g: Graph, cap: int) -> tuple[Circuit, ...]:
+    # Depth-first over simple paths from each start vertex s through larger
+    # vertices only; an edge back to s closes a circuit, kept once per edge set.
     adjacency = g.adjacency
     found: dict[int, tuple[int, ...]] = {}
-
-    def close(path_edges: list[int], path_verts: list[int], e: int) -> None:
-        bits = 1 << e
-        for x in path_edges:
-            bits |= 1 << x
-        if bits not in found:
-            if len(found) >= cap:
-                raise CircuitExplosion(f"more than {cap} circuits")
-            found[bits] = tuple(path_verts)
-
-    def extend(start: int, cur: int, path_edges: list[int],
-               path_verts: list[int], on_path: set[int]) -> None:
-        for e, w in adjacency[cur]:
-            if e in path_edges_set:
-                continue
-            if w == start:
-                close(path_edges, path_verts, e)
-            elif w > start and w not in on_path:
-                path_edges.append(e)
-                path_edges_set.add(e)
-                path_verts.append(w)
-                on_path.add(w)
-                extend(start, w, path_edges, path_verts, on_path)
-                on_path.remove(w)
-                path_verts.pop()
-                path_edges_set.remove(e)
-                path_edges.pop()
-
     for s in sorted(g.vertices):
-        path_edges_set: set[int] = set()
-        extend(s, s, [], [s], {s})
+        path_edges: list[int] = []
+        path_verts = [s]
+        on_path = {s}
+        used: set[int] = set()  # the edges of path_edges
+        frames = [iter(adjacency[s])]
+        while frames:
+            for e, w in frames[-1]:
+                if e in used:
+                    continue
+                if w == s:
+                    bits = 1 << e
+                    for x in path_edges:
+                        bits |= 1 << x
+                    if bits not in found:
+                        if len(found) >= cap:
+                            raise CircuitExplosion(f"more than {cap} circuits")
+                        found[bits] = tuple(path_verts)
+                elif w > s and w not in on_path:
+                    used.add(e)
+                    path_edges.append(e)
+                    path_verts.append(w)
+                    on_path.add(w)
+                    frames.append(iter(adjacency[w]))
+                    break
+            else:
+                frames.pop()
+                if path_edges:
+                    used.remove(path_edges.pop())
+                    on_path.remove(path_verts.pop())
 
     circuits = [
         Circuit(EdgeSet(bits, g.universe), _canonical_cycle(verts))
@@ -166,12 +167,12 @@ def enumerate_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit
     return list(_enumerate(g, cap))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _host_block_count(g: Graph) -> int:
     return blocks(g).block_count
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
     contracted, _ = contract_edges(g, edges)
     return blocks(contracted).block_count > _host_block_count(g)
@@ -189,7 +190,7 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
     members = tuple(
         c for c in _enumerate(g, cap) if not _is_separating_edges(g, c.edges)

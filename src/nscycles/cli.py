@@ -68,8 +68,12 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.gen is not None:
         return gen_corpus(args.gen, args.seed), args.gen
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as handle:
-            return parse_edge_list(handle.read()), args.input
+        try:
+            with open(args.input, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {args.input}: {exc}") from None
+        return parse_edge_list(text), args.input
     raise UnknownName("one of --gen NAME or --input FILE is required")
 
 
@@ -284,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for --gen (default 0)")
     common.add_argument("--cap", type=int, default=100_000,
                         help="circuit enumeration cap (default 100000)")
-    common.add_argument("--json", action="store_true", help="JSON output (the default)")
     common.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
     common.add_argument("--timing", action="store_true",
                         help="include volatile elapsed_ms in reports")

@@ -9,12 +9,11 @@ what :func:`verify_cocircuit_identity` checks by exhaustion.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Disconnected, EmptyX, TooLarge, UniverseMismatch
-from .graph_core import EdgeSet, Graph, delete_edges, fingerprint, is_connected
+from .graph_core import EdgeSet, Graph, bfs_tree, delete_edges, fingerprint, is_connected
 from .circuits import Circuit, NcCatalog, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
@@ -39,22 +38,6 @@ class CounterexampleReport:
     witnesses: tuple[Circuit, ...]
 
 
-def _induces_connected(g: Graph, side) -> bool:
-    side = set(side)
-    if not side:
-        return False
-    start = min(side)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for _, w in g.adjacency[v]:
-            if w in side and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == side
-
-
 def bonds(g: Graph) -> list[Bond]:
     """All bonds, by exhausting vertex bipartitions with connected sides."""
     if not is_connected(g):
@@ -67,11 +50,10 @@ def bonds(g: Graph) -> list[Bond]:
     for size in range(len(rest)):
         for extra in combinations(rest, size):
             side = frozenset((anchor,) + extra)
-            if len(side) == len(verts):
+            other = g.vertices - side
+            if len(bfs_tree(g.adjacency, anchor, other)) != len(side):
                 continue
-            if not _induces_connected(g, side):
-                continue
-            if not _induces_connected(g, set(verts) - side):
+            if len(bfs_tree(g.adjacency, min(other), side)) != len(other):
                 continue
             cut = [
                 e

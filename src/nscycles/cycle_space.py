@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import Disconnected, NotInSpan, UniverseMismatch, VerificationFailed
-from .graph_core import EdgeSet, Graph, is_connected
+from .graph_core import EdgeSet, Graph, bfs_tree, find_root, is_connected
 
 
 @dataclass(frozen=True)
@@ -75,55 +74,26 @@ def fundamental_basis(g: Graph) -> list[EdgeSet]:
     if not is_connected(g):
         raise Disconnected("fundamental basis requires a connected graph")
     parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree: list[int] = []
+    tree_adj: dict = {v: [] for v in g.vertices}
     non_tree: list[int] = []
     for e in sorted(g.edges):
         u, v = g.psi[e]
-        ru, rv = find(u), find(v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru == rv:
             non_tree.append(e)
         else:
             parent[ru] = rv
-            tree.append(e)
-
-    adj: dict = {v: [] for v in g.vertices}
-    for e in tree:
-        u, v = g.psi[e]
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-
-    def tree_path(a: int, b: int) -> list[int]:
-        if a == b:
-            return []
-        prev = {a: (None, None)}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            for e, w in adj[v]:
-                if w not in prev:
-                    prev[w] = (v, e)
-                    if w == b:
-                        queue.clear()
-                        break
-                    queue.append(w)
-        path = []
-        v = b
-        while v != a:
-            v, e = prev[v]
-            path.append(e)
-        return path
-
+            tree_adj[u].append((e, v))
+            tree_adj[v].append((e, u))
+    # Edge bitmask of each vertex's tree path to the root; parents come first.
+    root_path: dict = {}
+    tree = bfs_tree(tree_adj, min(g.vertices)) if g.vertices else {}
+    for v, (p, e) in tree.items():
+        root_path[v] = 0 if p is None else root_path[p] | 1 << e
     basis = []
     for e in non_tree:
         u, v = g.psi[e]
-        basis.append(EdgeSet.from_ids(tree_path(u, v) + [e], g.universe))
+        basis.append(EdgeSet(root_path[u] ^ root_path[v] | 1 << e, g.universe))
     return basis
 
 

@@ -9,9 +9,7 @@ is sound by construction.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     IsTopK4,
@@ -31,6 +29,7 @@ from .graph_core import (
     fingerprint,
     is_top_3_connected,
     is_top_k4,
+    memoized,
     thread_delete,
     threads,
 )
@@ -46,8 +45,6 @@ from .circuits import (
     non_separating_circuits,
     split_on_path_chord,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def count_threads(g: Graph) -> int:
     return len(threads(g))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _reduction(g: Graph) -> tuple[Thread, Graph]:
     for t in threads(g):
         reduced = thread_delete(g, t)
@@ -145,13 +142,13 @@ def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
     raise VerificationFailed("anchor path missing from contraction")
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _theta(g: Graph, t: Thread, cap: int) -> ThetaPair:
     tbits = g.edge_set(t.edges)
     tverts = set(t.vertices)
     through = [c for c in _enumerate(g, cap) if tbits.issubset(c.edges)]
 
-    def best_partner(ref: Circuit) -> Circuit | None:
+    def best_partner(ref: Circuit) -> Circuit:
         anchor = ref.edges - tbits
         best = None
         best_alpha = -1
@@ -173,25 +170,12 @@ def _theta(g: Graph, t: Thread, cap: int) -> ThetaPair:
     if initial is None:
         raise VerificationFailed("no two circuits meet exactly in the thread")
 
+    # Meeting exactly in the thread is symmetric, so each reference has a partner.
     p = best_partner(initial)
-    q = best_partner(p) if p is not None else None
-    if (
-        p is not None
-        and q is not None
-        and not _is_separating_edges(g, p.edges)
-        and not _is_separating_edges(g, q.edges)
-    ):
-        return ThetaPair(p, q, t)
-
-    logger.warning(
-        "alpha-maximization candidate failed verification; falling back to pair search"
-    )
-    nc = non_separating_circuits(g, cap)
-    for i, a in enumerate(nc.members):
-        for b in nc.members[i + 1:]:
-            if _meets_exactly(a, b, tbits, tverts):
-                return ThetaPair(a, b, t)
-    raise VerificationFailed("no non-separating pair meets exactly in the thread")
+    q = best_partner(p)
+    if _is_separating_edges(g, p.edges) or _is_separating_edges(g, q.edges):
+        raise VerificationFailed("the alpha-maximized theta pair is separating")
+    return ThetaPair(p, q, t)
 
 
 def theta_pair(g: Graph, t: Thread, cap: int = DEFAULT_CIRCUIT_CAP) -> ThetaPair:
@@ -202,7 +186,7 @@ def theta_pair(g: Graph, t: Thread, cap: int = DEFAULT_CIRCUIT_CAP) -> ThetaPair
     reference circuit exactly in the thread, pick the one maximizing the
     edge count of the contraction block containing the reference's
     remainder, then repeat with the roles swapped.  Outputs are verified
-    non-separating before returning.
+    non-separating before returning; VerificationFailed otherwise.
     """
     _require_top3(g)
     _validate_thread(g, t)
@@ -245,7 +229,7 @@ def _cancel_mod2(parts) -> tuple[Circuit, ...]:
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _decompose(g: Graph, circ: Circuit) -> tuple[Circuit, ...]:
     if is_top_k4(g):
         nc = non_separating_circuits(g)

@@ -3,14 +3,18 @@
 Edge ids are assigned once and never renumbered: deletion and contraction
 return new graphs over the same edge universe, so edge sets stay comparable
 across a graph and its minors.
+
+Derived results (connectivity tests, threads, circuit catalogs, reductions,
+decompositions) are memoized on the ``Graph`` that owns them, through
+:func:`memoized`: they live exactly as long as that graph.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -111,7 +115,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "edges", "psi", "universe", "simple",
-                 "_key", "_hash", "_adj", "_deg")
+                 "_key_tuple", "_adj", "_deg", "_memo")
 
     def __init__(self, vertices, edges, psi, universe: int):
         self.vertices = frozenset(vertices)
@@ -122,20 +126,27 @@ class Graph:
         self.simple = (
             all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
         )
-        self._key = (
-            tuple(sorted(self.vertices)),
-            tuple(sorted((e, u, v) for e, (u, v) in self.psi.items())),
-            universe,
-        )
-        self._hash = hash(self._key)
+        self._key_tuple = None
         self._adj = None
         self._deg = None
+        self._memo = {}
+
+    @property
+    def _key(self) -> tuple:
+        """Sorted vertices, sorted (edge, u, v) triples and the universe."""
+        if self._key_tuple is None:
+            self._key_tuple = (
+                tuple(sorted(self.vertices)),
+                tuple(sorted((e, u, v) for e, (u, v) in self.psi.items())),
+                self.universe,
+            )
+        return self._key_tuple
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def __repr__(self) -> str:
         kind = "simple" if self.simple else "multi"
@@ -176,6 +187,24 @@ class Graph:
         return EdgeSet.from_ids(self.edges, self.universe)
 
 
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize ``fn(g, *args)`` in ``g._memo``, so the result lives and dies
+    with the graph ``g``.  Exceptions are not memoized."""
+
+    @functools.wraps(fn)
+    def wrapper(g, *args):
+        key = (fn, *args)
+        result = g._memo.get(key, _MISSING)
+        if result is _MISSING:
+            result = g._memo[key] = fn(g, *args)
+        return result
+
+    return wrapper
+
+
 def fingerprint(g: Graph) -> str:
     """Stable 16-hex-digit digest of the graph's labeled structure."""
     return hashlib.sha256(repr(g._key).encode()).hexdigest()[:16]
@@ -213,6 +242,15 @@ def delete_edges(g: Graph, z: EdgeSet) -> Graph:
     return Graph(g.vertices, keep, g.psi, g.universe)
 
 
+def find_root(parent: dict, v):
+    """Root of ``v`` in the union-find forest ``parent`` (vertex -> parent,
+    roots map to themselves), halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def contract_edges(g: Graph, z: EdgeSet) -> tuple[Graph, dict]:
     """Contract the edges of ``z``.
 
@@ -223,24 +261,16 @@ def contract_edges(g: Graph, z: EdgeSet) -> tuple[Graph, dict]:
     """
     _check_universe(g, z)
     parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for e in z:
         if e in g.edges:
             u, v = g.psi[e]
-            ru, rv = find(u), find(v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru != rv:
                 parent[ru] = rv
     rep = {}
     for v in sorted(g.vertices):
-        r = find(v)
-        rep.setdefault(r, v)
-    vertex_map = {v: rep[find(v)] for v in g.vertices}
+        rep.setdefault(find_root(parent, v), v)
+    vertex_map = {v: rep[find_root(parent, v)] for v in g.vertices}
     keep = [e for e in g.edges if e not in z]
     psi = {e: (vertex_map[g.psi[e][0]], vertex_map[g.psi[e][1]]) for e in keep}
     return Graph(set(vertex_map.values()), keep, psi, g.universe), vertex_map
@@ -261,100 +291,84 @@ def blocks(g: Graph) -> BlockDecomposition:
     Every loop is its own block, as is every bridge.  Works on any
     multigraph, one component at a time.
     """
-    adj = {v: [] for v in g.vertices}
-    loop_blocks = []
-    for e in sorted(g.edges):
-        u, v = g.psi[e]
-        if u == v:
-            loop_blocks.append([e])
-        else:
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-
+    adj = g.adjacency
+    loop_blocks = [[e] for e, (u, v) in g.psi.items() if u == v]
     disc: dict = {}
     low: dict = {}
     used = set()
     stack: list[int] = []
     found: list[list[int]] = []
     cut = set()
-    counter = iter(range(len(g.vertices) + len(g.edges) + 1))
-
-    def dfs(v: int, parent_edge) -> None:
-        disc[v] = low[v] = next(counter)
-        children = 0
-        for e, w in adj[v]:
-            if e == parent_edge or e in used:
-                continue
-            used.add(e)
-            stack.append(e)
-            if w not in disc:
-                children += 1
-                dfs(w, e)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    if parent_edge is not None:
-                        cut.add(v)
+    for root in sorted(g.vertices):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        root_children = 0
+        # DFS frames: (vertex, tree edge into it, iterator over its edges).
+        frames = [(root, None, iter(adj[root]))]
+        while frames:
+            v, into, edges = frames[-1]
+            for e, w in edges:
+                if e in used or w == v:
+                    continue
+                used.add(e)
+                stack.append(e)
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    frames.append((w, e, iter(adj[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    if u == root:
+                        root_children += 1
+                    else:
+                        cut.add(u)
                     block = []
                     while True:
                         x = stack.pop()
                         block.append(x)
-                        if x == e:
+                        if x == into:
                             break
                     found.append(block)
-            else:
-                low[v] = min(low[v], disc[w])
-        if parent_edge is None and children > 1:
-            cut.add(v)
-
-    for v in sorted(g.vertices):
-        if v not in disc:
-            dfs(v, None)
+        if root_children > 1:
+            cut.add(root)
 
     all_blocks = [EdgeSet.from_ids(b, g.universe) for b in found + loop_blocks]
     all_blocks.sort(key=lambda b: b.ids())
     return BlockDecomposition(tuple(all_blocks), frozenset(cut), len(all_blocks))
 
 
-def is_connected(g: Graph) -> bool:
-    if len(g.vertices) <= 1:
-        return True
-    start = min(g.vertices)
-    seen = {start}
+def bfs_tree(adjacency: dict, start, skip=()) -> dict:
+    """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
+    pairs) from ``start``, never entering a vertex of ``skip``.
+
+    Returns each reached vertex's (parent, edge) in visiting order; the
+    start maps to (None, None).
+    """
+    tree = {start: (None, None)}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for _, w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
+        for e, w in adjacency[v]:
+            if w not in tree and w not in skip:
+                tree[w] = (v, e)
                 queue.append(w)
-    return len(seen) == len(g.vertices)
+    return tree
 
 
-def _simple_pairs(g: Graph) -> set[tuple[int, int]]:
-    return {(u, v) for u, v in g.psi.values() if u != v}
-
-
-def _connected_without(vertices, pairs, removed) -> bool:
-    left = [v for v in vertices if v not in removed]
-    if len(left) <= 1:
+def is_connected(g: Graph) -> bool:
+    if len(g.vertices) <= 1:
         return True
-    adj = {v: [] for v in left}
-    for u, v in pairs:
-        if u not in removed and v not in removed:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {left[0]}
-    queue = deque([left[0]])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(left)
+    return len(bfs_tree(g.adjacency, min(g.vertices))) == len(g.vertices)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_k_connected(g: Graph, k: int) -> bool:
     """Exhaustive vertex-connectivity test on the underlying simple graph.
 
@@ -366,11 +380,11 @@ def is_k_connected(g: Graph, k: int) -> bool:
     n = len(g.vertices)
     if n <= k:
         return False
-    pairs = _simple_pairs(g)
     verts = sorted(g.vertices)
     for size in range(k):
         for removed in combinations(verts, size):
-            if not _connected_without(verts, pairs, set(removed)):
+            start = next(v for v in verts if v not in removed)
+            if len(bfs_tree(g.adjacency, start, removed)) != n - size:
                 return False
     return True
 
@@ -400,7 +414,7 @@ class Thread:
         return Thread(*min(fwd, rev))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _threads(g: Graph) -> tuple[Thread, ...]:
     if not is_connected(g):
         raise Disconnected("thread partition requires a connected graph")
@@ -465,6 +479,7 @@ def _validate_thread(g: Graph, t: Thread) -> None:
             raise NotAThread(f"end vertex {v} has degree 2")
 
 
+@memoized
 def thread_delete(g: Graph, t: Thread) -> Graph:
     """Remove a thread: all of its edges and all of its inner vertices."""
     _validate_thread(g, t)
@@ -523,7 +538,7 @@ def suppress_degree_two(g: Graph) -> tuple[Graph, dict]:
     return Graph(branch, range(len(ts)), psi, len(ts)), thread_map
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_top_3_connected(g: Graph) -> bool:
     """True iff the graph is a subdivision of a simple 3-connected graph."""
     if not g.edges or not is_connected(g):
@@ -535,7 +550,7 @@ def is_top_3_connected(g: Graph) -> bool:
     return suppressed.simple and is_k_connected(suppressed, 3)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_top_k4(g: Graph) -> bool:
     """True iff suppressing degree-2 vertices yields K4."""
     if not g.edges or not is_connected(g):

@@ -188,3 +188,31 @@ def test_cli_determinism(capsys):
         if first is None:
             first = out
     assert out == first
+
+
+def test_cli_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "absent.txt", tmp_path, binary):
+        assert run_command(["info", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"nscycles: cannot read {path}: ")
+
+
+def _long_cycle(tmp_path, n=3000):
+    path = tmp_path / "cycle.txt"
+    path.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    return str(path)
+
+
+def test_cli_blocks_on_a_long_cycle(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit
+    code, payload = run_json(["blocks", "--input", _long_cycle(tmp_path)], capsys)
+    assert code == 0
+    assert payload["block_count"] == 1 and payload["cut_vertices"] == []
+    assert len(payload["blocks"][0]) == 3000
+
+
+def test_cli_circuits_on_a_long_cycle(tmp_path, capsys):
+    code, payload = run_json(["circuits", "--input", _long_cycle(tmp_path)], capsys)
+    assert code == 0
+    assert payload["count"] == 1 and payload["circuits"] == [list(range(3000))]
