@@ -1,8 +1,10 @@
 """Command-line front end: graph I/O, corpus generation, batch verification.
 
 All output is canonical JSON (sorted keys, fixed indentation), so identical
-invocations produce byte-identical reports.  Timing is volatile and is only
-emitted under --timing.
+invocations produce byte-identical reports.  Each subcommand reads one graph
+(--gen NAME or --input FILE).  --cap bounds circuit enumeration and is taken
+only by circuits, nc, theta, whitney and verify-all.  Timing is volatile and
+is only emitted by verify-all, the one subcommand that takes --timing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .cycle_space import (
     express_in_span,
     fundamental_basis,
 )
-from .circuits import enumerate_circuits, non_separating_circuits
+from .circuits import DEFAULT_CIRCUIT_CAP, enumerate_circuits, non_separating_circuits
 from .decomposition import decompose_cs_element, ear_sequence, theta_pair
 from .cocircuits import bonds, minimal_cut_candidates, verify_cocircuit_identity
 from .corpus import gen_corpus
@@ -84,32 +86,22 @@ def _edge_ids(flag: str) -> list[int]:
         raise ParseError(f"bad edge id list {flag!r}") from None
 
 
-def _emit(args, payload: dict) -> None:
-    if not args.quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_gen(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_gen(g: Graph, name: str, args) -> tuple[dict | str, int]:
     if args.edgelist:
-        if not args.quiet:
-            lines = [f"{len(g.vertices)} {len(g.edges)}"]
-            lines += [f"{u} {v}" for u, v in (g.psi[e] for e in sorted(g.edges))]
-            print("\n".join(lines))
-        return 0
-    _emit(args, {
+        lines = [f"{len(g.vertices)} {len(g.edges)}"]
+        lines += [f"{u} {v}" for u, v in (g.psi[e] for e in sorted(g.edges))]
+        return "\n".join(lines), 0
+    return {
         "name": name,
         "seed": args.seed,
         "vertices": len(g.vertices),
         "edges": [list(g.psi[e]) for e in sorted(g.edges)],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_info(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_info(g: Graph, name: str, args) -> tuple[dict, int]:
     connected = is_connected(g)
-    _emit(args, {
+    return {
         "graph": name,
         "vertices": len(g.vertices),
         "edges": len(g.edges),
@@ -120,104 +112,88 @@ def _cmd_info(args) -> int:
         "top_k4": is_top_k4(g),
         "cyclomatic_number": cyclomatic_number(g) if connected else None,
         "fingerprint": fingerprint(g),
-    })
-    return 0
+    }, 0
 
 
-def _cmd_blocks(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_blocks(g: Graph, name: str, args) -> tuple[dict, int]:
     decomposition = blocks(g)
-    _emit(args, {
+    return {
         "graph": name,
         "blocks": [list(b.ids()) for b in decomposition.blocks],
         "cut_vertices": sorted(decomposition.cut_vertices),
         "block_count": decomposition.block_count,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_threads(args) -> int:
-    g, name = _load_graph(args)
-    _emit(args, {
+def _cmd_threads(g: Graph, name: str, args) -> tuple[dict, int]:
+    return {
         "graph": name,
         "threads": [
             {"edges": list(t.edges), "vertices": list(t.vertices)}
             for t in threads(g)
         ],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_circuits(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_circuits(g: Graph, name: str, args) -> tuple[dict, int]:
     found = enumerate_circuits(g, args.cap)
-    _emit(args, {
+    return {
         "graph": name,
         "count": len(found),
         "circuits": [list(c.edges.ids()) for c in found],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_nc(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_nc(g: Graph, name: str, args) -> tuple[dict, int]:
     catalog = non_separating_circuits(g, args.cap)
     matrix = Gf2Matrix.from_rows(catalog.edge_sets(), g.universe)
     expressions = [
         sorted(express_in_span(row, matrix).coefficients)
         for row in fundamental_basis(g)
     ]
-    _emit(args, {
+    return {
         "graph": name,
         "fingerprint": catalog.graph_fingerprint,
         "count": len(catalog),
         "circuits": [list(c.edges.ids()) for c in catalog],
         "basis_expressions": expressions,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_basis(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_basis(g: Graph, name: str, args) -> tuple[dict, int]:
     basis = fundamental_basis(g)
-    _emit(args, {
+    return {
         "graph": name,
         "count": len(basis),
         "circuits": [list(row.ids()) for row in basis],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_decompose(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_decompose(g: Graph, name: str, args) -> tuple[dict, int]:
     target = g.edge_set(_edge_ids(args.circuit))
     cert = decompose_cs_element(g, target)
-    _emit(args, {
+    return {
         "graph": name,
         "target": list(cert.target.ids()),
         "parts": [list(c.edges.ids()) for c in cert.parts],
         "host_fingerprint": cert.host_fingerprint,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_theta(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_theta(g: Graph, name: str, args) -> tuple[dict, int]:
     t = thread_from_edges(g, _edge_ids(args.thread))
     pair = theta_pair(g, t, args.cap)
-    _emit(args, {
+    return {
         "graph": name,
         "thread": list(t.edges),
         "first": list(pair.first.edges.ids()),
         "second": list(pair.second.edges.ids()),
-    })
-    return 0
+    }, 0
 
 
-def _cmd_ears(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_ears(g: Graph, name: str, args) -> tuple[dict, int]:
     seq = ear_sequence(g)
-    _emit(args, {
+    return {
         "graph": name,
         "steps": [
             {"fingerprint": fp, "thread": list(t.edges)} for fp, t in seq.steps
@@ -226,41 +202,34 @@ def _cmd_ears(args) -> int:
             "vertices": sorted(seq.terminal.vertices),
             "edges": [[e, *seq.terminal.psi[e]] for e in sorted(seq.terminal.edges)],
         },
-    })
-    return 0
+    }, 0
 
 
-def _cmd_bonds(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_bonds(g: Graph, name: str, args) -> tuple[dict, int]:
     found = bonds(g)
-    _emit(args, {
+    return {
         "graph": name,
         "count": len(found),
         "bonds": [list(b.edges.ids()) for b in found],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_whitney(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_whitney(g: Graph, name: str, args) -> tuple[dict, int]:
     catalog = non_separating_circuits(g, args.cap)
     bond_count = len(bonds(g))
     candidate_count = len(minimal_cut_candidates(g, catalog))
     match = verify_cocircuit_identity(g)
-    _emit(args, {
+    return {
         "graph": name,
         "bond_count": bond_count,
         "candidate_count": candidate_count,
         "match": match,
-    })
-    return 0 if match else 1
+    }, 0 if match else 1
 
 
-def _cmd_verify_all(args) -> int:
-    g, name = _load_graph(args)
+def _cmd_verify_all(g: Graph, name: str, args) -> tuple[dict, int]:
     report = verify_graph(g, name, args.cap)
-    _emit(args, report.to_dict(include_timing=args.timing))
-    return 0 if report.all_passed else 1
+    return report.to_dict(include_timing=args.timing), 0 if report.all_passed else 1
 
 
 _COMMANDS = {
@@ -279,6 +248,9 @@ _COMMANDS = {
     "gen": _cmd_gen,
 }
 
+# The subcommands whose enumeration honors --cap.
+_CAPPED = {"circuits", "nc", "theta", "whitney", "verify-all"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -286,11 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", metavar="NAME", help="generate a named corpus graph")
     source.add_argument("--input", metavar="FILE", help="read an edge-list file")
     common.add_argument("--seed", type=int, default=0, help="seed for --gen (default 0)")
-    common.add_argument("--cap", type=int, default=100_000,
-                        help="circuit enumeration cap (default 100000)")
     common.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
-    common.add_argument("--timing", action="store_true",
-                        help="include volatile elapsed_ms in reports")
 
     parser = argparse.ArgumentParser(
         prog="nscycles",
@@ -299,6 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])
+        if name in _CAPPED:
+            p.add_argument("--cap", type=int, default=DEFAULT_CIRCUIT_CAP,
+                           help=f"circuit enumeration cap (default {DEFAULT_CIRCUIT_CAP})")
+        if name == "verify-all":
+            p.add_argument("--timing", action="store_true",
+                           help="include volatile elapsed_ms in reports")
         if name == "decompose":
             p.add_argument("--circuit", required=True, metavar="e1,e2,...",
                            help="edge ids of the target cycle-space element")
@@ -319,13 +293,18 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        g, name = _load_graph(args)
+        payload, code = _COMMANDS[args.command](g, name, args)
     except (ParseError, UnknownName) as exc:
         print(f"nscycles: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:
         print(f"nscycles: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(payload if isinstance(payload, str)
+              else json.dumps(payload, indent=2, sort_keys=True))
+    return code
 
 
 def main() -> None:

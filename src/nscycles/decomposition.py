@@ -125,11 +125,11 @@ def ear_sequence(g: Graph) -> EarSequence:
     return EarSequence(tuple(steps), current)
 
 
-def _meets_exactly(a: Circuit, b: Circuit, tbits: EdgeSet, tverts: set) -> bool:
-    return (
-        (a.edges & b.edges) == tbits
-        and set(a.vertex_cycle) & set(b.vertex_cycle) == tverts
-    )
+def _vertex_mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
@@ -144,29 +144,30 @@ def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
 
 @memoized
 def _theta(g: Graph, t: Thread, cap: int) -> ThetaPair:
-    tbits = g.edge_set(t.edges)
-    tverts = set(t.vertices)
-    through = [c for c in _enumerate(g, cap) if tbits.issubset(c.edges)]
+    tset = g.edge_set(t.edges)
+    tbits, tmask = tset.bits, _vertex_mask(t.vertices)
+    through = [
+        (c, _vertex_mask(c.vertex_cycle))
+        for c in _enumerate(g, cap) if tset.issubset(c.edges)
+    ]
+
+    def partners(ref: Circuit) -> list[Circuit]:
+        """Circuits through the thread meeting ``ref`` exactly in it.
+
+        Both tests are needed: by vertices alone, the thread plus an edge
+        joining its ends would be its own partner.
+        """
+        rbits, rmask = ref.edges.bits, _vertex_mask(ref.vertex_cycle)
+        return [
+            c for c, cmask in through
+            if c.edges.bits & rbits == tbits and cmask & rmask == tmask
+        ]
 
     def best_partner(ref: Circuit) -> Circuit:
-        anchor = ref.edges - tbits
-        best = None
-        best_alpha = -1
-        for c in through:
-            if _meets_exactly(c, ref, tbits, tverts):
-                alpha = _anchored_block_size(g, c, anchor)
-                if alpha > best_alpha:
-                    best, best_alpha = c, alpha
-        return best
+        anchor = ref.edges - tset
+        return max(partners(ref), key=lambda c: _anchored_block_size(g, c, anchor))
 
-    initial = None
-    for i, r in enumerate(through):
-        for s in through[i + 1:]:
-            if _meets_exactly(r, s, tbits, tverts):
-                initial = r
-                break
-        if initial is not None:
-            break
+    initial = next((c for c, _ in through if partners(c)), None)
     if initial is None:
         raise VerificationFailed("no two circuits meet exactly in the thread")
 

@@ -38,6 +38,7 @@ from .cycle_space import (
     is_cycle_space_member,
 )
 from .circuits import (
+    DEFAULT_CIRCUIT_CAP,
     enumerate_circuits,
     is_path_chord,
     is_separating,
@@ -46,16 +47,18 @@ from .circuits import (
 )
 from .decomposition import decompose_cs_element, ear_sequence, theta_pair
 from .cocircuits import (
+    MAX_BOND_VERTICES,
     CounterexampleReport,
     bonds,
     circuits_meeting_once,
-    minimal_cut_candidates,
     verify_cocircuit_identity,
 )
 
 THETA_EDGE_BOUND = 15
 TRIPLE_EDGE_BOUND = 12
 ORTHOGONALITY_EDGE_BOUND = 12
+# Below cocircuits.MAX_SUBSET_EDGES (20): the 2^m subset search takes too long.
+COCIRCUIT_EDGE_BOUND = 18
 WITNESS_SAMPLE_CAP = 150
 DECOMPOSE_SAMPLE_CAP = 64
 
@@ -94,6 +97,18 @@ def _skip(reason: str) -> tuple[bool, str]:
     return True, f"skipped: {reason}"
 
 
+def _simple_3_connected(g: Graph) -> bool:
+    return g.simple and is_k_connected(g, 3)
+
+
+# Hypotheses a check may need: (predicate, skip reason).  The predicates look
+# their functions up at call time, so a rebound module name reaches them.
+_CONNECTED = (lambda g: is_connected(g), "graph is disconnected")
+_SIMPLE_3_CONNECTED = (_simple_3_connected, "requires a simple 3-connected host")
+_TOP_3_CONNECTED = (
+    lambda g: is_top_3_connected(g), "requires a subdivision of a 3-connected graph")
+
+
 def _check_blocks_partition(g: Graph) -> tuple[bool, str]:
     decomposition = blocks(g)
     union = 0
@@ -109,8 +124,6 @@ def _check_blocks_partition(g: Graph) -> tuple[bool, str]:
 
 
 def _check_threads_partition(g: Graph) -> tuple[bool, str]:
-    if not is_connected(g):
-        return _skip("graph is disconnected")
     try:
         ts = threads(g)
     except AllDegreesTwo:
@@ -126,13 +139,11 @@ def _check_threads_partition(g: Graph) -> tuple[bool, str]:
 
 
 def _check_host(g: Graph) -> tuple[bool, str]:
-    ok = g.simple and is_k_connected(g, 3)
+    ok = _simple_3_connected(g)
     return ok, "simple and 3-connected" if ok else "host must be simple and 3-connected"
 
 
 def _check_cycle_space_rank(g: Graph) -> tuple[bool, str]:
-    if not is_connected(g):
-        return _skip("graph is disconnected")
     basis = fundamental_basis(g)
     rank = gf2_rank(Gf2Matrix.from_rows(basis, g.universe))
     dim = cyclomatic_number(g)
@@ -141,8 +152,6 @@ def _check_cycle_space_rank(g: Graph) -> tuple[bool, str]:
 
 
 def _check_nc_span(g: Graph, cap: int) -> tuple[bool, str]:
-    if not (g.simple and is_k_connected(g, 3)):
-        return _skip("requires a simple 3-connected host")
     nc = non_separating_circuits(g, cap)
     matrix = Gf2Matrix.from_rows(nc.edge_sets(), g.universe)
     rank = gf2_rank(matrix)
@@ -155,8 +164,6 @@ def _check_nc_span(g: Graph, cap: int) -> tuple[bool, str]:
 
 
 def _check_decomposition_replay(g: Graph, cap: int, rng: random.Random) -> tuple[bool, str]:
-    if not is_top_3_connected(g):
-        return _skip("requires a subdivision of a 3-connected graph")
     targets = [c.edges for c in enumerate_circuits(g, cap)]
     if len(targets) > DECOMPOSE_SAMPLE_CAP:
         targets = targets[:DECOMPOSE_SAMPLE_CAP // 2]
@@ -180,8 +187,6 @@ def _check_decomposition_replay(g: Graph, cap: int, rng: random.Random) -> tuple
 
 
 def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
-    if not is_top_3_connected(g):
-        return _skip("requires a subdivision of a 3-connected graph")
     if is_top_k4(g):
         return True, "already a subdivision of K4"
     seq = ear_sequence(g)
@@ -196,8 +201,6 @@ def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
 
 
 def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
-    if not is_top_3_connected(g):
-        return _skip("requires a subdivision of a 3-connected graph")
     thread_pool = threads(g)
     exhaustive = len(g.edges) <= TRIPLE_EDGE_BOUND
     if not exhaustive:
@@ -221,8 +224,6 @@ def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
 
 
 def _check_theta_pairs(g: Graph, cap: int) -> tuple[bool, str]:
-    if not is_top_3_connected(g):
-        return _skip("requires a subdivision of a 3-connected graph")
     pool = threads(g)
     if len(g.edges) > THETA_EDGE_BOUND:
         pool = pool[:5]
@@ -240,8 +241,6 @@ def _check_theta_pairs(g: Graph, cap: int) -> tuple[bool, str]:
 
 
 def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
-    if not (g.simple and is_k_connected(g, 3)):
-        return _skip("requires a simple 3-connected host")
     nc = non_separating_circuits(g, cap)
     ids = sorted(g.edges)
     pool = [(e,) for e in ids] + list(combinations(ids, 2))
@@ -259,18 +258,14 @@ def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
 
 
 def _check_cocircuit_recovery(g: Graph) -> tuple[bool, str]:
-    if not (g.simple and is_k_connected(g, 3)):
-        return _skip("requires a simple 3-connected host")
-    if len(g.edges) > 18 or len(g.vertices) > 16:
+    if len(g.edges) > COCIRCUIT_EDGE_BOUND or len(g.vertices) > MAX_BOND_VERTICES:
         return _skip("graph exceeds the exhaustive bounds")
     ok = verify_cocircuit_identity(g)
     return ok, "minimal cut candidates equal bonds" if ok else "families differ"
 
 
 def _check_orthogonality(g: Graph, cap: int) -> tuple[bool, str]:
-    if not is_connected(g):
-        return _skip("graph is disconnected")
-    if len(g.edges) > ORTHOGONALITY_EDGE_BOUND or len(g.vertices) > 16:
+    if len(g.edges) > ORTHOGONALITY_EDGE_BOUND or len(g.vertices) > MAX_BOND_VERTICES:
         return _skip("graph exceeds the exhaustive bounds")
     all_bonds = bonds(g)
     all_circuits = enumerate_circuits(g, cap)
@@ -281,28 +276,34 @@ def _check_orthogonality(g: Graph, cap: int) -> tuple[bool, str]:
     return True, f"{len(all_bonds)} bonds x {len(all_circuits)} circuits all even"
 
 
-def verify_graph(g: Graph, name: str, cap: int = 100_000) -> VerificationReport:
+def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> VerificationReport:
     """Run every named check against one graph."""
     rng = random.Random(f"verify:{name}:{fingerprint(g)}")
     started = time.monotonic()
     battery = [
-        ("blocks_partition", lambda: _check_blocks_partition(g)),
-        ("cocircuit_recovery", lambda: _check_cocircuit_recovery(g)),
-        ("cut_cycle_orthogonality", lambda: _check_orthogonality(g, cap)),
-        ("cycle_space_rank", lambda: _check_cycle_space_rank(g)),
-        ("decomposition_replay", lambda: _check_decomposition_replay(g, cap, rng)),
-        ("ear_assembly_reduction", lambda: _check_ear_assembly(g)),
-        ("host_three_connected", lambda: _check_host(g)),
-        ("nc_spans_cycle_space", lambda: _check_nc_span(g, cap)),
-        ("path_chord_split_lifting", lambda: _check_path_chord_lifting(g, cap)),
-        ("theta_pairs", lambda: _check_theta_pairs(g, cap)),
-        ("threads_partition", lambda: _check_threads_partition(g)),
-        ("unit_overlap_witnesses", lambda: _check_unit_overlap_witnesses(g, cap)),
+        ("blocks_partition", None, lambda: _check_blocks_partition(g)),
+        ("cocircuit_recovery", _SIMPLE_3_CONNECTED, lambda: _check_cocircuit_recovery(g)),
+        ("cut_cycle_orthogonality", _CONNECTED, lambda: _check_orthogonality(g, cap)),
+        ("cycle_space_rank", _CONNECTED, lambda: _check_cycle_space_rank(g)),
+        ("decomposition_replay", _TOP_3_CONNECTED,
+         lambda: _check_decomposition_replay(g, cap, rng)),
+        ("ear_assembly_reduction", _TOP_3_CONNECTED, lambda: _check_ear_assembly(g)),
+        ("host_three_connected", None, lambda: _check_host(g)),
+        ("nc_spans_cycle_space", _SIMPLE_3_CONNECTED, lambda: _check_nc_span(g, cap)),
+        ("path_chord_split_lifting", _TOP_3_CONNECTED,
+         lambda: _check_path_chord_lifting(g, cap)),
+        ("theta_pairs", _TOP_3_CONNECTED, lambda: _check_theta_pairs(g, cap)),
+        ("threads_partition", _CONNECTED, lambda: _check_threads_partition(g)),
+        ("unit_overlap_witnesses", _SIMPLE_3_CONNECTED,
+         lambda: _check_unit_overlap_witnesses(g, cap)),
     ]
     results = []
-    for check_name, run in battery:
+    for check_name, hypothesis, run in battery:
         try:
-            passed, details = run()
+            if hypothesis is not None and not hypothesis[0](g):
+                passed, details = _skip(hypothesis[1])
+            else:
+                passed, details = run()
         except GraphError as exc:
             passed, details = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(check_name, passed, details))

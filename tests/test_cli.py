@@ -162,6 +162,16 @@ def test_cli_domain_failure_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--gen", "k4", "--circuit", "1,2,3,4", "--cap", "5"],
+    ["ears", "--gen", "k5", "--cap", "5"],
+    ["info", "--gen", "k4", "--timing"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_honor(argv, capsys):
+    assert run_command(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_verify_all_rejects_weak_hosts(tmp_path, capsys):
     # a 4-cycle is connected but not 3-connected: the host check fails
     # (exit 1) while the checks needing that hypothesis skip instead of crashing

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nscycles import (
@@ -228,3 +230,26 @@ def test_decompose_rejects_non_circuits(k4):
     bogus = Circuit(k4.edge_set([0, 1]), (0, 1, 2))
     with pytest.raises(NotACircuit):
         decompose_circuit(k4, bogus)
+
+
+# sha256 of one line "thread first second" (edge id lists) per thread of
+# THETA_GRAPHS, recorded before the partner search was rewritten.
+THETA_SELECTION_SHA256 = "8c687bc572339e188835fac8c09eef45cb6ae33ce763aa0987022c1737ee538e"
+THETA_GRAPHS = (
+    [gen_corpus(name) for name in (
+        "k4", "k5", "k6", "k33", "wheel-4", "wheel-5", "wheel-6", "wheel-7",
+        "prism", "petersen")]
+    + [gen_corpus(f"random3c-{n}", 0) for n in range(8, 13)]
+    + [subdivide_every_edge(gen_corpus(name)) for name in ("k4", "prism", "wheel-5")]
+)
+
+
+def test_theta_selection_is_pinned():
+    lines = []
+    for g in THETA_GRAPHS:
+        for t in threads(g):
+            pair = theta_pair(g, t)
+            lines.append(
+                f"{list(t.edges)} {list(pair.first.edges.ids())} {list(pair.second.edges.ids())}")
+    assert len(lines) == 221
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THETA_SELECTION_SHA256
