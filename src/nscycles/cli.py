@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import GraphError, ParseError, UnknownName
+from .errors import GraphError, InputTooLarge, ParseError, UnknownName
 from .graph_core import (
     Graph,
     blocks,
@@ -38,6 +38,10 @@ from .cocircuits import bonds, minimal_cut_candidates, verify_cocircuit_identity
 from .corpus import gen_corpus
 from .verify import verify_graph
 
+# build_graph materialises every vertex the header declares, before any
+# edge line is read; larger headers are rejected as bad input (exit 2).
+MAX_EDGE_LIST_VERTICES = 100_000
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line ``n m``, then m lines ``u v``."""
@@ -51,6 +55,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("line 1: header fields must be integers") from None
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise InputTooLarge(
+            f"line 1: {n} vertices exceeds the edge-list bound of {MAX_EDGE_LIST_VERTICES}"
+        )
     pairs = []
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:

@@ -70,7 +70,7 @@ class NotInNcOfReduced(GraphError):
 
 
 class TooLarge(GraphError):
-    """The instance exceeds the exhaustive-enumeration size guard."""
+    """The instance exceeds a size guard."""
 
 
 class EmptyX(GraphError):
@@ -79,6 +79,10 @@ class EmptyX(GraphError):
 
 class ParseError(GraphError):
     """Malformed edge-list text."""
+
+
+class InputTooLarge(TooLarge, ParseError):
+    """An edge-list header declares more vertices than the input guard allows."""
 
 
 class UnknownName(GraphError):

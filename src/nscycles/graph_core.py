@@ -15,7 +15,6 @@ import functools
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     AllDegreesTwo,
@@ -344,6 +343,44 @@ def blocks(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(all_blocks), frozenset(cut), len(all_blocks))
 
 
+def _biconnected_without(nbrs: list, removed: tuple) -> bool:
+    """True iff ``nbrs`` (vertex index -> neighbor indices) minus ``removed``
+    is connected with no cut vertex, by one low-point DFS that stops early:
+    the root's first subtree must span the rest and hold no cut vertex.
+    Removed vertices look visited, at a discovery time no low point reaches.
+    The edge back to the tree parent may count: it cannot lower a low point
+    below the parent, so it hides no cut vertex.
+    """
+    n = len(nbrs)
+    disc = [-1] * n
+    for x in removed:
+        disc[x] = n
+    root = disc.index(-1)
+    disc[root] = 0
+    low = [0] * n
+    count = 1
+    frames = [(root, root, iter(nbrs[root]))]
+    while True:
+        v, parent, it = frames[-1]
+        for w in it:
+            d = disc[w]
+            if d < 0:
+                disc[w] = low[w] = count
+                count += 1
+                frames.append((w, v, iter(nbrs[w])))
+                break
+            if d < low[v]:
+                low[v] = d
+        else:
+            frames.pop()
+            if parent == root:
+                return count == n - len(removed)
+            if low[v] >= disc[parent]:
+                return False
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+
+
 def bfs_tree(adjacency: dict, start, skip=()) -> dict:
     """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
     pairs) from ``start``, never entering a vertex of ``skip``.
@@ -370,23 +407,31 @@ def is_connected(g: Graph) -> bool:
 
 @memoized
 def is_k_connected(g: Graph, k: int) -> bool:
-    """Exhaustive vertex-connectivity test on the underlying simple graph.
+    """Vertex k-connectivity of the underlying simple graph.
 
     True iff |V| > k and no vertex set of size < k disconnects the graph.
-    Intended for desk-scale graphs only.
+    For k >= 2 that holds iff |V| > k and G - v is (k-1)-connected for
+    every v; one low-point DFS decides k = 2, so k = 3 takes n DFS runs.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = len(g.vertices)
-    if n <= k:
+    if len(g.vertices) <= k:
         return False
-    verts = sorted(g.vertices)
-    for size in range(k):
-        for removed in combinations(verts, size):
-            start = next(v for v in verts if v not in removed)
-            if len(bfs_tree(g.adjacency, start, removed)) != n - size:
-                return False
-    return True
+    if k == 1:
+        return is_connected(g)
+    index = {v: i for i, v in enumerate(g.adjacency)}
+    nbrs = [[index[w] for _, w in pairs] for pairs in g.adjacency.values()]
+    return _k_connected_without(nbrs, (), k)
+
+
+def _k_connected_without(nbrs: list, removed: tuple, k: int) -> bool:
+    # |V - removed| > k holds at every level once it holds for removed = ().
+    if k == 2:
+        return _biconnected_without(nbrs, removed)
+    return all(
+        _k_connected_without(nbrs, removed + (v,), k - 1)
+        for v in range(len(nbrs)) if v not in removed
+    )
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,19 @@ def connected_after_removing(g, removed_vertices) -> bool:
     return len(reachable(adj, left[0])) == len(left)
 
 
+def k_connected_by_removal(g, k) -> bool:
+    """Vertex k-connectivity of the underlying simple graph: |V| > k and
+    no vertex set of size < k disconnects it, trying every such set."""
+    verts = sorted(g.vertices)
+    if len(verts) <= k:
+        return False
+    return all(
+        connected_after_removing(g, removed)
+        for size in range(k)
+        for removed in combinations(verts, size)
+    )
+
+
 def cut_vertices_by_removal(g) -> set:
     base = components_count(g)
     out = set()

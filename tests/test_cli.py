@@ -3,8 +3,8 @@ import json
 import pytest
 
 from nscycles import gen_corpus, is_k_connected
-from nscycles.cli import parse_edge_list, run_command
-from nscycles.errors import LoopRejected, ParseError, UnknownName
+from nscycles.cli import MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
+from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
 
 
 def run_json(argv, capsys):
@@ -33,6 +33,17 @@ def test_parse_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ParseError):
         parse_edge_list("3 1\n0 x\n")
+
+
+def test_edge_list_header_vertex_bound(tmp_path, capsys):
+    # The guard fires on the header alone, before build_graph allocates.
+    text = f"{MAX_EDGE_LIST_VERTICES + 1} 0\n"
+    with pytest.raises(TooLarge):
+        parse_edge_list(text)
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert run_command(["info", "--input", str(path)]) == 2
+    assert f"{MAX_EDGE_LIST_VERTICES + 1} vertices" in capsys.readouterr().err
 
 
 def test_gen_corpus_names():

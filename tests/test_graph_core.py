@@ -140,12 +140,36 @@ def test_connectivity(k4, petersen):
     four_cycle = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert not is_k_connected(four_cycle, 3)
     assert is_k_connected(petersen, 3)
-    # exhaustive oracle: no pair of vertices disconnects the Petersen graph
-    from itertools import combinations
-    assert all(
-        oracles.connected_after_removing(petersen, pair)
-        for pair in combinations(sorted(petersen.vertices), 2)
-    )
+    assert oracles.k_connected_by_removal(petersen, 3)
+
+
+def test_k_connected_matches_removal_oracle_on_corpus(corpus):
+    for label, g in corpus:
+        for k in range(1, 5):
+            assert is_k_connected(g, k) == oracles.k_connected_by_removal(g, k), (label, k)
+
+
+def _cycle(n, first=0):
+    return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+
+def _path(n, first=0):
+    return [(first + i, first + i + 1) for i in range(n - 1)]
+
+
+def test_k_connected_at_sizes_beyond_the_removal_oracle():
+    # Removing every vertex pair would take about 45k BFS runs on each
+    # 300-vertex ladder.
+    n = 150
+    rungs = [(i, n + i) for i in range(n)]
+    circular_ladder = build_graph(2 * n, _cycle(n) + _cycle(n, n) + rungs)
+    assert is_k_connected(circular_ladder, 3)
+    ladder = build_graph(2 * n, _path(n) + _path(n, n) + rungs)
+    assert is_k_connected(ladder, 2)
+    assert not is_k_connected(ladder, 3)
+    broken_wheel = build_graph(n + 1, _cycle(n)[1:] + [(n, i) for i in range(n)])
+    assert is_k_connected(broken_wheel, 2)
+    assert not is_k_connected(broken_wheel, 3)
 
 
 def test_threads_k4(k4):

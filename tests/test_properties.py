@@ -18,10 +18,13 @@ from nscycles import (
     gf2_rank,
     is_connected,
     is_cycle_space_member,
+    is_k_connected,
     sym_diff,
     threads,
 )
 from nscycles.errors import AllDegreesTwo, NotInSpan
+
+import oracles
 
 
 @st.composite
@@ -40,6 +43,22 @@ def connected_graphs(draw, min_vertices=2, max_vertices=7):
     )
     pairs = sorted(tree_pairs | extras)
     return build_graph(n, pairs)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Any simple graph on 1..9 vertices, connected or not."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(n, [p for p in pairs if draw(st.booleans())])
+
+
+@st.composite
+def contracted_graphs(draw):
+    """Contraction images of simple graphs: loops and parallel edges."""
+    g = draw(simple_graphs())
+    ids = [e for e in sorted(g.edges) if draw(st.booleans())]
+    return contract_edges(g, g.edge_set(ids))[0]
 
 
 @st.composite
@@ -122,6 +141,13 @@ def test_contract_delete_commute_on_disjoint_sets(g, data):
     one = contract_edges(delete_edges(g, a), b)[0]
     other = delete_edges(contract_edges(g, b)[0], a)
     assert one == other
+
+
+@settings(max_examples=200)
+@given(st.one_of(simple_graphs(), contracted_graphs()))
+def test_k_connected_matches_removal_oracle(g):
+    for k in range(1, 5):
+        assert is_k_connected(g, k) == oracles.k_connected_by_removal(g, k), k
 
 
 @given(connected_graphs())
