@@ -1,4 +1,14 @@
-"""Circuit enumeration, the separating test, and path-chord geometry."""
+"""Circuit enumeration, the separating test, and path-chord geometry.
+
+A circuit C is *separating* when contracting it leaves more blocks than the
+host has.  On a subdivision of a simple 3-connected graph that is the same
+as C not being *peripheral* (Tutte 1963; Thomassen and Toft 1981): C is
+non-separating exactly when no edge outside C joins two vertices of C and
+G - V(C) is nonempty and connected.  Such hosts take that O(m) test, and
+their catalog of non-separating circuits is read off the chordless cycles
+of the branch graph instead of from every circuit.  Other connected hosts
+contract and count blocks, over every circuit.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +26,14 @@ from .graph_core import (
     Graph,
     Thread,
     _validate_thread,
+    bfs_tree,
     blocks,
     contract_edges,
     fingerprint,
     is_connected,
+    is_top_3_connected,
     memoized,
+    suppress_degree_two,
 )
 from .cycle_space import is_cycle_space_member
 
@@ -172,8 +185,23 @@ def _host_block_count(g: Graph) -> int:
     return blocks(g).block_count
 
 
+def _peripheral(g: Graph, on_cycle: set, cycle_bits: int) -> bool:
+    """True iff no edge outside the cycle (edge bitmask ``cycle_bits``)
+    joins two of its vertices ``on_cycle``, and the other vertices are
+    nonempty and connected.  O(m)."""
+    for v in on_cycle:
+        for e, w in g.adjacency[v]:
+            if w in on_cycle and not cycle_bits >> e & 1:
+                return False
+    rest = g.vertices - on_cycle
+    return bool(rest) and len(bfs_tree(g.adjacency, min(rest), on_cycle)) == len(rest)
+
+
 @memoized
 def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
+    if is_top_3_connected(g):
+        on_cycle = {v for e in edges for v in g.psi[e]}
+        return not _peripheral(g, on_cycle, edges.bits)
     contracted, _ = contract_edges(g, edges)
     return blocks(contracted).block_count > _host_block_count(g)
 
@@ -182,7 +210,8 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     """True iff contracting the circuit leaves more blocks than the host has.
 
     Loops created by the contraction count as blocks, so a chord of the
-    circuit is enough to make it separating.
+    circuit is enough to make it separating.  On a subdivision of a simple
+    3-connected graph this is decided by the peripheral rule in O(m).
     """
     if not is_connected(g):
         raise Disconnected("the separating test is defined on connected graphs")
@@ -190,16 +219,84 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
+def _chordless_cycles(h: Graph, cap: int):
+    """Each chordless cycle of the simple graph ``h`` once, as its vertex
+    set and edge bitmask.
+
+    From each vertex s, grows induced paths s, p1, ... through vertices
+    larger than s; a vertex adjacent to s closes a cycle and is not passed.
+    Each cycle is found in both directions and kept when p1 is smaller than
+    its last vertex.  Raises CircuitExplosion past ``cap`` cycles.
+    """
+    adjacency = h.adjacency
+    # hits[v]: the path vertices after s that are v or adjacent to v, so a
+    # vertex extends the path's tip without a chord iff hits[v] == 1.
+    hits = dict.fromkeys(h.vertices, 0)
+
+    def mark(v, step: int) -> None:
+        hits[v] += step
+        for _, x in adjacency[v]:
+            hits[x] += step
+
+    found = 0
+    for s in sorted(h.vertices):
+        to_s = {w: e for e, w in adjacency[s] if w > s}
+        for first, e1 in to_s.items():
+            mark(first, 1)
+            # DFS frames: (path vertex, edge into it, iterator over its edges).
+            frames = [(first, e1, iter(adjacency[first]))]
+            path_bits = 1 << e1
+            while frames:
+                for e, w in frames[-1][2]:
+                    if w <= s or hits[w] != 1:
+                        continue
+                    if w not in to_s:
+                        mark(w, 1)
+                        frames.append((w, e, iter(adjacency[w])))
+                        path_bits |= 1 << e
+                        break
+                    if first < w:
+                        found += 1
+                        if found > cap:
+                            raise CircuitExplosion(f"more than {cap} chordless cycles")
+                        on_cycle = {s, w, *(v for v, _, _ in frames)}
+                        yield on_cycle, path_bits | 1 << e | 1 << to_s[w]
+                else:
+                    v, e, _ = frames.pop()
+                    mark(v, -1)
+                    path_bits ^= 1 << e
+
+
 @memoized
 def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
-    members = tuple(
-        c for c in _enumerate(g, cap) if not _is_separating_edges(g, c.edges)
-    )
-    return NcCatalog(members, fingerprint(g))
+    if not is_top_3_connected(g):
+        members = [c for c in _enumerate(g, cap) if not _is_separating_edges(g, c.edges)]
+    else:
+        # A circuit of g runs along a cycle of the branch graph h, one thread
+        # per edge, and is peripheral in g iff that cycle is peripheral in h.
+        h, thread_map = suppress_degree_two(g)
+        members = sorted(
+            (
+                circuit_from_edges(g, [e for i in EdgeSet(bits, h.universe)
+                                       for e in thread_map[i].edges])
+                for on_cycle, bits in _chordless_cycles(h, cap)
+                if _peripheral(h, on_cycle, bits)
+            ),
+            key=Circuit.sort_key,
+        )
+    return NcCatalog(tuple(members), fingerprint(g))
 
 
 def non_separating_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> NcCatalog:
-    """Catalog of all non-separating circuits of a connected graph."""
+    """Catalog of all non-separating circuits of a connected graph, ordered
+    by sorted edge ids.
+
+    On a subdivision of a simple 3-connected graph these are the peripheral
+    chordless cycles of the branch graph, mapped back through the threads;
+    ``cap`` bounds the chordless cycles examined.  On any other connected
+    host every circuit is enumerated (``cap`` bounds them) and tested by
+    contracting it.  Either way CircuitExplosion is raised past ``cap``.
+    """
     if not is_connected(g):
         raise Disconnected("non-separating circuits require a connected graph")
     return _nc_catalog(g, cap)

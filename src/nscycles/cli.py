@@ -2,9 +2,11 @@
 
 All output is canonical JSON (sorted keys, fixed indentation), so identical
 invocations produce byte-identical reports.  Each subcommand reads one graph
-(--gen NAME or --input FILE).  --cap bounds circuit enumeration and is taken
-only by circuits, nc, theta, whitney and verify-all.  Timing is volatile and
-is only emitted by verify-all, the one subcommand that takes --timing.
+(--gen NAME or --input FILE).  --cap bounds circuit enumeration (on a
+subdivision of a simple 3-connected graph, the chordless cycles a
+non-separating catalog examines) and is taken only by circuits, nc, theta,
+whitney and verify-all.  Timing is volatile and is only emitted by
+verify-all, the one subcommand that takes --timing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import argparse
 import json
 import sys
 
-from .errors import GraphError, InputTooLarge, ParseError, UnknownName
+from .errors import (
+    DanglingVertexId,
+    DuplicateEdge,
+    GraphError,
+    InputTooLarge,
+    LoopRejected,
+    ParseError,
+    UnknownName,
+)
 from .graph_core import (
     Graph,
     blocks,
@@ -34,7 +44,7 @@ from .cycle_space import (
 )
 from .circuits import DEFAULT_CIRCUIT_CAP, enumerate_circuits, non_separating_circuits
 from .decomposition import decompose_cs_element, ear_sequence, theta_pair
-from .cocircuits import bonds, minimal_cut_candidates, verify_cocircuit_identity
+from .cocircuits import bonds, families_match, minimal_cut_candidates
 from .corpus import gen_corpus
 from .verify import verify_graph
 
@@ -55,6 +65,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("line 1: header fields must be integers") from None
+    if n < 0 or m < 0:
+        raise ParseError("line 1: header counts must be non-negative")
     if n > MAX_EDGE_LIST_VERTICES:
         raise InputTooLarge(
             f"line 1: {n} vertices exceeds the edge-list bound of {MAX_EDGE_LIST_VERTICES}"
@@ -83,7 +95,11 @@ def _load_graph(args) -> tuple[Graph, str]:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from None
-        return parse_edge_list(text), args.input
+        try:
+            return parse_edge_list(text), args.input
+        except (LoopRejected, DuplicateEdge, DanglingVertexId) as exc:
+            # edges build_graph rejects are bad input (exit 2), named by type
+            raise ParseError(f"{type(exc).__name__}: {exc}") from None
     raise UnknownName("one of --gen NAME or --input FILE is required")
 
 
@@ -224,13 +240,13 @@ def _cmd_bonds(g: Graph, name: str, args) -> tuple[dict, int]:
 
 def _cmd_whitney(g: Graph, name: str, args) -> tuple[dict, int]:
     catalog = non_separating_circuits(g, args.cap)
-    bond_count = len(bonds(g))
-    candidate_count = len(minimal_cut_candidates(g, catalog))
-    match = verify_cocircuit_identity(g)
+    found_bonds = bonds(g)
+    candidates = minimal_cut_candidates(g, catalog)
+    match = families_match(found_bonds, candidates)
     return {
         "graph": name,
-        "bond_count": bond_count,
-        "candidate_count": candidate_count,
+        "bond_count": len(found_bonds),
+        "candidate_count": len(candidates),
         "match": match,
     }, 0 if match else 1
 
@@ -277,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common])
         if name in _CAPPED:
             p.add_argument("--cap", type=int, default=DEFAULT_CIRCUIT_CAP,
-                           help=f"circuit enumeration cap (default {DEFAULT_CIRCUIT_CAP})")
+                           help="circuit (or chordless cycle) enumeration cap "
+                                f"(default {DEFAULT_CIRCUIT_CAP})")
         if name == "verify-all":
             p.add_argument("--timing", action="store_true",
                            help="include volatile elapsed_ms in reports")

@@ -129,12 +129,16 @@ def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
     return CounterexampleReport(fingerprint(g), x, tuple(witnesses))
 
 
+def families_match(found_bonds: list[Bond], candidates: list[EdgeSet]) -> bool:
+    """True iff the bonds and the minimal cut candidates are the same edge sets."""
+    return (sorted(b.edges.ids() for b in found_bonds)
+            == sorted(x.ids() for x in candidates))
+
+
 def verify_cocircuit_identity(g: Graph) -> bool:
     """True iff the minimal cut candidates recovered from the
     non-separating circuits coincide with the bonds."""
     if len(g.vertices) > MAX_BOND_VERTICES or len(g.edges) > MAX_SUBSET_EDGES:
         raise TooLarge("graph exceeds the exhaustive-verification bounds")
     nc = non_separating_circuits(g)
-    bond_sets = sorted(b.edges.ids() for b in bonds(g))
-    candidate_sets = sorted(x.ids() for x in minimal_cut_candidates(g, nc))
-    return bond_sets == candidate_sets
+    return families_match(bonds(g), minimal_cut_candidates(g, nc))

@@ -199,3 +199,83 @@ def theta_pairs_by_search(nc_members, thread_edges, thread_vertices) -> list:
             ):
                 out.append((a, b))
     return out
+
+
+def circuits_by_cycle_space(g) -> set[frozenset]:
+    """All circuits of a connected graph: the members of its cycle space
+    (XORs of the fundamental cycles of a BFS tree) that are connected and
+    2-regular.  Costs 2^(m - n + 1) cycle-space members."""
+    root = min(g.vertices)
+    parent = {root: (None, None)}  # vertex -> (parent, tree edge)
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for e in sorted(g.edges):
+            a, b = g.psi[e]
+            if v in (a, b):
+                w = b if v == a else a
+                if w not in parent:
+                    parent[w] = (v, e)
+                    queue.append(w)
+    tree = {e for _, e in parent.values() if e is not None}
+
+    def root_path(v) -> int:
+        bits = 0
+        while parent[v][0] is not None:
+            v, e = parent[v]
+            bits |= 1 << e
+        return bits
+
+    basis = [
+        1 << e ^ root_path(g.psi[e][0]) ^ root_path(g.psi[e][1])
+        for e in sorted(g.edges) if e not in tree
+    ]
+    out = set()
+    for size in range(1, len(basis) + 1):
+        for combo in combinations(basis, size):
+            bits = 0
+            for row in combo:
+                bits ^= row
+            ids = [e for e in sorted(g.edges) if bits >> e & 1]
+            if is_circuit_edge_set(g, ids):
+                out.add(frozenset(ids))
+    return out
+
+
+def block_count_by_removal(vertices, pairs) -> int:
+    """Blocks of a connected multigraph given by endpoint pairs.  Each loop
+    is a block of its own.  The other edges form 1 + sum over v of
+    (components of G - v) - 1 blocks, by counting the edges of the
+    block-cut tree: a vertex lies in as many blocks as G - v has components.
+    """
+    loops = sum(1 for u, v in pairs if u == v)
+    if loops == len(pairs):
+        return loops
+    count = 1 + loops
+    for cut in vertices:
+        rest = [w for w in vertices if w != cut]
+        adj = adjacency_from_pairs(rest, [p for p in pairs if cut not in p])
+        seen: set = set()
+        for w in rest:
+            if w not in seen:
+                count += 1
+                seen |= reachable(adj, w)
+        count -= 1
+    return count
+
+
+def separating_by_block_count(g, edge_ids) -> bool:
+    """Contracting the circuit leaves more blocks than the host has."""
+    vertex_map, survivors = contract_by_union_find(g, edge_ids)
+    before = block_count_by_removal(sorted(g.vertices), [g.psi[e] for e in g.edges])
+    after = block_count_by_removal(sorted(set(vertex_map.values())), list(survivors.values()))
+    return after > before
+
+
+def nc_by_block_count(g) -> list[tuple[int, ...]]:
+    """Sorted edge ids of every non-separating circuit, in sorted order:
+    every circuit is contracted and its blocks counted."""
+    return sorted(
+        tuple(sorted(c)) for c in circuits_by_cycle_space(g)
+        if not separating_by_block_count(g, c)
+    )

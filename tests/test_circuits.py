@@ -4,18 +4,24 @@ from nscycles import (
     build_graph,
     circuit_from_edges,
     contract_edges,
+    cyclomatic_number,
     enumerate_circuits,
     even_subgraph_to_circuits,
     fingerprint,
+    Gf2Matrix,
     gen_corpus,
+    gf2_rank,
     is_cycle_space_member,
     is_path_chord,
     is_separating,
     non_separating_circuits,
     split_on_path_chord,
+    subdivide_every_edge,
+    suppress_degree_two,
     sym_diff,
     thread_from_edges,
 )
+from nscycles.circuits import DEFAULT_CIRCUIT_CAP, _chordless_cycles
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -116,6 +122,40 @@ def test_nc_catalogs(k4, w4, prism):
     catalog = non_separating_circuits(prism)
     assert catalog.graph_fingerprint == fingerprint(prism)
     assert all(not is_separating(prism, c) for c in catalog)
+
+
+def test_nc_catalog_matches_block_count_oracle(corpus):
+    for label, g in corpus:
+        for host in (g, subdivide_every_edge(g)):
+            got = [c.edges.ids() for c in non_separating_circuits(host)]
+            assert got == oracles.nc_by_block_count(host), label
+
+
+def test_branch_graph_chordless_cycles_match_networkx(corpus):
+    nx = pytest.importorskip("networkx")
+    for label, g in corpus:
+        h, _ = suppress_degree_two(subdivide_every_edge(g))
+        found = [frozenset(vs) for vs, _ in _chordless_cycles(h, DEFAULT_CIRCUIT_CAP)]
+        reference = nx.Graph(list(h.psi.values()))
+        expected = {frozenset(c) for c in nx.chordless_cycles(reference)}
+        assert len(found) == len(set(found)), label
+        assert set(found) == expected, label
+
+
+def test_nc_cap_bounds_the_chordless_cycles_examined(k4):
+    # K4 has 4 chordless cycles (its triangles) and 7 circuits
+    assert len(non_separating_circuits(k4, 4)) == 4
+    with pytest.raises(CircuitExplosion):
+        non_separating_circuits(k4, 3)
+
+
+def test_nc_reaches_random3c_40():
+    # enumerating every circuit of this 60-edge graph exceeds the default cap
+    g = gen_corpus("random3c-40", 0)
+    catalog = non_separating_circuits(g)
+    assert len(catalog) == 1587
+    assert gf2_rank(Gf2Matrix.from_rows(catalog.edge_sets(), g.universe)) \
+        == cyclomatic_number(g)
 
 
 def test_is_path_chord(k4):

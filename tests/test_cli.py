@@ -46,6 +46,29 @@ def test_edge_list_header_vertex_bound(tmp_path, capsys):
     assert f"{MAX_EDGE_LIST_VERTICES + 1} vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,error", [
+    ("2 1\n0 0\n", "LoopRejected"),
+    ("3 2\n0 1\n1 0\n", "DuplicateEdge"),
+    ("3 1\n0 3\n", "DanglingVertexId"),
+])
+def test_rejected_edge_list_is_a_usage_error(text, error, tmp_path, capsys):
+    # build_graph's rejections of a file are bad input, not a failed check
+    path = tmp_path / "rejected.txt"
+    path.write_text(text)
+    assert run_command(["info", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"nscycles: {error}: ")
+
+
+def test_negative_header_counts_are_rejected(tmp_path, capsys):
+    for text in ("-3 0\n", "3 -1\n"):
+        with pytest.raises(ParseError):
+            parse_edge_list(text)
+        path = tmp_path / "negative.txt"
+        path.write_text(text)
+        assert run_command(["info", "--input", str(path)]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+
 def test_gen_corpus_names():
     k4 = gen_corpus("k4", 0)
     assert len(k4.vertices) == 4 and len(k4.edges) == 6

@@ -15,10 +15,13 @@ from nscycles import (
     even_subgraph_to_circuits,
     express_in_span,
     fundamental_basis,
+    gen_corpus,
     gf2_rank,
     is_connected,
     is_cycle_space_member,
     is_k_connected,
+    is_separating,
+    non_separating_circuits,
     sym_diff,
     threads,
 )
@@ -200,3 +203,30 @@ def test_bond_circuit_orthogonality(g):
     for b in bonds(g):
         for c in enumerate_circuits(g):
             assert len(b.edges & c.edges) % 2 == 0
+
+
+@st.composite
+def top_3_connected_hosts(draw):
+    """A random3c-N graph (N = 5..12, any seed) with some edges subdivided
+    once or twice, its vertices relabelled and its edges reordered."""
+    n = draw(st.integers(5, 12))
+    g = gen_corpus(f"random3c-{n}", draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for e in sorted(g.edges):
+        u, v = g.psi[e]
+        inner = list(range(n, n + draw(st.integers(0, 2))))
+        n += len(inner)
+        chain = [u, *inner, v]
+        pairs.extend(zip(chain, chain[1:]))
+    label = draw(st.permutations(range(n)))
+    pairs = draw(st.permutations(pairs))
+    return build_graph(n, [(label[u], label[v]) for u, v in pairs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(top_3_connected_hosts())
+def test_peripheral_rule_matches_block_counting(g):
+    catalog = non_separating_circuits(g)
+    assert [c.edges.ids() for c in catalog] == oracles.nc_by_block_count(g)
+    for c in enumerate_circuits(g):
+        assert is_separating(g, c) == oracles.separating_by_block_count(g, c.edges.ids())
