@@ -1,13 +1,12 @@
 """Circuit enumeration, the separating test, and path-chord geometry.
 
-A circuit C is *separating* when contracting it leaves more blocks than the
-host has.  On a subdivision of a simple 3-connected graph that is the same
-as C not being *peripheral* (Tutte 1963; Thomassen and Toft 1981): C is
-non-separating exactly when no edge outside C joins two vertices of C and
-G - V(C) is nonempty and connected.  Such hosts take that O(m) test, and
-their catalog of non-separating circuits is read off the chordless cycles
-of the branch graph instead of from every circuit.  Other connected hosts
-contract and count blocks, over every circuit.
+A circuit C is *separating* when it has two or more *bridges* (Tutte 1963,
+"How to draw a graph"): chords, the non-loop edges outside C with both ends
+on C, and components of G - V(C) meeting C in two or more vertices, each
+with its edges to C.  Contracting C turns its block into one block per
+bridge, so this is contracting C leaving more blocks than the host has.
+Subdivisions of simple 3-connected graphs read their non-separating catalog
+off the chordless cycles of the branch graph; other hosts test every circuit.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .graph_core import (
     Thread,
     _validate_thread,
     bfs_tree,
-    blocks,
-    contract_edges,
     fingerprint,
     is_connected,
     is_top_3_connected,
@@ -180,39 +177,35 @@ def enumerate_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit
     return list(_enumerate(g, cap))
 
 
-@memoized
-def _host_block_count(g: Graph) -> int:
-    return blocks(g).block_count
-
-
-def _peripheral(g: Graph, on_cycle: set, cycle_bits: int) -> bool:
-    """True iff no edge outside the cycle (edge bitmask ``cycle_bits``)
-    joins two of its vertices ``on_cycle``, and the other vertices are
-    nonempty and connected.  O(m)."""
-    for v in on_cycle:
-        for e, w in g.adjacency[v]:
-            if w in on_cycle and not cycle_bits >> e & 1:
-                return False
+def _separates(g: Graph, on_cycle: set, cycle_bits: int) -> bool:
+    """True iff the cycle with vertices ``on_cycle`` and edge bitmask
+    ``cycle_bits`` has two or more bridges.  O(m)."""
+    adjacency = g.adjacency
+    # chords, each counted at its smaller end
+    bridges = sum(1 for v in on_cycle for e, w in adjacency[v]
+                  if v < w and w in on_cycle and not cycle_bits >> e & 1)
     rest = g.vertices - on_cycle
-    return bool(rest) and len(bfs_tree(g.adjacency, min(rest), on_cycle)) == len(rest)
+    seen: set = set()
+    for start in rest:
+        if start in seen or bridges >= 2:
+            continue
+        part = bfs_tree(adjacency, start, on_cycle)
+        if not bridges and len(part) == len(rest):
+            return False  # no chord and one component: at most one bridge
+        seen.update(part)
+        bridges += len({w for v in part for _, w in adjacency[v] if w in on_cycle}) >= 2
+    return bridges >= 2
 
 
 @memoized
 def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
-    if is_top_3_connected(g):
-        on_cycle = {v for e in edges for v in g.psi[e]}
-        return not _peripheral(g, on_cycle, edges.bits)
-    contracted, _ = contract_edges(g, edges)
-    return blocks(contracted).block_count > _host_block_count(g)
+    return _separates(g, {v for e in edges for v in g.psi[e]}, edges.bits)
 
 
 def is_separating(g: Graph, c: Circuit) -> bool:
-    """True iff contracting the circuit leaves more blocks than the host has.
-
-    Loops created by the contraction count as blocks, so a chord of the
-    circuit is enough to make it separating.  On a subdivision of a simple
-    3-connected graph this is decided by the peripheral rule in O(m).
-    """
+    """True iff the circuit has two or more bridges (chords, and components
+    of G - V(C) meeting it in two or more vertices), that is, iff
+    contracting it leaves more blocks than the host has.  O(m)."""
     if not is_connected(g):
         raise Disconnected("the separating test is defined on connected graphs")
     _validate_circuit(g, c)
@@ -273,14 +266,14 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         members = [c for c in _enumerate(g, cap) if not _is_separating_edges(g, c.edges)]
     else:
         # A circuit of g runs along a cycle of the branch graph h, one thread
-        # per edge, and is peripheral in g iff that cycle is peripheral in h.
+        # per edge, and has as many bridges in g as that cycle has in h.
         h, thread_map = suppress_degree_two(g)
         members = sorted(
             (
                 circuit_from_edges(g, [e for i in EdgeSet(bits, h.universe)
                                        for e in thread_map[i].edges])
                 for on_cycle, bits in _chordless_cycles(h, cap)
-                if _peripheral(h, on_cycle, bits)
+                if not _separates(h, on_cycle, bits)
             ),
             key=Circuit.sort_key,
         )
@@ -291,11 +284,11 @@ def non_separating_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> NcCatal
     """Catalog of all non-separating circuits of a connected graph, ordered
     by sorted edge ids.
 
-    On a subdivision of a simple 3-connected graph these are the peripheral
-    chordless cycles of the branch graph, mapped back through the threads;
-    ``cap`` bounds the chordless cycles examined.  On any other connected
-    host every circuit is enumerated (``cap`` bounds them) and tested by
-    contracting it.  Either way CircuitExplosion is raised past ``cap``.
+    A circuit is non-separating when it has at most one bridge.  On a
+    subdivision of a simple 3-connected graph these are read off the
+    chordless cycles of the branch graph (``cap`` bounds the cycles
+    examined); on any other connected host every circuit is enumerated
+    (``cap`` bounds them).  Either way CircuitExplosion is raised past ``cap``.
     """
     if not is_connected(g):
         raise Disconnected("non-separating circuits require a connected graph")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .errors import (
     DanglingVertexId,
@@ -21,7 +22,10 @@ from .errors import (
     GraphError,
     InputTooLarge,
     LoopRejected,
+    NotAThread,
+    NotEven,
     ParseError,
+    UniverseMismatch,
     UnknownName,
 )
 from .graph_core import (
@@ -86,6 +90,15 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, pairs)
 
 
+@contextmanager
+def _bad_input(*errors):
+    """Re-raise ``errors``, caused by user input, as ParseError (exit 2)."""
+    try:
+        yield
+    except errors as exc:
+        raise ParseError(f"{type(exc).__name__}: {exc}") from None
+
+
 def _load_graph(args) -> tuple[Graph, str]:
     if args.gen is not None:
         return gen_corpus(args.gen, args.seed), args.gen
@@ -95,11 +108,8 @@ def _load_graph(args) -> tuple[Graph, str]:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from None
-        try:
+        with _bad_input(LoopRejected, DuplicateEdge, DanglingVertexId):
             return parse_edge_list(text), args.input
-        except (LoopRejected, DuplicateEdge, DanglingVertexId) as exc:
-            # edges build_graph rejects are bad input (exit 2), named by type
-            raise ParseError(f"{type(exc).__name__}: {exc}") from None
     raise UnknownName("one of --gen NAME or --input FILE is required")
 
 
@@ -194,8 +204,8 @@ def _cmd_basis(g: Graph, name: str, args) -> tuple[dict, int]:
 
 
 def _cmd_decompose(g: Graph, name: str, args) -> tuple[dict, int]:
-    target = g.edge_set(_edge_ids(args.circuit))
-    cert = decompose_cs_element(g, target)
+    with _bad_input(UniverseMismatch, NotEven):  # NotEven only for an odd target
+        cert = decompose_cs_element(g, g.edge_set(_edge_ids(args.circuit)))
     return {
         "graph": name,
         "target": list(cert.target.ids()),
@@ -205,7 +215,8 @@ def _cmd_decompose(g: Graph, name: str, args) -> tuple[dict, int]:
 
 
 def _cmd_theta(g: Graph, name: str, args) -> tuple[dict, int]:
-    t = thread_from_edges(g, _edge_ids(args.thread))
+    with _bad_input(NotAThread):
+        t = thread_from_edges(g, _edge_ids(args.thread))
     pair = theta_pair(g, t, args.cap)
     return {
         "graph": name,

@@ -76,23 +76,16 @@ def is_cut_candidate(x: EdgeSet, nc: NcCatalog) -> bool:
     return True
 
 
-def minimal_cut_candidates(
-    g: Graph, nc: NcCatalog, size_cap: int | None = None
-) -> list[EdgeSet]:
+def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     """Inclusion-minimal cut candidates, by subset enumeration in size
     order with superset pruning."""
     edge_ids = sorted(g.edges)
-    if size_cap is None:
-        if len(edge_ids) > MAX_SUBSET_EDGES:
-            raise TooLarge(
-                f"subset enumeration is capped at {MAX_SUBSET_EDGES} edges; "
-                "pass size_cap to restrict subset sizes"
-            )
-        size_cap = len(edge_ids)
+    if len(edge_ids) > MAX_SUBSET_EDGES:
+        raise TooLarge(f"subset enumeration is capped at {MAX_SUBSET_EDGES} edges")
     member_bits = [c.edges.bits for c in nc.members]
     found: list[int] = []
     out: list[EdgeSet] = []
-    for size in range(1, size_cap + 1):
+    for size in range(1, len(edge_ids) + 1):
         for combo in combinations(edge_ids, size):
             bits = 0
             for e in combo:

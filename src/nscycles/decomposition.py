@@ -24,8 +24,7 @@ from .graph_core import (
     Graph,
     Thread,
     _validate_thread,
-    blocks,
-    contract_edges,
+    bfs_tree,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -133,13 +132,15 @@ def _vertex_mask(vertices) -> int:
 
 
 def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
-    contracted, _ = contract_edges(g, contract.edges)
-    for block in blocks(contracted).blocks:
-        if not anchor.isdisjoint(block):
-            if not anchor.issubset(block):
-                raise VerificationFailed("anchor path split across blocks")
-            return len(block)
-    raise VerificationFailed("anchor path missing from contraction")
+    """Edge count of the block of G/C holding ``anchor``, a path outside C
+    with its ends on C.  On a 2-connected host the blocks of G/C are C's
+    bridges: the one holding the anchor's inner vertices, or a single chord."""
+    on_cycle = set(contract.vertex_cycle)
+    inner = next((v for e in anchor for v in g.psi[e] if v not in on_cycle), None)
+    if inner is None:
+        return 1
+    bridge = bfs_tree(g.adjacency, inner, on_cycle)
+    return len({e for v in bridge for e, _ in g.adjacency[v]})
 
 
 @memoized
@@ -185,9 +186,10 @@ def theta_pair(g: Graph, t: Thread, cap: int = DEFAULT_CIRCUIT_CAP) -> ThetaPair
 
     Follows the alpha-maximization recipe: among circuits meeting a
     reference circuit exactly in the thread, pick the one maximizing the
-    edge count of the contraction block containing the reference's
-    remainder, then repeat with the roles swapped.  Outputs are verified
-    non-separating before returning; VerificationFailed otherwise.
+    edge count of its bridge holding the reference's remainder (the block
+    of its contraction holding it), then repeat with the roles swapped.
+    Outputs are verified non-separating before returning;
+    VerificationFailed otherwise.
     """
     _require_top3(g)
     _validate_thread(g, t)

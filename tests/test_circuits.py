@@ -1,6 +1,7 @@
 import pytest
 
 from nscycles import (
+    Graph,
     build_graph,
     circuit_from_edges,
     contract_edges,
@@ -112,6 +113,35 @@ def test_separating_matches_chord_and_attachment_rules(corpus):
                 assert is_separating(g, c), label
             elif len(c) == 3 and oracles.connected_after_removing(g, on_cycle):
                 assert not is_separating(g, c), label
+
+
+def _multigraph(n, pairs):
+    psi = {e: (min(u, v), max(u, v)) for e, (u, v) in enumerate(pairs)}
+    return Graph(range(n), range(len(psi)), psi, len(psi))
+
+
+K4_PAIRS = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)]
+PRISM_PAIRS = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("pairs, cycle, separating", [
+    # the spanning 4-cycle of a diamond: its one chord is one bridge
+    ([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], [0, 1, 2, 3], False),
+    # a loop at a cycle vertex is not a chord
+    (K4_PAIRS + [(0, 0)], [0, 1, 2], False),
+    # G - V(C) is disconnected, but the pendant block meets C once: one bridge
+    (PRISM_PAIRS + [(0, 6), (6, 7), (0, 7)], [0, 1, 2], False),
+    # G - V(C) is connected, but a third parallel edge is a chord: two bridges
+    ([(0, 1), (0, 1), (0, 1), (0, 2), (1, 2)], [0, 1], True),
+    # the same digon alone: the parallel edge is its only bridge
+    ([(0, 1), (0, 1), (0, 1)], [0, 1], False),
+])
+def test_separation_counts_bridges(pairs, cycle, separating):
+    g = _multigraph(max(max(p) for p in pairs) + 1, pairs)
+    c = circuit_from_edges(g, cycle)
+    assert is_separating(g, c) == separating
+    assert oracles.separating_by_block_count(g, cycle) == separating
+    assert (c in non_separating_circuits(g)) == (not separating)
 
 
 def test_nc_catalogs(k4, w4, prism):

@@ -190,6 +190,18 @@ def test_cli_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["decompose", "--gen", "k4", "--circuit", "99"], "UniverseMismatch"),
+    (["decompose", "--gen", "k4", "--circuit", "-1"], "UniverseMismatch"),
+    (["decompose", "--gen", "k4", "--circuit", "0,1"], "NotEven"),
+    (["theta", "--gen", "k4", "--thread", "99"], "NotAThread"),
+    (["theta", "--gen", "k4", "--thread", "0,1"], "NotAThread"),
+])
+def test_bad_circuit_or_thread_is_a_usage_error(argv, error, capsys):
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.startswith(f"nscycles: {error}: ")
+
+
 def test_cli_domain_failure_exit_code(capsys):
     # enumeration cap exceeded is a failed run, not a usage error
     assert run_command(["circuits", "--gen", "k4", "--cap", "3"]) == 1

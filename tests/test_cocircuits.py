@@ -85,13 +85,6 @@ def test_minimal_cut_candidates_equal_bonds(k4, prism):
                     assert not x.issubset(y)
 
 
-def test_minimal_cut_candidates_size_cap(k4):
-    nc = non_separating_circuits(k4)
-    small = minimal_cut_candidates(k4, nc, size_cap=3)
-    assert sorted(x.ids() for x in small) == \
-        sorted(b.edges.ids() for b in bonds(k4) if len(b.edges) <= 3)
-
-
 def test_subset_size_guard():
     g = gen_corpus("random3c-12", 3)
     if len(g.edges) > 20:

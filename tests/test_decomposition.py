@@ -3,7 +3,9 @@ import hashlib
 import pytest
 
 from nscycles import (
+    blocks,
     circuit_from_edges,
+    contract_edges,
     count_threads,
     decompose_circuit,
     decompose_cs_element,
@@ -23,6 +25,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
+from nscycles.decomposition import _anchored_block_size
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected
 
 import oracles
@@ -242,6 +245,15 @@ THETA_GRAPHS = (
     + [gen_corpus(f"random3c-{n}", 0) for n in range(8, 13)]
     + [subdivide_every_edge(gen_corpus(name)) for name in ("k4", "prism", "wheel-5")]
 )
+
+
+def test_anchored_block_size_of_a_chord_is_one(k4):
+    # the chord of a 4-cycle becomes a loop of the contraction: a block of one edge
+    quad = circuit_from_edges(k4, [0, 2, 3, 5])
+    chord = k4.edge_set([1])
+    contracted, _ = contract_edges(k4, quad.edges)
+    assert chord in blocks(contracted).blocks
+    assert _anchored_block_size(k4, quad, chord) == 1
 
 
 def test_theta_selection_is_pinned():

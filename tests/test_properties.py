@@ -1,6 +1,6 @@
 """Property-based checks of the structural invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nscycles import (
     EdgeSet,
@@ -25,6 +25,7 @@ from nscycles import (
     sym_diff,
     threads,
 )
+from nscycles.decomposition import _anchored_block_size
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -230,3 +231,36 @@ def test_peripheral_rule_matches_block_counting(g):
     assert [c.edges.ids() for c in catalog] == oracles.nc_by_block_count(g)
     for c in enumerate_circuits(g):
         assert is_separating(g, c) == oracles.separating_by_block_count(g, c.edges.ids())
+
+
+@settings(deadline=None)
+@given(st.one_of(connected_graphs(), contracted_graphs()))
+def test_bridge_rule_matches_block_counting_on_every_connected_host(g):
+    # loops, parallel edges and cut vertices included; the oracle lists
+    # 2^(cyclomatic number) cycle-space members, so larger hosts are skipped
+    assume(is_connected(g) and cyclomatic_number(g) <= 10)
+    catalog = non_separating_circuits(g)
+    assert [c.edges.ids() for c in catalog] == oracles.nc_by_block_count(g)
+    for c in enumerate_circuits(g):
+        assert is_separating(g, c) == oracles.separating_by_block_count(g, c.edges.ids())
+
+
+@settings(max_examples=20, deadline=None)
+@given(top_3_connected_hosts())
+def test_bridge_alpha_matches_contraction_blocks(g):
+    # reference: the edge count of the block of G/C holding the anchor
+    circuits = enumerate_circuits(g)
+    contraction_blocks = {
+        c: blocks(contract_edges(g, c.edges)[0]).blocks for c in circuits
+    }
+    for t in threads(g):
+        tset = g.edge_set(t.edges)
+        through = [c for c in circuits if tset.issubset(c.edges)]
+        for ref in through:
+            anchor = ref.edges - tset
+            for c in through:
+                if (c.edges.bits & ref.edges.bits == tset.bits
+                        and set(c.vertex_cycle) & set(ref.vertex_cycle) == set(t.vertices)):
+                    (block,) = [b for b in contraction_blocks[c] if not anchor.isdisjoint(b)]
+                    assert anchor.issubset(block)
+                    assert _anchored_block_size(g, c, anchor) == len(block)
