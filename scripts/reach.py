@@ -39,10 +39,10 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from nscycles import fundamental_basis, gen_corpus, threads  # noqa: E402
+from nscycles.corpus import MAX_GEN_N as MAX_N  # noqa: E402
 
 COMMANDS = ("nc", "theta", "decompose", "ears", "verify-all")
 START_N = 4
-MAX_N = 1024
 BUDGET_S = 2.0
 
 

@@ -24,7 +24,9 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
+    _incidence,
     _validate_thread,
+    _walk,
     bfs_tree,
     fingerprint,
     is_connected,
@@ -86,35 +88,20 @@ def circuit_from_edges(g: Graph, edge_ids) -> Circuit:
     for e in ids:
         if e not in g.edges:
             raise NotACircuit(f"edge {e} is not an edge of the graph")
-    if len(ids) == 1:
-        u, v = g.psi[ids[0]]
-        if u != v:
-            raise NotACircuit("a single non-loop edge is not a cycle")
-        return Circuit(g.edge_set(ids), (u,))
-    inc: dict = {}
-    for e in ids:
-        u, v = g.psi[e]
-        if u == v:
-            raise NotACircuit(f"loop edge {e} inside a multi-edge set")
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
+    loops = [e for e in ids if g.psi[e][0] == g.psi[e][1]]
+    if len(ids) == 1 and not loops:
+        raise NotACircuit("a single non-loop edge is not a cycle")
+    if loops and len(ids) > 1:
+        raise NotACircuit(f"loop edge {loops[0]} inside a multi-edge set")
+    inc = _incidence(g.psi, ids)
     if any(len(lst) != 2 for lst in inc.values()):
         raise NotACircuit("some vertex does not have degree 2")
     start = min(inc)
-    cycle = [start]
-    prev_edge = None
-    cur = start
-    used = 0
-    while True:
-        e, w = next((e, w) for e, w in inc[cur] if e != prev_edge)
-        used += 1
-        if w == start:
-            break
-        cycle.append(w)
-        prev_edge, cur = e, w
-    if used != len(ids):
+    e, w = inc[start][0]
+    edges, cycle = _walk(inc, start, e, w)
+    if len(edges) != len(ids):
         raise NotACircuit("edges form more than one cycle")
-    return Circuit(g.edge_set(ids), _canonical_cycle(tuple(cycle)))
+    return Circuit(g.edge_set(ids), _canonical_cycle(tuple(cycle[:-1])))
 
 
 def _validate_circuit(g: Graph, c: Circuit) -> Circuit:
@@ -314,27 +301,11 @@ def split_on_path_chord(g: Graph, c: Circuit, t: Thread) -> tuple[Circuit, Circu
     """
     if not is_path_chord(g, c, t):
         raise NotAPathChord("thread is not a path-chord of the circuit")
-    c = _validate_circuit(g, c)
     x, y = t.endpoints
-    if len(c) == 2:
-        arc_sets = [[c.edges.ids()[0]], [c.edges.ids()[1]]]
-    else:
-        pair_to_edge = {}
-        for e in c.edges:
-            u, v = g.psi[e]
-            pair_to_edge[(u, v)] = e
-        seq = c.vertex_cycle
-        i = seq.index(x)
-        seq = seq[i:] + seq[:i]
-        j = seq.index(y)
-        arcs = [list(seq[: j + 1]), [seq[0]] + list(reversed(seq[j:]))]
-        arc_sets = []
-        for arc in arcs:
-            arc_sets.append(
-                [pair_to_edge[(min(u, v), max(u, v))] for u, v in zip(arc, arc[1:])]
-            )
+    inc = _incidence(g.psi, c.edges.ids())
     halves = [
-        circuit_from_edges(g, arc + list(t.edges)) for arc in arc_sets
+        circuit_from_edges(g, _walk(inc, x, e, w, (y,))[0] + list(t.edges))
+        for e, w in inc[x]
     ]
     lowest = c.edges.ids()[0]
     if lowest in halves[0].edges:

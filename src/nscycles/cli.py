@@ -2,11 +2,11 @@
 
 All output is canonical JSON (sorted keys, fixed indentation), so identical
 invocations produce byte-identical reports.  Each subcommand reads one graph
-(--gen NAME or --input FILE).  --cap bounds circuit enumeration (on a
-subdivision of a simple 3-connected graph, the chordless cycles a
-non-separating catalog examines) and is taken only by circuits, nc, theta,
-whitney and verify-all.  Timing is volatile and is only emitted by
-verify-all, the one subcommand that takes --timing.
+(--gen NAME [--seed N] or --input FILE; --seed is rejected without --gen).
+--cap bounds circuit enumeration (on a subdivision of a simple 3-connected
+graph, the chordless cycles a non-separating catalog examines) and is taken
+only by circuits, nc, theta, whitney and verify-all.  Timing is volatile and
+is only emitted by verify-all, the one subcommand that takes --timing.
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ def _bad_input(*errors):
 
 def _load_graph(args) -> tuple[Graph, str]:
     if args.gen is not None:
-        return gen_corpus(args.gen, args.seed), args.gen
+        return gen_corpus(args.gen, args.seed or 0), args.gen
     if args.input is not None:
+        if args.seed is not None:
+            raise ParseError("--seed applies only to --gen")
         try:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
@@ -127,7 +129,7 @@ def _cmd_gen(g: Graph, name: str, args) -> tuple[dict | str, int]:
         return "\n".join(lines), 0
     return {
         "name": name,
-        "seed": args.seed,
+        "seed": args.seed or 0,
         "vertices": len(g.vertices),
         "edges": [list(g.psi[e]) for e in sorted(g.edges)],
     }, 0
@@ -292,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = common.add_mutually_exclusive_group()
     source.add_argument("--gen", metavar="NAME", help="generate a named corpus graph")
     source.add_argument("--input", metavar="FILE", help="read an edge-list file")
-    common.add_argument("--seed", type=int, default=0, help="seed for --gen (default 0)")
+    common.add_argument("--seed", type=int, help="seed for --gen (default 0)")
     common.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
 
     parser = argparse.ArgumentParser(

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import random
 
-from .errors import GenerationFailed, UnknownName
+from .errors import GenerationFailed, InputTooLarge, UnknownName
 from .graph_core import Graph, build_graph, is_k_connected
+
+# The largest N of wheel-N and random3c-N; random3c lists all O(N^2)
+# non-adjacent pairs for each edge it adds.
+MAX_GEN_N = 1024
 
 
 def _complete(n: int) -> Graph:
@@ -102,11 +106,17 @@ def _random_3connected(n_target: int, rng: random.Random) -> Graph:
     return g
 
 
+def _bounded(n: int) -> int:
+    if n > MAX_GEN_N:
+        raise InputTooLarge(f"size {n} exceeds the generator bound of {MAX_GEN_N}")
+    return n
+
+
 def gen_corpus(name: str, seed: int = 0) -> Graph:
     """Build a named corpus graph, deterministically for a given seed.
 
     Names: k4, k5, k6, k33, wheel-N (N >= 3), prism, petersen,
-    random3c-N (N >= 4).
+    random3c-N (N >= 4); N is at most MAX_GEN_N.
     """
     if name == "k4":
         return _complete(4)
@@ -127,7 +137,7 @@ def gen_corpus(name: str, seed: int = 0) -> Graph:
             raise UnknownName(f"bad wheel size in {name!r}") from None
         if n < 3:
             raise UnknownName("wheel size must be at least 3")
-        return _wheel(n)
+        return _wheel(_bounded(n))
     if name.startswith("random3c-"):
         try:
             n = int(name.split("-", 1)[1])
@@ -135,7 +145,7 @@ def gen_corpus(name: str, seed: int = 0) -> Graph:
             raise UnknownName(f"bad size in {name!r}") from None
         if n < 4:
             raise UnknownName("random3c size must be at least 4")
-        return _random_3connected(n, random.Random(f"{name}:{seed}"))
+        return _random_3connected(_bounded(n), random.Random(f"{name}:{seed}"))
     raise UnknownName(f"unknown corpus graph {name!r}")
 
 

@@ -1,11 +1,16 @@
-"""GF(2) linear algebra over the edge universe of a graph."""
+"""GF(2) linear algebra over the edge universe of a graph.
+
+A :class:`Gf2Matrix` is eliminated once, on first use, into a pivot table it
+keeps: rank reads the table, and span membership reduces only the target.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Disconnected, NotInSpan, UniverseMismatch, VerificationFailed
-from .graph_core import EdgeSet, Graph, bfs_tree, find_root, is_connected
+from .graph_core import EdgeSet, Graph, _incidence, bfs_tree, find_root, is_connected
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,24 @@ class Gf2Matrix:
                 raise ValueError("universe required for an empty matrix")
             universe = rows[0].universe
         return Gf2Matrix(rows, universe)
+
+    @cached_property
+    def _pivots(self) -> dict[int, tuple[int, int]]:
+        """Pivot edge id -> (reduced row, bitmask of the rows summed into it),
+        one entry per independent row: rows are eliminated in order on
+        ascending edge ids."""
+        pivots: dict[int, tuple[int, int]] = {}
+        for i, row in enumerate(self.rows):
+            r, marker = row.bits, 1 << i
+            while r:
+                col = (r & -r).bit_length() - 1
+                if col not in pivots:
+                    pivots[col] = (r, marker)
+                    break
+                pr, pm = pivots[col]
+                r ^= pr
+                marker ^= pm
+        return pivots
 
 
 @dataclass(frozen=True)
@@ -58,12 +81,7 @@ def _require_in_graph(g: Graph, x: EdgeSet) -> None:
 def is_cycle_space_member(g: Graph, x: EdgeSet) -> bool:
     """True iff every vertex has even degree in the subgraph on ``x``."""
     _require_in_graph(g, x)
-    deg: dict = {}
-    for e in x:
-        u, v = g.psi[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return all(d % 2 == 0 for d in deg.values())
+    return all(len(lst) % 2 == 0 for lst in _incidence(g.psi, x).values())
 
 
 def fundamental_basis(g: Graph) -> list[EdgeSet]:
@@ -99,19 +117,7 @@ def fundamental_basis(g: Graph) -> list[EdgeSet]:
 
 def gf2_rank(matrix: Gf2Matrix) -> int:
     """Rank of the rows over GF(2), by elimination on ascending edge ids."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in matrix.rows:
-        r = row.bits
-        while r:
-            col = (r & -r).bit_length() - 1
-            if col in pivots:
-                r ^= pivots[col]
-            else:
-                pivots[col] = r
-                rank += 1
-                break
-    return rank
+    return len(matrix._pivots)
 
 
 def express_in_span(target: EdgeSet, generators: Gf2Matrix) -> SpanCertificate:
@@ -125,18 +131,7 @@ def express_in_span(target: EdgeSet, generators: Gf2Matrix) -> SpanCertificate:
         raise UniverseMismatch(
             f"target universe {target.universe} does not match generators {generators.universe}"
         )
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, row in enumerate(generators.rows):
-        r, marker = row.bits, 1 << i
-        while r:
-            col = (r & -r).bit_length() - 1
-            if col in pivots:
-                pr, pm = pivots[col]
-                r ^= pr
-                marker ^= pm
-            else:
-                pivots[col] = (r, marker)
-                break
+    pivots = generators._pivots
     t, marker = target.bits, 0
     while t:
         col = (t & -t).bit_length() - 1

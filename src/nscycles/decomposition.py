@@ -257,20 +257,10 @@ def _decompose(g: Graph, circ: Circuit) -> tuple[Circuit, ...]:
     return _cancel_mod2(parts)
 
 
-def _certify(g: Graph, target: EdgeSet, parts: tuple[Circuit, ...]) -> DecompositionCertificate:
-    total = EdgeSet.empty(g.universe)
-    for part in parts:
-        total = total ^ part.edges
-    if total != target:
-        raise VerificationFailed("certificate replay does not reproduce the target")
-    return DecompositionCertificate(target, parts, fingerprint(g))
-
-
 def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
     """Express a circuit as a GF(2) sum of non-separating circuits of ``g``."""
     _require_top3(g)
-    a = _validate_circuit(g, a)
-    return _certify(g, a.edges, _decompose(g, a))
+    return decompose_cs_element(g, _validate_circuit(g, a).edges)
 
 
 def decompose_cs_element(g: Graph, x: EdgeSet) -> DecompositionCertificate:
@@ -280,4 +270,7 @@ def decompose_cs_element(g: Graph, x: EdgeSet) -> DecompositionCertificate:
     parts = []
     for piece in even_subgraph_to_circuits(g, x):
         parts.extend(_decompose(g, piece))
-    return _certify(g, x, _cancel_mod2(parts))
+    cert = DecompositionCertificate(x, _cancel_mod2(parts), fingerprint(g))
+    if cert.replay() != x:
+        raise VerificationFailed("certificate replay does not reproduce the target")
+    return cert

@@ -82,7 +82,8 @@ class ParseError(GraphError):
 
 
 class InputTooLarge(TooLarge, ParseError):
-    """An edge-list header declares more vertices than the input guard allows."""
+    """An edge-list header or a generated graph's name asks for more
+    vertices than the input guards allow."""
 
 
 class UnknownName(GraphError):

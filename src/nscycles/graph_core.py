@@ -7,6 +7,9 @@ across a graph and its minors.
 Derived results (connectivity tests, threads, circuit catalogs, reductions,
 decompositions) are memoized on the ``Graph`` that owns them, through
 :func:`memoized`: they live exactly as long as that graph.
+
+Threads, circuits rebuilt from their edges, and a circuit's two arcs between
+a path-chord's ends are all traced by one walk, :func:`_walk`.
 """
 
 from __future__ import annotations
@@ -175,9 +178,6 @@ class Graph:
                 deg[w] += 1
             self._deg = deg
         return self._deg[v]
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.psi[e]
 
     def edge_set(self, ids) -> EdgeSet:
         return EdgeSet.from_ids(ids, self.universe)
@@ -459,41 +459,52 @@ class Thread:
         return Thread(*min(fwd, rev))
 
 
+def _incidence(psi: dict, ids) -> dict:
+    """Vertex -> list of (edge, other end) over the edges ``ids`` of ``psi``;
+    a loop appears twice at its vertex."""
+    inc: dict = {}
+    for e in ids:
+        u, v = psi[e]
+        inc.setdefault(u, []).append((e, v))
+        inc.setdefault(v, []).append((e, u))
+    return inc
+
+
+def _walk(inc: dict, v, e: int, w, stop=()) -> tuple[list[int], list]:
+    """Follow edge ``e`` from ``v`` to ``w``, then leave each vertex by its
+    other edge in ``inc`` (vertex -> (edge, neighbor) pairs; each vertex
+    passed must have two) until a vertex of the container ``stop`` or ``v``.
+    Returns the edges and the vertices walked, both ends included."""
+    edges, verts = [e], [v, w]
+    while w != v and w not in stop:
+        a, b = inc[w]
+        e, w = b if a[0] == e else a
+        edges.append(e)
+        verts.append(w)
+    return edges, verts
+
+
 @memoized
 def _threads(g: Graph) -> tuple[Thread, ...]:
     if not is_connected(g):
         raise Disconnected("thread partition requires a connected graph")
-    deg = {v: g.degree(v) for v in g.vertices}
-    branch = sorted(v for v in g.vertices if deg[v] != 2)
+    branch = {v for v in g.vertices if g.degree(v) != 2}
     if g.edges and not branch:
         raise AllDegreesTwo("every vertex has degree 2: the graph is a cycle")
     covered: set[int] = set()
     out = []
-    for v in branch:
+    for v in sorted(branch):
         for e, w in g.adjacency[v]:
             if e in covered:
                 continue
             if w == v:
                 raise AllDegreesTwo(f"loop at vertex {v}: thread partition undefined")
-            covered.add(e)
-            edge_seq = [e]
-            vert_seq = [v, w]
-            cur = w
-            while deg[cur] == 2:
-                step = [(e2, w2) for e2, w2 in g.adjacency[cur] if e2 != edge_seq[-1]]
-                if len(step) != 1:
-                    raise AllDegreesTwo(
-                        f"degree-2 vertex {cur} has a loop: thread partition undefined"
-                    )
-                e2, w2 = step[0]
-                covered.add(e2)
-                edge_seq.append(e2)
-                vert_seq.append(w2)
-                cur = w2
-            if cur == v:
+            edge_seq, vert_seq = _walk(g.adjacency, v, e, w, branch)
+            if vert_seq[-1] == v:
                 raise AllDegreesTwo(
                     f"degree-2 run closes on vertex {v}: thread partition undefined"
                 )
+            covered.update(edge_seq)
             out.append(Thread.oriented(edge_seq, vert_seq))
     if covered != set(g.edges):
         raise AllDegreesTwo("some degree-2 run never reaches a branch vertex")
@@ -538,31 +549,18 @@ def thread_from_edges(g: Graph, edge_ids) -> Thread:
     ids = sorted(set(edge_ids))
     if not ids:
         raise NotAThread("empty edge list")
-    inc: dict = {}
     for e in ids:
         if e not in g.edges:
             raise NotAThread(f"edge {e} not in graph")
-        u, v = g.psi[e]
-        if u == v:
+        if g.psi[e][0] == g.psi[e][1]:
             raise NotAThread(f"edge {e} is a loop")
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
+    inc = _incidence(g.psi, ids)
     ends = sorted(v for v, lst in inc.items() if len(lst) == 1)
     if len(ends) != 2 or any(len(lst) > 2 for lst in inc.values()):
         raise NotAThread("edges do not form a path")
-    cur = ends[0]
-    prev_edge = None
-    edge_seq: list[int] = []
-    vert_seq = [cur]
-    while True:
-        step = [(e, w) for e, w in inc[cur] if e != prev_edge]
-        if not step:
-            break
-        e, w = step[0]
-        edge_seq.append(e)
-        vert_seq.append(w)
-        prev_edge, cur = e, w
-    if len(edge_seq) != len(ids) or len(set(vert_seq)) != len(vert_seq):
+    (e, w), = inc[ends[0]]
+    edge_seq, vert_seq = _walk(inc, ends[0], e, w, ends)
+    if len(edge_seq) != len(ids):
         raise NotAThread("edges do not form a simple path")
     t = Thread.oriented(edge_seq, vert_seq)
     _validate_thread(g, t)

@@ -4,6 +4,7 @@ import pytest
 
 from nscycles import gen_corpus, is_k_connected
 from nscycles.cli import MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
+from nscycles.corpus import MAX_GEN_N
 from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
 
 
@@ -83,6 +84,16 @@ def test_gen_corpus_names():
         gen_corpus("wheel-2")
     with pytest.raises(UnknownName):
         gen_corpus("random3c-3")
+
+
+def test_gen_size_bound(capsys):
+    # the guard fires on the name alone, before any generation work
+    for name in (f"wheel-{MAX_GEN_N + 1}", f"random3c-{MAX_GEN_N + 1}"):
+        with pytest.raises(TooLarge):
+            gen_corpus(name)
+        assert run_command(["info", "--gen", name]) == 2
+        assert f"size {MAX_GEN_N + 1} exceeds" in capsys.readouterr().err
+    assert len(gen_corpus(f"wheel-{MAX_GEN_N}").vertices) == MAX_GEN_N + 1
 
 
 def test_gen_corpus_random_is_deterministic_and_3_connected():
@@ -216,6 +227,17 @@ def test_cli_domain_failure_exit_code(capsys):
 def test_cli_rejects_flags_a_subcommand_does_not_honor(argv, capsys):
     assert run_command(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_seed_requires_gen(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for command in ("gen", "info"):
+        assert run_command([command, "--input", str(path), "--seed", "3"]) == 2
+        assert "--seed applies only to --gen" in capsys.readouterr().err
+    assert run_json(["gen", "--input", str(path)], capsys)[1]["seed"] == 0
+    assert run_json(["gen", "--gen", "k4"], capsys)[1]["seed"] == 0
+    assert run_json(["gen", "--gen", "k4", "--seed", "3"], capsys)[1]["seed"] == 3
 
 
 def test_cli_verify_all_rejects_weak_hosts(tmp_path, capsys):

@@ -8,6 +8,7 @@ from nscycles import (
     blocks,
     bonds,
     build_graph,
+    circuit_from_edges,
     contract_edges,
     cyclomatic_number,
     delete_edges,
@@ -20,9 +21,12 @@ from nscycles import (
     is_connected,
     is_cycle_space_member,
     is_k_connected,
+    is_path_chord,
     is_separating,
     non_separating_circuits,
+    split_on_path_chord,
     sym_diff,
+    thread_from_edges,
     threads,
 )
 from nscycles.decomposition import _anchored_block_size
@@ -179,6 +183,28 @@ def test_threads_partition_when_defined(g):
     for t in ts:
         assert all(g.degree(v) == 2 for v in t.inner_vertices())
         assert all(g.degree(v) != 2 for v in t.endpoints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), contracted_graphs()), st.randoms())
+def test_walks_rebuild_circuits_threads_and_splits(g, rng):
+    # loops and parallel edges included; edge ids arrive in any order
+    assume(is_connected(g) and cyclomatic_number(g) <= 10)
+    circuits = enumerate_circuits(g)
+    for c in circuits:
+        ids = list(c.edges.ids())
+        assert circuit_from_edges(g, rng.sample(ids, len(ids))) == c
+    try:
+        ts = threads(g)
+    except AllDegreesTwo:
+        return
+    for t in ts:
+        assert thread_from_edges(g, rng.sample(t.edges, len(t.edges))) == t
+        for c in circuits:
+            if is_path_chord(g, c, t):
+                first, second = split_on_path_chord(g, c, t)
+                assert first.edges ^ second.edges == c.edges
+                assert c.edges.ids()[0] in first.edges
 
 
 @given(connected_graphs(), st.data())
