@@ -5,7 +5,8 @@ invocations produce byte-identical reports.  Each subcommand reads one graph
 (--gen NAME [--seed N] or --input FILE; --seed is rejected without --gen).
 --cap bounds circuit enumeration (on a subdivision of a simple 3-connected
 graph, the chordless cycles a non-separating catalog examines) and is taken
-only by circuits, nc, theta, whitney and verify-all.  Timing is volatile and
+only by circuits, nc, whitney and verify-all; theta and decompose list no
+circuits of their own and reject it.  Timing is volatile and
 is only emitted by verify-all, the one subcommand that takes --timing.
 """
 
@@ -219,7 +220,7 @@ def _cmd_decompose(g: Graph, name: str, args) -> tuple[dict, int]:
 def _cmd_theta(g: Graph, name: str, args) -> tuple[dict, int]:
     with _bad_input(NotAThread):
         t = thread_from_edges(g, _edge_ids(args.thread))
-    pair = theta_pair(g, t, args.cap)
+    pair = theta_pair(g, t)
     return {
         "graph": name,
         "thread": list(t.edges),
@@ -286,7 +287,7 @@ _COMMANDS = {
 }
 
 # The subcommands whose enumeration honors --cap.
-_CAPPED = {"circuits", "nc", "theta", "whitney", "verify-all"}
+_CAPPED = {"circuits", "nc", "whitney", "verify-all"}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,14 @@ decompose in the smaller graph, and lift the parts back, splitting along
 path-chords and toggling a theta circuit when the target uses the removed
 thread.  Every intermediate claim is re-verified, so a returned certificate
 is sound by construction.
+
+No circuit list is built.  A theta pair's reference circuit, the
+lexicographically first circuit through the thread with a partner, is
+found edge by edge: each candidate edge of its path, in ascending id order,
+is kept iff a pruned depth-first search finds a valid path holding it and
+the edges kept so far.  The alpha maximizations then run over the
+non-separating catalog's circuits through the thread, since every maximizer
+is non-separating.
 """
 
 from __future__ import annotations
@@ -34,11 +42,10 @@ from .graph_core import (
 )
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
-    DEFAULT_CIRCUIT_CAP,
     Circuit,
-    _enumerate,
     _is_separating_edges,
     _validate_circuit,
+    circuit_from_edges,
     even_subgraph_to_circuits,
     is_path_chord,
     non_separating_circuits,
@@ -143,57 +150,202 @@ def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
     return len({e for v in bridge for e, _ in g.adjacency[v]})
 
 
+def _first_with_partner(g: Graph, t: Thread) -> Circuit | None:
+    """The lexicographically first circuit through ``t`` that has a partner,
+    a circuit meeting it exactly in ``t``; None if there is none.
+
+    A circuit through t is t plus a simple path P between its ends x and y
+    outside t.  The candidate edges of P (those off t and its inner
+    vertices) are decided in ascending id order, include before exclude:
+    two circuits compare by their smallest differing id and neither holds
+    the other, so an edge is included iff some valid P holds it together
+    with the edges included so far and none of those excluded.  That
+    question is answered by a witness, a valid P: an edge on the current
+    witness is included at once, any other one only if :func:`extend`
+    finds a new witness holding it.  P is valid when G minus t, P's edges
+    and P's inner vertices still joins x to y: that path closes a partner.
+    """
+    x, y = t.endpoints
+    inner = set(t.inner_vertices())
+    tbits = g.edge_set(t.edges).bits
+    psi = g.psi
+    # vertex -> (edge, neighbor) over the candidate edges
+    adj = {v: [(e, w) for e, w in pairs
+               if w != v and w not in inner and not tbits >> e & 1]
+           for v, pairs in g.adjacency.items() if v not in inner}
+
+    # A state is (included edges as a bitmask, degrees, fragment ends,
+    # fragment count), the undecided edges being those from some id k on:
+    # the included edges form vertex-disjoint paths, the fragments, and
+    # ``end`` maps each end of a fragment to its other end.
+    def free(v, deg: dict) -> bool:
+        d = deg.get(v, 0)
+        return d == 0 or d == 1 and v != x and v != y
+
+    def joinable(v, w, deg: dict, end: dict, frags: int) -> bool:
+        """Including an edge v-w keeps the fragments extendable to one path:
+        no degree above 2 (1 at x or y), no cycle, and x's and y's
+        fragments joined only when no other fragment is left."""
+        if not (free(v, deg) and free(w, deg)) or end.get(v, v) == w:
+            return False
+        if {v, w} == {end.get(x, x), end.get(y, y)}:
+            return frags == (x in deg) + (y in deg)
+        return True
+
+    def include(e: int, deg: dict, end: dict) -> int:
+        """Add edge ``e`` to ``deg`` and ``end``; the change in the fragment
+        count."""
+        u, v = psi[e]
+        a, b = end.pop(u, u), end.pop(v, v)
+        end[a], end[b] = b, a
+        grown = 1 - (u in deg) - (v in deg)
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        return grown
+
+    def partner_room(s: int, deg: dict) -> bool:
+        """G minus t, the included edges ``s`` and their vertices other than
+        x and y still joins x to y; no later inclusion undoes a failure."""
+        reached = {x}
+        queue = [x]
+        for v in queue:
+            for e, w in adj[v]:
+                if w not in reached and not s >> e & 1 and (w == y or w not in deg):
+                    if w == y:
+                        return True
+                    reached.add(w)
+                    queue.append(w)
+        return False
+
+    def open_ends(deg: dict, end: dict):
+        """The vertices P must still leave: x and y while bare, and the
+        fragment ends other than x and y."""
+        return (*(v for v in (x, y) if v not in deg),
+                *(v for v in end if v != x and v != y))
+
+    def nearness(k: int, s: int, deg: dict, end: dict, v) -> dict:
+        """Hops from each free vertex, over undecided edges and avoiding
+        ``v``, to the nearest open end that P may join ``v`` to."""
+        targets = [u for u in open_ends(deg, end) if u != v and u != end.get(v)]
+        dist = dict.fromkeys(targets, 0)
+        for u in targets:  # grows while it is read: a breadth-first queue
+            for e, w in adj[u]:
+                if w not in dist and w != v and e >= k and not s >> e & 1 and free(w, deg):
+                    dist[w] = dist[u] + 1
+                    targets.append(w)
+        return dist
+
+    def extend(k: int, s: int, deg: dict, end: dict, frags: int) -> int | None:
+        """The edges, as a bitmask, of some valid P holding the included
+        edges ``s`` and otherwise only edges from id ``k`` on; None if there
+        is none.
+
+        A depth-first search on an explicit stack that branches on the open
+        end with the fewest joinable edges left, since P leaves it by
+        exactly one of them: with one it takes it, with none, or with no
+        partner's room left, the node is dead.  Where it branches it tries
+        first the edge whose far end lies nearest another open end.
+        """
+        stack = [(s, deg, end, frags)]
+        while stack:
+            s, deg, end, frags = stack.pop()
+            if not partner_room(s, deg):
+                continue
+            if end.get(x) == y:
+                return s
+            best = None
+            for v in open_ends(deg, end):
+                options = [e for e, w in adj[v]
+                           if e >= k and not s >> e & 1 and joinable(v, w, deg, end, frags)]
+                if best is None or len(options) < len(best):
+                    best, at = options, v
+                    if len(best) < 2:
+                        break
+            if len(best) > 1:
+                dist = nearness(k, s, deg, end, at)
+                best.sort(key=lambda e: dist.get(psi[e][psi[e][0] == at], len(adj)),
+                          reverse=True)
+            for e in best:  # the last pushed is tried first
+                child_deg, child_end = dict(deg), dict(end)
+                grown = include(e, child_deg, child_end)
+                stack.append((s | 1 << e, child_deg, child_end, frags + grown))
+        return None
+
+    s, deg, end, frags = 0, {}, {}, 0
+    witness = extend(0, s, deg, end, frags)
+    if witness is None:
+        return None
+    for e in sorted({e for pairs in adj.values() for e, _ in pairs}):
+        if end.get(x) == y:
+            break
+        if not witness >> e & 1:  # kept only if a new witness holds it
+            if not joinable(*psi[e], deg, end, frags):
+                continue
+            child_deg, child_end = dict(deg), dict(end)
+            grown = include(e, child_deg, child_end)
+            found = extend(e + 1, s | 1 << e, child_deg, child_end, frags + grown)
+            if found is None:
+                continue
+            witness = found
+        frags += include(e, deg, end)
+        s |= 1 << e
+    return circuit_from_edges(g, [*t.edges, *EdgeSet(s, g.universe).ids()])
+
+
 @memoized
-def _theta(g: Graph, t: Thread, cap: int) -> ThetaPair:
+def _theta(g: Graph, t: Thread) -> ThetaPair:
+    initial = _first_with_partner(g, t)
+    if initial is None:
+        raise VerificationFailed("no two circuits meet exactly in the thread")
     tset = g.edge_set(t.edges)
     tbits, tmask = tset.bits, _vertex_mask(t.vertices)
     through = [
         (c, _vertex_mask(c.vertex_cycle))
-        for c in _enumerate(g, cap) if tset.issubset(c.edges)
+        for c in non_separating_circuits(g) if tset.issubset(c.edges)
     ]
 
-    def partners(ref: Circuit) -> list[Circuit]:
-        """Circuits through the thread meeting ``ref`` exactly in it.
+    def best_partner(ref: Circuit) -> Circuit | None:
+        """The catalog circuit meeting ``ref`` exactly in the thread that
+        maximizes alpha, the first one on ties.
 
         Both tests are needed: by vertices alone, the thread plus an edge
         joining its ends would be its own partner.
         """
         rbits, rmask = ref.edges.bits, _vertex_mask(ref.vertex_cycle)
-        return [
-            c for c, cmask in through
-            if c.edges.bits & rbits == tbits and cmask & rmask == tmask
-        ]
-
-    def best_partner(ref: Circuit) -> Circuit:
         anchor = ref.edges - tset
-        return max(partners(ref), key=lambda c: _anchored_block_size(g, c, anchor))
+        return max(
+            (c for c, cmask in through
+             if c.edges.bits & rbits == tbits and cmask & rmask == tmask),
+            key=lambda c: _anchored_block_size(g, c, anchor),
+            default=None,
+        )
 
-    initial = next((c for c, _ in through if partners(c)), None)
-    if initial is None:
-        raise VerificationFailed("no two circuits meet exactly in the thread")
-
-    # Meeting exactly in the thread is symmetric, so each reference has a partner.
+    # Every alpha-maximizing partner is non-separating, so the catalog holds them.
     p = best_partner(initial)
-    q = best_partner(p)
-    if _is_separating_edges(g, p.edges) or _is_separating_edges(g, q.edges):
+    q = None if p is None else best_partner(p)
+    if q is None or _is_separating_edges(g, p.edges) or _is_separating_edges(g, q.edges):
         raise VerificationFailed("the alpha-maximized theta pair is separating")
     return ThetaPair(p, q, t)
 
 
-def theta_pair(g: Graph, t: Thread, cap: int = DEFAULT_CIRCUIT_CAP) -> ThetaPair:
+def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     """Two non-separating circuits whose edge and vertex intersections are
     exactly the given thread.
 
-    Follows the alpha-maximization recipe: among circuits meeting a
-    reference circuit exactly in the thread, pick the one maximizing the
-    edge count of its bridge holding the reference's remainder (the block
-    of its contraction holding it), then repeat with the roles swapped.
-    Outputs are verified non-separating before returning;
-    VerificationFailed otherwise.
+    Follows the alpha-maximization recipe.  The reference circuit is the
+    lexicographically first circuit through the thread that has a partner
+    (a circuit meeting it exactly in the thread), found by a pruned
+    include/exclude search over the edges of its path outside the thread,
+    so no circuit list is built.  Among the reference's partners, pick the
+    one maximizing the edge count of its bridge holding the reference's
+    remainder (the block of its contraction holding it), then repeat with
+    the roles swapped.  Every maximizer is non-separating, so partners are
+    drawn from the non-separating catalog.  Outputs are verified
+    non-separating before returning; VerificationFailed otherwise.
     """
     _require_top3(g)
     _validate_thread(g, t)
-    return _theta(g, t, cap)
+    return _theta(g, t)
 
 
 def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
@@ -233,12 +385,15 @@ def _cancel_mod2(parts) -> tuple[Circuit, ...]:
 
 
 @memoized
+def _catalog_matrix(g: Graph) -> Gf2Matrix:
+    return Gf2Matrix.from_rows(non_separating_circuits(g).edge_sets(), g.universe)
+
+
+@memoized
 def _decompose(g: Graph, circ: Circuit) -> tuple[Circuit, ...]:
     if is_top_k4(g):
-        nc = non_separating_circuits(g)
-        matrix = Gf2Matrix.from_rows(nc.edge_sets(), g.universe)
-        cert = express_in_span(circ.edges, matrix)
-        return tuple(nc.members[i] for i in cert.coefficients)
+        cert = express_in_span(circ.edges, _catalog_matrix(g))
+        return tuple(non_separating_circuits(g).members[i] for i in cert.coefficients)
     t, reduced = _reduction(g)
     tbits = g.edge_set(t.edges)
     if circ.edges.isdisjoint(tbits):
@@ -248,7 +403,7 @@ def _decompose(g: Graph, circ: Circuit) -> tuple[Circuit, ...]:
         return _cancel_mod2(parts)
     if not tbits.issubset(circ.edges):
         raise VerificationFailed("circuit meets the thread in a proper nonempty subset")
-    p = _theta(g, t, DEFAULT_CIRCUIT_CAP).first
+    p = _theta(g, t).first
     leftover = circ.edges ^ p.edges
     parts = [p]
     for piece in even_subgraph_to_circuits(reduced, leftover):

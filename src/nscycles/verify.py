@@ -223,12 +223,12 @@ def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
     return True, f"{checked} split pairs verified"
 
 
-def _check_theta_pairs(g: Graph, cap: int) -> tuple[bool, str]:
+def _check_theta_pairs(g: Graph) -> tuple[bool, str]:
     pool = threads(g)
     if len(g.edges) > THETA_EDGE_BOUND:
         pool = pool[:5]
     for t in pool:
-        pair = theta_pair(g, t, cap)
+        pair = theta_pair(g, t)
         tset = g.edge_set(t.edges)
         if pair.first.edges & pair.second.edges != tset:
             return False, "edge intersection is not the thread"
@@ -292,7 +292,7 @@ def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> Verific
         ("nc_spans_cycle_space", _SIMPLE_3_CONNECTED, lambda: _check_nc_span(g, cap)),
         ("path_chord_split_lifting", _TOP_3_CONNECTED,
          lambda: _check_path_chord_lifting(g, cap)),
-        ("theta_pairs", _TOP_3_CONNECTED, lambda: _check_theta_pairs(g, cap)),
+        ("theta_pairs", _TOP_3_CONNECTED, lambda: _check_theta_pairs(g)),
         ("threads_partition", _CONNECTED, lambda: _check_threads_partition(g)),
         ("unit_overlap_witnesses", _SIMPLE_3_CONNECTED,
          lambda: _check_unit_overlap_witnesses(g, cap)),

@@ -279,3 +279,68 @@ def nc_by_block_count(g) -> list[tuple[int, ...]]:
         tuple(sorted(c)) for c in circuits_by_cycle_space(g)
         if not separating_by_block_count(g, c)
     )
+
+
+def _vertices_of(g, edge_ids) -> frozenset:
+    return frozenset(v for e in edge_ids for v in g.psi[e])
+
+
+def _bridge_edge_count(g, circuit, anchor) -> int:
+    """Edges of the bridge of ``circuit`` holding ``anchor``, a path outside
+    it with its ends on it: 1 for a chord, else the component of G - V(C)
+    holding the anchor's inner vertices with every edge touching it."""
+    on_cycle = _vertices_of(g, circuit)
+    inner = _vertices_of(g, anchor) - on_cycle
+    if not inner:
+        return 1
+    rest = [v for v in g.vertices if v not in on_cycle]
+    pairs = [g.psi[e] for e in g.edges if not on_cycle.intersection(g.psi[e])]
+    component = reachable(adjacency_from_pairs(rest, pairs), min(inner))
+    return sum(1 for e in g.edges if component.intersection(g.psi[e]))
+
+
+def _circuits_through(g, t, circuits) -> list:
+    """(sorted edge ids, vertex set) of each of ``circuits`` (edge id sets)
+    holding thread ``t``, in sorted order."""
+    return [
+        (c, _vertices_of(g, c))
+        for c in sorted(tuple(sorted(c)) for c in circuits)
+        if set(t.edges).issubset(c)
+    ]
+
+
+def _partners(through, ref, t) -> list:
+    """Circuits of ``through`` meeting ``ref``, one of them, exactly in the
+    thread, by edges and by vertices."""
+    tedges, tverts = set(t.edges), set(t.vertices)
+    rverts = dict(through)[ref]
+    return [c for c, cverts in through
+            if set(c) & set(ref) == tedges and cverts & rverts == tverts]
+
+
+def _reference(through, t):
+    return next((c for c, _ in through if _partners(through, c, t)), None)
+
+
+def theta_reference_by_enumeration(g, t, circuits):
+    """Sorted edge ids of the first circuit through thread ``t``, in sorted
+    order, that has a partner; None if none has one.  ``circuits`` holds
+    every circuit of ``g``, as from :func:`circuits_by_cycle_space`."""
+    return _reference(_circuits_through(g, t, circuits), t)
+
+
+def theta_by_enumeration(g, t, circuits) -> tuple:
+    """The theta pair of thread ``t`` as (first, second) sorted edge ids,
+    from ``circuits``, every circuit of ``g``: the reference is the first
+    circuit through t with a partner; first is the reference's partner
+    whose bridge holding the reference's remainder has the most edges,
+    second is first's partner chosen alike, the earliest winning ties."""
+    through = _circuits_through(g, t, circuits)
+
+    def best(ref):
+        anchor = set(ref) - set(t.edges)
+        return max(_partners(through, ref, t),
+                   key=lambda c: _bridge_edge_count(g, c, anchor))
+
+    first = best(_reference(through, t))
+    return first, best(first)

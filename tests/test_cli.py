@@ -223,6 +223,7 @@ def test_cli_domain_failure_exit_code(capsys):
     ["decompose", "--gen", "k4", "--circuit", "1,2,3,4", "--cap", "5"],
     ["ears", "--gen", "k5", "--cap", "5"],
     ["info", "--gen", "k4", "--timing"],
+    ["theta", "--gen", "k4", "--thread", "0", "--cap", "5"],
 ])
 def test_cli_rejects_flags_a_subcommand_does_not_honor(argv, capsys):
     assert run_command(argv) == 2

@@ -1,8 +1,10 @@
 import hashlib
+import sys
 
 import pytest
 
 from nscycles import (
+    EdgeSet,
     blocks,
     circuit_from_edges,
     contract_edges,
@@ -13,6 +15,7 @@ from nscycles import (
     enumerate_circuits,
     find_reducible_thread,
     fingerprint,
+    fundamental_basis,
     gen_corpus,
     is_separating,
     is_top_3_connected,
@@ -25,7 +28,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.decomposition import _anchored_block_size
+from nscycles.decomposition import _anchored_block_size, _first_with_partner
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected
 
 import oracles
@@ -115,6 +118,45 @@ def test_theta_matches_brute_force_search(k4, w4, petersen):
             assert not is_separating(g, pair.first)
             assert not is_separating(g, pair.second)
             assert oracles.theta_pairs_by_search(nc.members, t.edges, t.vertices)
+
+
+def test_theta_reference_is_the_first_enumerated_circuit_with_a_partner(corpus):
+    for label, g in corpus:
+        circuits = oracles.circuits_by_cycle_space(g)
+        for host in (g, subdivide_every_edge(g)):
+            if host is not g:  # edge e becomes edges 2e and 2e + 1
+                circuits = [{i for e in c for i in (2 * e, 2 * e + 1)} for c in circuits]
+            for t in threads(host):
+                expected = oracles.theta_reference_by_enumeration(host, t, circuits)
+                assert _first_with_partner(host, t).edges.ids() == expected, (label, t.edges)
+
+
+def test_theta_on_a_thread_deeper_than_the_recursion_limit():
+    # the reference circuit of a rim edge is the whole 600-edge rim
+    g = gen_corpus("wheel-600")
+    limit = sys.getrecursionlimit()
+    assert len(g.edges) > limit
+    pair = theta_pair(g, thread_from_edges(g, [0]))
+    assert pair.first.edges.ids() == (0, 600, 601)
+    assert pair.second.edges.ids() == tuple(range(600))
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("name", ["random3c-28", "random3c-40"])
+def test_theta_and_decompose_past_the_enumeration_cap(name):
+    # both graphs have more circuits than the default cap of 100,000
+    g = gen_corpus(name, 0)
+    t = threads(g)[0]
+    pair = theta_pair(g, t)
+    assert (pair.first.edges & pair.second.edges).ids() == tuple(sorted(t.edges))
+    target = EdgeSet.empty(g.universe)
+    for row in fundamental_basis(g):
+        target = target ^ row
+    cert = decompose_cs_element(g, target)
+    assert cert.replay() == target
+    for part in (pair.first, pair.second, *cert.parts):
+        assert oracles.is_circuit_edge_set(g, part.edges.ids())
+        assert not oracles.separating_by_block_count(g, part.edges.ids())
 
 
 def test_theta_petersen_edge_gives_two_pentagons(petersen):

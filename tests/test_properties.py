@@ -26,6 +26,7 @@ from nscycles import (
     non_separating_circuits,
     split_on_path_chord,
     sym_diff,
+    theta_pair,
     thread_from_edges,
     threads,
 )
@@ -269,6 +270,16 @@ def test_bridge_rule_matches_block_counting_on_every_connected_host(g):
     assert [c.edges.ids() for c in catalog] == oracles.nc_by_block_count(g)
     for c in enumerate_circuits(g):
         assert is_separating(g, c) == oracles.separating_by_block_count(g, c.edges.ids())
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_3_connected_hosts())
+def test_theta_pair_matches_enumeration(g):
+    circuits = oracles.circuits_by_cycle_space(g)
+    for t in threads(g):
+        pair = theta_pair(g, t)
+        assert (pair.first.edges.ids(), pair.second.edges.ids()) == \
+            oracles.theta_by_enumeration(g, t, circuits)
 
 
 @settings(max_examples=20, deadline=None)
