@@ -4,7 +4,10 @@ identity between the two.
 A *cut candidate* is a nonempty edge set that no cataloged non-separating
 circuit crosses in exactly one edge.  Every bond is one; the inclusion-
 minimal candidates of a 3-connected graph are exactly its bonds, which is
-what :func:`verify_cocircuit_identity` checks by exhaustion.
+what :func:`verify_cocircuit_identity` checks.  The minimal candidates are
+found by a branching search that grows each set one edge at a time, level
+by level; one guard, ``MAX_CUT_SEARCH_EDGES``, bounds the graphs it and the
+identity check accept.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .graph_core import EdgeSet, Graph, bfs_tree, delete_edges, fingerprint, is_
 from .circuits import Circuit, NcCatalog, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
-MAX_SUBSET_EDGES = 20
+MAX_CUT_SEARCH_EDGES = 21
 
 
 @dataclass(frozen=True)
@@ -77,24 +80,55 @@ def is_cut_candidate(x: EdgeSet, nc: NcCatalog) -> bool:
 
 
 def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
-    """Inclusion-minimal cut candidates, by subset enumeration in size
-    order with superset pruning."""
+    """Inclusion-minimal cut candidates, sorted by size, then by edge ids.
+
+    A branching search over edge sets X with a set of forbidden edges.  The
+    root for edge e is X = {e} with every smaller edge forbidden.  A node
+    that some circuit meets exactly once branches on that circuit's free
+    edges (neither in X nor forbidden), taking the circuit with the fewest:
+    the i-th child adds the i-th free edge in ascending order to X and
+    forbids the ones before it.  A node no circuit meets exactly once is a
+    candidate.  Every minimal candidate Y is reached: a node inside Y has a
+    child inside Y, since the chosen circuit meets Y in a second edge, which
+    is free, and the child for the least such edge forbids no edge of Y.
+    Nodes are expanded level by level, in order of |X|, and a node holding a
+    candidate already found is dropped, so every candidate found is minimal.
+    """
     edge_ids = sorted(g.edges)
-    if len(edge_ids) > MAX_SUBSET_EDGES:
-        raise TooLarge(f"subset enumeration is capped at {MAX_SUBSET_EDGES} edges")
-    member_bits = [c.edges.bits for c in nc.members]
+    if len(edge_ids) > MAX_CUT_SEARCH_EDGES:
+        raise TooLarge(f"the cut-candidate search is capped at {MAX_CUT_SEARCH_EDGES} edges")
+    through: dict[int, list[int]] = {e: [] for e in edge_ids}
+    for c in nc.members:
+        for e in c.edges.ids():
+            through[e].append(c.edges.bits)
     found: list[int] = []
     out: list[EdgeSet] = []
-    for size in range(1, len(edge_ids) + 1):
-        for combo in combinations(edge_ids, size):
-            bits = 0
-            for e in combo:
-                bits |= 1 << e
-            if any(fb & bits == fb for fb in found):
+    level = [(1 << e, (1 << e) - 1, (e,)) for e in edge_ids]  # (X, forbidden, X's edges)
+    while level:
+        candidates = []
+        next_level = []
+        for x, forbidden, members in level:
+            if any(f & x == f for f in found):
                 continue
-            if all((mb & bits).bit_count() != 1 for mb in member_bits):
-                found.append(bits)
-                out.append(EdgeSet(bits, g.universe))
+            blocked = x | forbidden
+            free = None
+            for e in members:
+                for c in through[e]:
+                    if (c & x).bit_count() == 1:
+                        bits = c & ~blocked
+                        if free is None or bits.bit_count() < free.bit_count():
+                            free = bits
+            if free is None:
+                candidates.append(x)
+                continue
+            while free:
+                low = free & -free
+                next_level.append((x | low, forbidden, members + (low.bit_length() - 1,)))
+                forbidden |= low
+                free ^= low
+        found.extend(candidates)
+        out.extend(sorted((EdgeSet(x, g.universe) for x in candidates), key=EdgeSet.ids))
+        level = next_level
     return out
 
 
@@ -131,7 +165,7 @@ def families_match(found_bonds: list[Bond], candidates: list[EdgeSet]) -> bool:
 def verify_cocircuit_identity(g: Graph) -> bool:
     """True iff the minimal cut candidates recovered from the
     non-separating circuits coincide with the bonds."""
-    if len(g.vertices) > MAX_BOND_VERTICES or len(g.edges) > MAX_SUBSET_EDGES:
-        raise TooLarge("graph exceeds the exhaustive-verification bounds")
+    if len(g.vertices) > MAX_BOND_VERTICES or len(g.edges) > MAX_CUT_SEARCH_EDGES:
+        raise TooLarge("graph exceeds the bond enumeration or cut-candidate search bounds")
     nc = non_separating_circuits(g)
     return families_match(bonds(g), minimal_cut_candidates(g, nc))

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AllDegreesTwo, GraphError
+from .errors import AllDegreesTwo, GraphError, TooLarge
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -57,8 +57,6 @@ from .cocircuits import (
 THETA_EDGE_BOUND = 15
 TRIPLE_EDGE_BOUND = 12
 ORTHOGONALITY_EDGE_BOUND = 12
-# Below cocircuits.MAX_SUBSET_EDGES (20): the 2^m subset search takes too long.
-COCIRCUIT_EDGE_BOUND = 18
 WITNESS_SAMPLE_CAP = 150
 DECOMPOSE_SAMPLE_CAP = 64
 
@@ -258,9 +256,10 @@ def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
 
 
 def _check_cocircuit_recovery(g: Graph) -> tuple[bool, str]:
-    if len(g.edges) > COCIRCUIT_EDGE_BOUND or len(g.vertices) > MAX_BOND_VERTICES:
-        return _skip("graph exceeds the exhaustive bounds")
-    ok = verify_cocircuit_identity(g)
+    try:
+        ok = verify_cocircuit_identity(g)
+    except TooLarge as exc:
+        return _skip(str(exc))
     return ok, "minimal cut candidates equal bonds" if ok else "families differ"
 
 

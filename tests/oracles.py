@@ -344,3 +344,24 @@ def theta_by_enumeration(g, t, circuits) -> tuple:
 
     first = best(_reference(through, t))
     return first, best(first)
+
+
+def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:
+    """Sorted edge ids of every inclusion-minimal nonempty edge set that no
+    member of ``nc`` meets in exactly one edge, by size, then by edge ids:
+    every edge subset is tried in size order, supersets of one already
+    found skipped.  Costs 2^m subsets."""
+    member_bits = [c.edges.bits for c in nc.members]
+    found: list[int] = []
+    out = []
+    ids = sorted(g.edges)
+    for size in range(1, len(ids) + 1):
+        for combo in combinations(ids, size):
+            bits = 0
+            for e in combo:
+                bits |= 1 << e
+            if (all((mb & bits).bit_count() != 1 for mb in member_bits)
+                    and not any(fb & bits == fb for fb in found)):
+                found.append(bits)
+                out.append(combo)
+    return out

@@ -184,8 +184,6 @@ def test_acceptance_6_unit_overlap_witnesses():
 def test_acceptance_7_cocircuit_recovery():
     failures = []
     for label, g in CORPUS:
-        if len(g.edges) > 18:
-            continue
         nc = non_separating_circuits(g)
         recovered = sorted(x.ids() for x in minimal_cut_candidates(g, nc))
         expected = sorted(b.edges.ids() for b in bonds(g))

@@ -158,6 +158,13 @@ def test_cli_whitney(capsys):
     assert payload["bond_count"] == payload["candidate_count"]
 
 
+def test_cli_whitney_on_the_largest_corpus_graph(capsys):
+    # 21 edges: the cut-candidate search guard's limit
+    code, payload = run_json(["whitney", "--gen", "random3c-12"], capsys)
+    assert code == 0
+    assert payload["match"] is True
+
+
 def test_cli_verify_all_passes(capsys):
     code, payload = run_json(["verify-all", "--gen", "k4"], capsys)
     assert code == 0

@@ -13,7 +13,9 @@ from nscycles import (
     minimal_cut_candidates,
     non_separating_circuits,
     verify_cocircuit_identity,
+    verify_graph,
 )
+from nscycles.cocircuits import MAX_CUT_SEARCH_EDGES
 from nscycles.errors import Disconnected, EmptyX, TooLarge
 
 import oracles
@@ -86,10 +88,27 @@ def test_minimal_cut_candidates_equal_bonds(k4, prism):
 
 
 def test_subset_size_guard():
-    g = gen_corpus("random3c-12", 3)
-    if len(g.edges) > 20:
-        with pytest.raises(TooLarge):
-            minimal_cut_candidates(g, non_separating_circuits(g))
+    wheel = gen_corpus("wheel-11")
+    assert len(wheel.edges) == MAX_CUT_SEARCH_EDGES + 1
+    with pytest.raises(TooLarge):
+        minimal_cut_candidates(wheel, non_separating_circuits(wheel))
+    with pytest.raises(TooLarge):
+        verify_cocircuit_identity(wheel)
+    check = next(c for c in verify_graph(wheel, "wheel-11").checks
+                 if c.name == "cocircuit_recovery")
+    assert check.details.startswith("skipped:")
+    largest = gen_corpus("random3c-12", 0)  # the largest default-corpus graph
+    assert len(largest.edges) == MAX_CUT_SEARCH_EDGES
+    assert verify_cocircuit_identity(largest)
+
+
+def test_minimal_cut_candidates_match_subset_oracle(corpus):
+    # corpus graphs small enough for the 2^m oracle, order included
+    for label, g in corpus:
+        if len(g.edges) <= 18:
+            nc = non_separating_circuits(g)
+            assert [x.ids() for x in minimal_cut_candidates(g, nc)] == \
+                oracles.minimal_cut_candidates_by_subsets(g, nc), label
 
 
 def test_circuits_meeting_once_k4(k4):

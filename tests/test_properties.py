@@ -23,6 +23,7 @@ from nscycles import (
     is_k_connected,
     is_path_chord,
     is_separating,
+    minimal_cut_candidates,
     non_separating_circuits,
     split_on_path_chord,
     sym_diff,
@@ -270,6 +271,17 @@ def test_bridge_rule_matches_block_counting_on_every_connected_host(g):
     assert [c.edges.ids() for c in catalog] == oracles.nc_by_block_count(g)
     for c in enumerate_circuits(g):
         assert is_separating(g, c) == oracles.separating_by_block_count(g, c.edges.ids())
+
+
+@settings(deadline=None)
+@given(st.one_of(connected_graphs(), contracted_graphs()))
+def test_cut_candidate_search_matches_subset_oracle(g):
+    # cut vertices, loops and parallel edges included, so the candidates
+    # need not be bonds; the oracle tries all 2^m edge subsets
+    assume(is_connected(g) and len(g.edges) <= 14)
+    nc = non_separating_circuits(g)
+    assert [x.ids() for x in minimal_cut_candidates(g, nc)] == \
+        oracles.minimal_cut_candidates_by_subsets(g, nc)
 
 
 @settings(max_examples=25, deadline=None)
