@@ -24,7 +24,9 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
+    _branch_graph,
     _incidence,
+    _threads,
     _validate_thread,
     _walk,
     bfs_tree,
@@ -32,7 +34,6 @@ from .graph_core import (
     is_connected,
     is_top_3_connected,
     memoized,
-    suppress_degree_two,
 )
 from .cycle_space import is_cycle_space_member
 
@@ -199,52 +200,74 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-def _chordless_cycles(h: Graph, cap: int):
-    """Each chordless cycle of the simple graph ``h`` once, as its vertex
-    set and edge bitmask.
+def _induced_paths(h: Graph, start, allowed, ends):
+    """Each induced path of the simple graph ``h`` that leaves ``start``
+    through vertices of ``allowed`` and stops at the first one in ``ends``,
+    as its vertices but the last (a list the search goes on to change),
+    its edge bitmask and its last vertex.
 
-    From each vertex s, grows induced paths s, p1, ... through vertices
-    larger than s; a vertex adjacent to s closes a cycle and is not passed.
-    Each cycle is found in both directions and kept when p1 is smaller than
-    its last vertex.  Raises CircuitExplosion past ``cap`` cycles.
+    Grows the path depth first: a vertex extends the tip without a chord
+    iff no other path vertex is or is adjacent to it.  A vertex of ``ends``
+    closes a path and is not passed.
     """
     adjacency = h.adjacency
-    # hits[v]: the path vertices after s that are v or adjacent to v, so a
-    # vertex extends the path's tip without a chord iff hits[v] == 1.
-    hits = dict.fromkeys(h.vertices, 0)
+    # hits[v]: the path vertices that are v or adjacent to v, plus 2 when v
+    # is not allowed, so v extends the tip iff hits[v] == 1
+    hits = {v: 0 if v in allowed else 2 for v in h.vertices}
 
     def mark(v, step: int) -> None:
         hits[v] += step
         for _, x in adjacency[v]:
             hits[x] += step
 
+    mark(start, 1)
+    path = [start]
+    # DFS frames: (edge bitmask of the path, iterator over its tip's edges)
+    frames = [(0, iter(adjacency[start]))]
+    while frames:
+        bits, edges = frames[-1]
+        for e, w in edges:
+            if hits[w] != 1:
+                continue
+            if w in ends:
+                yield path, bits | 1 << e, w
+            else:
+                mark(w, 1)
+                path.append(w)
+                frames.append((bits | 1 << e, iter(adjacency[w])))
+                break
+        else:
+            frames.pop()
+            mark(path.pop(), -1)
+
+
+def _chordless_cycles(h: Graph, cap: int):
+    """Each chordless cycle of the simple graph ``h`` once, as its vertex
+    set and edge bitmask.
+
+    From each vertex s and each larger neighbor p1, grows the induced paths
+    p1, ... through vertices larger than s, closing at a neighbor of s.
+    Each cycle is found in both directions and kept when p1 is smaller than
+    its last vertex.  Raises CircuitExplosion past ``cap`` cycles.
+    """
     found = 0
     for s in sorted(h.vertices):
-        to_s = {w: e for e, w in adjacency[s] if w > s}
+        to_s = {w: e for e, w in h.adjacency[s] if w > s}
+        above = {v for v in h.vertices if v > s}
         for first, e1 in to_s.items():
-            mark(first, 1)
-            # DFS frames: (path vertex, edge into it, iterator over its edges).
-            frames = [(first, e1, iter(adjacency[first]))]
-            path_bits = 1 << e1
-            while frames:
-                for e, w in frames[-1][2]:
-                    if w <= s or hits[w] != 1:
-                        continue
-                    if w not in to_s:
-                        mark(w, 1)
-                        frames.append((w, e, iter(adjacency[w])))
-                        path_bits |= 1 << e
-                        break
-                    if first < w:
-                        found += 1
-                        if found > cap:
-                            raise CircuitExplosion(f"more than {cap} chordless cycles")
-                        on_cycle = {s, w, *(v for v, _, _ in frames)}
-                        yield on_cycle, path_bits | 1 << e | 1 << to_s[w]
-                else:
-                    v, e, _ = frames.pop()
-                    mark(v, -1)
-                    path_bits ^= 1 << e
+            for path, bits, last in _induced_paths(h, first, above, to_s):
+                if first < last:
+                    found += 1
+                    if found > cap:
+                        raise CircuitExplosion(f"more than {cap} chordless cycles")
+                    yield {s, last, *path}, bits | 1 << e1 | 1 << to_s[last]
+
+
+def _branch_cycle_circuit(g: Graph, bits: int) -> Circuit:
+    """The circuit of ``g`` that runs along the cycle of its branch graph
+    with edge bitmask ``bits``, one thread per edge."""
+    ts = _threads(g)
+    return circuit_from_edges(g, [e for i in EdgeSet(bits, len(ts)) for e in ts[i].edges])
 
 
 @memoized
@@ -254,14 +277,10 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
     else:
         # A circuit of g runs along a cycle of the branch graph h, one thread
         # per edge, and has as many bridges in g as that cycle has in h.
-        h, thread_map = suppress_degree_two(g)
+        h = _branch_graph(g)
         members = sorted(
-            (
-                circuit_from_edges(g, [e for i in EdgeSet(bits, h.universe)
-                                       for e in thread_map[i].edges])
-                for on_cycle, bits in _chordless_cycles(h, cap)
-                if not _separates(h, on_cycle, bits)
-            ),
+            (_branch_cycle_circuit(g, bits) for on_cycle, bits in _chordless_cycles(h, cap)
+             if not _separates(h, on_cycle, bits)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

@@ -11,8 +11,10 @@ lexicographically first circuit through the thread with a partner, is
 found edge by edge: each candidate edge of its path, in ascending id order,
 is kept iff a pruned depth-first search finds a valid path holding it and
 the edges kept so far.  The alpha maximizations then run over the
-non-separating catalog's circuits through the thread, since every maximizer
-is non-separating.
+non-separating partners only, since every maximizer is non-separating:
+those are chordless in the branch graph, so they are grown as induced
+paths between the thread's ends there.  The non-separating catalog is
+built only for the K4 terminal of the induction.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
+    _branch_graph,
     _validate_thread,
     bfs_tree,
     fingerprint,
@@ -43,7 +46,10 @@ from .graph_core import (
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
+    _branch_cycle_circuit,
+    _induced_paths,
     _is_separating_edges,
+    _separates,
     _validate_circuit,
     circuit_from_edges,
     even_subgraph_to_circuits,
@@ -129,13 +135,6 @@ def ear_sequence(g: Graph) -> EarSequence:
         steps.append((fingerprint(current), t))
         current = reduced
     return EarSequence(tuple(steps), current)
-
-
-def _vertex_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
@@ -297,30 +296,31 @@ def _theta(g: Graph, t: Thread) -> ThetaPair:
     initial = _first_with_partner(g, t)
     if initial is None:
         raise VerificationFailed("no two circuits meet exactly in the thread")
+    h = _branch_graph(g)
+    x, y = t.endpoints
+    ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
     tset = g.edge_set(t.edges)
-    tbits, tmask = tset.bits, _vertex_mask(t.vertices)
-    through = [
-        (c, _vertex_mask(c.vertex_cycle))
-        for c in non_separating_circuits(g) if tset.issubset(c.edges)
-    ]
 
     def best_partner(ref: Circuit) -> Circuit | None:
-        """The catalog circuit meeting ``ref`` exactly in the thread that
-        maximizes alpha, the first one on ties.
+        """The non-separating circuit meeting ``ref`` exactly in the thread
+        that maximizes alpha, the first by sorted edge ids on ties.
 
-        Both tests are needed: by vertices alone, the thread plus an edge
-        joining its ends would be its own partner.
+        Non-separating circuits are chordless in h, so a partner is t plus
+        an induced x-y path of h - ht that avoids ref's other branch
+        vertices: an edge from a path vertex to y would be a chord, so the
+        path stops at the first neighbor of y.
         """
-        rbits, rmask = ref.edges.bits, _vertex_mask(ref.vertex_cycle)
+        allowed = h.vertices.difference(ref.vertex_cycle)
+        to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
         anchor = ref.edges - tset
-        return max(
-            (c for c, cmask in through
-             if c.edges.bits & rbits == tbits and cmask & rmask == tmask),
-            key=lambda c: _anchored_block_size(g, c, anchor),
-            default=None,
-        )
+        partners = []
+        for path, bits, last in _induced_paths(h, x, allowed, to_y):
+            bits |= 1 << to_y[last] | 1 << ht
+            if not _separates(h, {*path, last, y}, bits):
+                partners.append(_branch_cycle_circuit(g, bits))
+        partners.sort(key=Circuit.sort_key)
+        return max(partners, key=lambda c: _anchored_block_size(g, c, anchor), default=None)
 
-    # Every alpha-maximizing partner is non-separating, so the catalog holds them.
     p = best_partner(initial)
     q = None if p is None else best_partner(p)
     if q is None or _is_separating_edges(g, p.edges) or _is_separating_edges(g, q.edges):
@@ -339,9 +339,11 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     so no circuit list is built.  Among the reference's partners, pick the
     one maximizing the edge count of its bridge holding the reference's
     remainder (the block of its contraction holding it), then repeat with
-    the roles swapped.  Every maximizer is non-separating, so partners are
-    drawn from the non-separating catalog.  Outputs are verified
-    non-separating before returning; VerificationFailed otherwise.
+    the roles swapped.  Every maximizer is non-separating, and the
+    non-separating partners are found as the induced paths of the branch
+    graph that avoid the reference's other branch vertices and do not
+    separate.  Outputs are verified non-separating before returning;
+    VerificationFailed otherwise.
     """
     _require_top3(g)
     _validate_thread(g, t)
@@ -356,6 +358,11 @@ def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
     the thread.  Either way the returned circuits are non-separating in
     ``g`` and their GF(2) sum equals the input circuit.
     """
+    return list(_lift(g, t, q))
+
+
+@memoized
+def _lift(g: Graph, t: Thread, q: Circuit) -> tuple[Circuit, ...]:
     _validate_thread(g, t)
     reduced = thread_delete(g, t)
     try:
@@ -364,11 +371,7 @@ def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
         raise NotInNcOfReduced(f"not a circuit of the reduced graph: {exc}") from exc
     if _is_separating_edges(reduced, q.edges):
         raise NotInNcOfReduced("circuit is separating in the reduced graph")
-    if is_path_chord(g, q, t):
-        r, s = split_on_path_chord(g, q, t)
-        lifted = [r, s]
-    else:
-        lifted = [q]
+    lifted = split_on_path_chord(g, q, t) if is_path_chord(g, q, t) else (q,)
     for c in lifted:
         if _is_separating_edges(g, c.edges):
             raise VerificationFailed("lifted circuit is separating in the host")

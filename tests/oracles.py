@@ -346,6 +346,30 @@ def theta_by_enumeration(g, t, circuits) -> tuple:
     return first, best(first)
 
 
+def theta_by_catalog(g, t, catalog, reference) -> tuple:
+    """The theta pair of thread ``t`` as (first, second) sorted edge ids,
+    filtered out of ``catalog``, every non-separating circuit of ``g`` in
+    sorted order: first is the member meeting ``reference`` exactly in t,
+    by edges and by vertices, whose bridge holding the reference's
+    remainder has the most edges; second is first's partner chosen alike,
+    the earliest winning ties.  Every alpha maximizer is non-separating,
+    so the catalog holds them."""
+    tedges, tverts = set(t.edges), set(t.vertices)
+    through = [(c.edges.ids(), set(c.vertex_cycle)) for c in catalog
+               if tedges.issubset(c.edges.ids())]
+
+    def best(ref, rverts):
+        anchor = set(ref) - tedges
+        return max(
+            ((c, cverts) for c, cverts in through
+             if set(c) & set(ref) == tedges and cverts & rverts == tverts),
+            key=lambda pair: _bridge_edge_count(g, pair[0], anchor),
+        )
+
+    first = best(reference.edges.ids(), set(reference.vertex_cycle))
+    return first[0], best(*first)[0]
+
+
 def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:
     """Sorted edge ids of every inclusion-minimal nonempty edge set that no
     member of ``nc`` meets in exactly one edge, by size, then by edge ids:

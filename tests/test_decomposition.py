@@ -131,6 +131,17 @@ def test_theta_reference_is_the_first_enumerated_circuit_with_a_partner(corpus):
                 assert _first_with_partner(host, t).edges.ids() == expected, (label, t.edges)
 
 
+def test_theta_pair_matches_catalog_filter_across_the_corpus(corpus):
+    hosts = [host for _, g in corpus for host in (g, subdivide_every_edge(g))]
+    hosts += [gen_corpus(f"random3c-{n}", 0) for n in range(14, 29, 2)]
+    for g in hosts:
+        catalog = non_separating_circuits(g)
+        for t in threads(g):
+            pair = theta_pair(g, t)
+            expected = oracles.theta_by_catalog(g, t, catalog, _first_with_partner(g, t))
+            assert (pair.first.edges.ids(), pair.second.edges.ids()) == expected, t.edges
+
+
 def test_theta_on_a_thread_deeper_than_the_recursion_limit():
     # the reference circuit of a rim edge is the whole 600-edge rim
     g = gen_corpus("wheel-600")

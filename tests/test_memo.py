@@ -1,11 +1,35 @@
 import gc
 
-from nscycles import Graph, decompose_cs_element, ear_sequence, fundamental_basis, gen_corpus
+import pytest
+
+from nscycles import (
+    Circuit,
+    Graph,
+    decompose_cs_element,
+    ear_sequence,
+    find_reducible_thread,
+    fundamental_basis,
+    gen_corpus,
+    lift_circuit,
+    non_separating_circuits,
+    suppress_degree_two,
+    theta_pair,
+    thread_delete,
+    threads,
+)
+from nscycles.errors import NotInNcOfReduced
 
 
 def _graph_count() -> int:
     gc.collect()
     return sum(1 for obj in gc.get_objects() if isinstance(obj, Graph))
+
+
+def _liftable(g):
+    """A reducible thread of ``g`` and a non-separating circuit of the
+    graph without it."""
+    t = find_reducible_thread(g)
+    return t, non_separating_circuits(thread_delete(g, t)).members[0]
 
 
 def test_derived_results_die_with_their_graph():
@@ -18,3 +42,36 @@ def test_derived_results_die_with_their_graph():
     assert _graph_count() > before + 1
     del g, basis, seq, cert
     assert _graph_count() == before
+
+
+def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
+    before = _graph_count()
+    g = gen_corpus("random3c-12")
+    t, q = _liftable(g)
+    assert lift_circuit(g, t, q)
+    assert theta_pair(g, threads(g)[0]).first
+    h, _ = suppress_degree_two(g)
+    assert suppress_degree_two(g)[0] is h
+    assert {"_lift", "_theta", "_branch_graph"} <= {key[0].__name__ for key in g._memo}
+    del g, t, q, h
+    assert _graph_count() == before
+
+
+def test_mutating_a_lift_leaves_the_memo_intact():
+    g = gen_corpus("k5")
+    t, q = _liftable(g)
+    lifted = lift_circuit(g, t, q)
+    expected = list(lifted)
+    lifted.clear()
+    assert lift_circuit(g, t, q) == expected
+
+
+def test_lift_rejects_a_mismatched_vertex_cycle_after_a_valid_one():
+    g = gen_corpus("k5")
+    t, q = _liftable(g)
+    lift_circuit(g, t, q)
+    # the same edges with the cycle read backwards from its second vertex
+    bogus = Circuit(q.edges, q.vertex_cycle[1::-1] + q.vertex_cycle[:1:-1])
+    assert bogus.vertex_cycle != q.vertex_cycle
+    with pytest.raises(NotInNcOfReduced):
+        lift_circuit(g, t, bogus)

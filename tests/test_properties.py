@@ -31,7 +31,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.decomposition import _anchored_block_size
+from nscycles.decomposition import _anchored_block_size, _first_with_partner
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -235,10 +235,11 @@ def test_bond_circuit_orthogonality(g):
 
 
 @st.composite
-def top_3_connected_hosts(draw):
-    """A random3c-N graph (N = 5..12, any seed) with some edges subdivided
-    once or twice, its vertices relabelled and its edges reordered."""
-    n = draw(st.integers(5, 12))
+def top_3_connected_hosts(draw, max_n=12):
+    """A random3c-N graph (N = 5..max_n, any seed) with some edges
+    subdivided once or twice, its vertices relabelled and its edges
+    reordered."""
+    n = draw(st.integers(5, max_n))
     g = gen_corpus(f"random3c-{n}", draw(st.integers(0, 2**32 - 1)))
     pairs = []
     for e in sorted(g.edges):
@@ -292,6 +293,18 @@ def test_theta_pair_matches_enumeration(g):
         pair = theta_pair(g, t)
         assert (pair.first.edges.ids(), pair.second.edges.ids()) == \
             oracles.theta_by_enumeration(g, t, circuits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_3_connected_hosts(max_n=24))
+def test_theta_pair_matches_catalog_filter(g):
+    # hosts too large for the enumeration oracle: the partners are filtered
+    # out of the whole non-separating catalog instead
+    catalog = non_separating_circuits(g)
+    for t in threads(g):
+        pair = theta_pair(g, t)
+        assert (pair.first.edges.ids(), pair.second.edges.ids()) == \
+            oracles.theta_by_catalog(g, t, catalog, _first_with_partner(g, t))
 
 
 @settings(max_examples=20, deadline=None)
