@@ -290,6 +290,17 @@ _COMMANDS = {
 _CAPPED = {"circuits", "nc", "whitney", "verify-all"}
 
 
+def _cap(text: str) -> int:
+    """A --cap value: a negative cap is bad input, not an exceeded one."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     source = common.add_mutually_exclusive_group()
@@ -306,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name in _CAPPED:
-            p.add_argument("--cap", type=int, default=DEFAULT_CIRCUIT_CAP,
+            p.add_argument("--cap", type=_cap, default=DEFAULT_CIRCUIT_CAP,
                            help="circuit (or chordless cycle) enumeration cap "
                                 f"(default {DEFAULT_CIRCUIT_CAP})")
         if name == "verify-all":

@@ -6,15 +6,15 @@ path-chords and toggling a theta circuit when the target uses the removed
 thread.  Every intermediate claim is re-verified, so a returned certificate
 is sound by construction.
 
-No circuit list is built.  A theta pair's reference circuit, the
+The theta search runs on the branch graph H alone, one edge per thread,
+and builds no circuit list.  A theta pair's reference circuit, the
 lexicographically first circuit through the thread with a partner, is
-found edge by edge: each candidate edge of its path, in ascending id order,
-is kept iff a pruned depth-first search finds a valid path holding it and
-the edges kept so far.  The alpha maximizations then run over the
-non-separating partners only, since every maximizer is non-separating:
-those are chordless in the branch graph, so they are grown as induced
-paths between the thread's ends there.  The non-separating catalog is
-built only for the K4 terminal of the induction.
+found edge by edge: each edge of H, in ascending id order, is kept iff a
+pruned depth-first search finds a valid path holding it and the edges
+kept so far.  Each partner is the shortest non-separating circuit meeting
+the other in the thread (alpha = |E| - |C|); those are chordless in H, so
+they are grown as induced paths between the thread's ends there.  The
+non-separating catalog is built only for the K4 terminal of the induction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .graph_core import (
     Thread,
     _branch_graph,
     _validate_thread,
-    bfs_tree,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -51,7 +50,6 @@ from .circuits import (
     _is_separating_edges,
     _separates,
     _validate_circuit,
-    circuit_from_edges,
     even_subgraph_to_circuits,
     is_path_chord,
     non_separating_circuits,
@@ -137,41 +135,28 @@ def ear_sequence(g: Graph) -> EarSequence:
     return EarSequence(tuple(steps), current)
 
 
-def _anchored_block_size(g: Graph, contract: Circuit, anchor: EdgeSet) -> int:
-    """Edge count of the block of G/C holding ``anchor``, a path outside C
-    with its ends on C.  On a 2-connected host the blocks of G/C are C's
-    bridges: the one holding the anchor's inner vertices, or a single chord."""
-    on_cycle = set(contract.vertex_cycle)
-    inner = next((v for e in anchor for v in g.psi[e] if v not in on_cycle), None)
-    if inner is None:
-        return 1
-    bridge = bfs_tree(g.adjacency, inner, on_cycle)
-    return len({e for v in bridge for e, _ in g.adjacency[v]})
-
-
 def _first_with_partner(g: Graph, t: Thread) -> Circuit | None:
     """The lexicographically first circuit through ``t`` that has a partner,
     a circuit meeting it exactly in ``t``; None if there is none.
 
-    A circuit through t is t plus a simple path P between its ends x and y
-    outside t.  The candidate edges of P (those off t and its inner
-    vertices) are decided in ascending id order, include before exclude:
+    The search runs on the branch graph h, where a circuit through t is
+    t's edge ht = xy plus an x-y path P of h - ht; h numbers its edges as
+    the threads, by smallest id, so they order circuits as g's ids do.
+    P's edges are decided in ascending id order, include before exclude:
     two circuits compare by their smallest differing id and neither holds
     the other, so an edge is included iff some valid P holds it together
     with the edges included so far and none of those excluded.  That
     question is answered by a witness, a valid P: an edge on the current
     witness is included at once, any other one only if :func:`extend`
-    finds a new witness holding it.  P is valid when G minus t, P's edges
-    and P's inner vertices still joins x to y: that path closes a partner.
+    finds a new witness holding it.  P is valid when h - ht minus P's
+    edges and inner vertices still joins x to y: that path closes a partner.
     """
+    h = _branch_graph(g)
     x, y = t.endpoints
-    inner = set(t.inner_vertices())
-    tbits = g.edge_set(t.edges).bits
-    psi = g.psi
+    ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
+    psi = h.psi
     # vertex -> (edge, neighbor) over the candidate edges
-    adj = {v: [(e, w) for e, w in pairs
-               if w != v and w not in inner and not tbits >> e & 1]
-           for v, pairs in g.adjacency.items() if v not in inner}
+    adj = {v: [(e, w) for e, w in pairs if e != ht] for v, pairs in h.adjacency.items()}
 
     # A state is (included edges as a bitmask, degrees, fragment ends,
     # fragment count), the undecided edges being those from some id k on:
@@ -288,7 +273,7 @@ def _first_with_partner(g: Graph, t: Thread) -> Circuit | None:
             witness = found
         frags += include(e, deg, end)
         s |= 1 << e
-    return circuit_from_edges(g, [*t.edges, *EdgeSet(s, g.universe).ids()])
+    return _branch_cycle_circuit(g, s | 1 << ht)
 
 
 @memoized
@@ -299,11 +284,10 @@ def _theta(g: Graph, t: Thread) -> ThetaPair:
     h = _branch_graph(g)
     x, y = t.endpoints
     ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
-    tset = g.edge_set(t.edges)
 
     def best_partner(ref: Circuit) -> Circuit | None:
-        """The non-separating circuit meeting ``ref`` exactly in the thread
-        that maximizes alpha, the first by sorted edge ids on ties.
+        """The shortest non-separating circuit meeting ``ref`` exactly in
+        the thread, the first by sorted edge ids on ties: the alpha maximizer.
 
         Non-separating circuits are chordless in h, so a partner is t plus
         an induced x-y path of h - ht that avoids ref's other branch
@@ -312,19 +296,17 @@ def _theta(g: Graph, t: Thread) -> ThetaPair:
         """
         allowed = h.vertices.difference(ref.vertex_cycle)
         to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
-        anchor = ref.edges - tset
         partners = []
         for path, bits, last in _induced_paths(h, x, allowed, to_y):
             bits |= 1 << to_y[last] | 1 << ht
             if not _separates(h, {*path, last, y}, bits):
                 partners.append(_branch_cycle_circuit(g, bits))
-        partners.sort(key=Circuit.sort_key)
-        return max(partners, key=lambda c: _anchored_block_size(g, c, anchor), default=None)
+        return min(partners, key=lambda c: (len(c), c.sort_key()), default=None)
 
     p = best_partner(initial)
     q = None if p is None else best_partner(p)
     if q is None or _is_separating_edges(g, p.edges) or _is_separating_edges(g, q.edges):
-        raise VerificationFailed("the alpha-maximized theta pair is separating")
+        raise VerificationFailed("the shortest non-separating theta pair is separating")
     return ThetaPair(p, q, t)
 
 
@@ -332,17 +314,18 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     """Two non-separating circuits whose edge and vertex intersections are
     exactly the given thread.
 
-    Follows the alpha-maximization recipe.  The reference circuit is the
-    lexicographically first circuit through the thread that has a partner
-    (a circuit meeting it exactly in the thread), found by a pruned
-    include/exclude search over the edges of its path outside the thread,
-    so no circuit list is built.  Among the reference's partners, pick the
-    one maximizing the edge count of its bridge holding the reference's
-    remainder (the block of its contraction holding it), then repeat with
-    the roles swapped.  Every maximizer is non-separating, and the
-    non-separating partners are found as the induced paths of the branch
-    graph that avoid the reference's other branch vertices and do not
-    separate.  Outputs are verified non-separating before returning;
+    Follows the alpha-maximization recipe on the branch graph alone.  The
+    reference circuit is the lexicographically first circuit through the
+    thread that has a partner (a circuit meeting it exactly in the
+    thread), found by a pruned include/exclude search over the branch
+    graph's edges, so no circuit list is built.  Its partner is the
+    shortest non-separating circuit meeting it exactly in the thread, the
+    first by sorted edge ids on ties, and the second circuit is that
+    partner's partner: a non-separating circuit C has one bridge, holding
+    every edge off C, so its alpha is |E| - |C|, and every alpha maximizer
+    is non-separating.  Partners are the induced paths of the branch graph
+    that avoid the reference's other branch vertices and do not separate.
+    Outputs are verified non-separating before returning;
     VerificationFailed otherwise.
     """
     _require_top3(g)

@@ -226,6 +226,13 @@ def test_cli_domain_failure_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["circuits", "nc", "whitney", "verify-all"])
+def test_negative_cap_is_a_usage_error(command, capsys):
+    assert run_command([command, "--gen", "k4", "--cap", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--cap: must be non-negative" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--gen", "k4", "--circuit", "1,2,3,4", "--cap", "5"],
     ["ears", "--gen", "k5", "--cap", "5"],

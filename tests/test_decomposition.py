@@ -5,9 +5,7 @@ import pytest
 
 from nscycles import (
     EdgeSet,
-    blocks,
     circuit_from_edges,
-    contract_edges,
     count_threads,
     decompose_circuit,
     decompose_cs_element,
@@ -28,7 +26,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.decomposition import _anchored_block_size, _first_with_partner
+from nscycles.decomposition import _first_with_partner
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected
 
 import oracles
@@ -280,6 +278,19 @@ def test_theta_rejects_non_threads(k4):
         theta_pair(k4, bogus)
 
 
+def test_theta_ignores_the_thread_orientation():
+    # a Thread walked from its other end is still a valid thread
+    from nscycles import Thread
+    hosts = [gen_corpus(name) for name in ("k4", "prism", "petersen", "random3c-12")]
+    hosts.append(subdivide_every_edge(gen_corpus("wheel-5")))
+    for g in hosts:
+        for t in threads(g):
+            flipped = Thread(t.edges[::-1], t.vertices[::-1])
+            assert _first_with_partner(g, flipped) == _first_with_partner(g, t)
+            pair, flipped_pair = theta_pair(g, t), theta_pair(g, flipped)
+            assert (flipped_pair.first, flipped_pair.second) == (pair.first, pair.second)
+
+
 def test_decompose_rejects_non_circuits(k4):
     from nscycles import Circuit
     from nscycles.errors import NotACircuit
@@ -298,15 +309,6 @@ THETA_GRAPHS = (
     + [gen_corpus(f"random3c-{n}", 0) for n in range(8, 13)]
     + [subdivide_every_edge(gen_corpus(name)) for name in ("k4", "prism", "wheel-5")]
 )
-
-
-def test_anchored_block_size_of_a_chord_is_one(k4):
-    # the chord of a 4-cycle becomes a loop of the contraction: a block of one edge
-    quad = circuit_from_edges(k4, [0, 2, 3, 5])
-    chord = k4.edge_set([1])
-    contracted, _ = contract_edges(k4, quad.edges)
-    assert chord in blocks(contracted).blocks
-    assert _anchored_block_size(k4, quad, chord) == 1
 
 
 def test_theta_selection_is_pinned():
