@@ -15,6 +15,12 @@ kept so far.  Each partner is the shortest non-separating circuit meeting
 the other in the thread (alpha = |E| - |C|); those are chordless in H, so
 they are grown as induced paths between the thread's ends there.  The
 non-separating catalog is built only for the K4 terminal of the induction.
+
+A thread t = xy is removable when g - t stays top-3-connected.  As g is
+top-3-connected, every cut of at most two vertices of g - t's branch graph
+separates x from y, so only the branch vertices of one x-y path of g - t
+are tested, each by one low-point search; the full test of every vertex
+runs only on the host and on the K4 terminal.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .graph_core import (
     Graph,
     Thread,
     _branch_graph,
+    _stays_top_3_connected,
     _validate_thread,
     fingerprint,
     is_top_3_connected,
@@ -107,7 +114,7 @@ def count_threads(g: Graph) -> int:
 def _reduction(g: Graph) -> tuple[Thread, Graph]:
     for t in threads(g):
         reduced = thread_delete(g, t)
-        if is_top_3_connected(reduced):
+        if _stays_top_3_connected(reduced, *t.endpoints):
             return t, reduced
     raise VerificationFailed(
         "no removable thread found; impossible for a subdivision of a 3-connected graph"
@@ -116,7 +123,12 @@ def _reduction(g: Graph) -> tuple[Thread, Graph]:
 
 def find_reducible_thread(g: Graph) -> Thread:
     """Lexicographically first thread whose removal keeps the graph a
-    subdivision of a 3-connected graph."""
+    subdivision of a 3-connected graph.
+
+    Since ``g`` is top-3-connected, a cut of at most two vertices of the
+    branch graph of g - t must separate t's ends, so removability is
+    decided by the branch vertices of one path between them.
+    """
     _require_top3(g)
     if is_top_k4(g):
         raise IsTopK4("already a subdivision of K4; nothing to reduce")
@@ -124,7 +136,13 @@ def find_reducible_thread(g: Graph) -> Thread:
 
 
 def ear_sequence(g: Graph) -> EarSequence:
-    """Iterate thread removals until a subdivision of K4 remains."""
+    """Iterate thread removals until a subdivision of K4 remains.
+
+    Each graph of the sequence is top-3-connected, so each removal is
+    tested on one path between the thread's ends, as in
+    :func:`find_reducible_thread`; only the host and the terminal get the
+    full test.
+    """
     _require_top3(g)
     steps = []
     current = g

@@ -420,9 +420,13 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
+    return _k_connected_without(_index_neighbors(g)[1], (), k)
+
+
+def _index_neighbors(g: Graph) -> tuple[dict, list]:
+    """Vertex -> index, and index -> neighbor indices, for the low-point DFS."""
     index = {v: i for i, v in enumerate(g.adjacency)}
-    nbrs = [[index[w] for _, w in pairs] for pairs in g.adjacency.values()]
-    return _k_connected_without(nbrs, (), k)
+    return index, [[index[w] for _, w in pairs] for pairs in g.adjacency.values()]
 
 
 def _k_connected_without(nbrs: list, removed: tuple, k: int) -> bool:
@@ -590,35 +594,62 @@ def _suppress(g: Graph) -> Graph:
     # Not memoized: the 3-connectivity tests run on every graph that
     # ``_reduction`` tries and keeps, and holding a branch graph for each of
     # them raised the peak memory of ear sequences on random3c-40..60 by 15%.
+    # The removal test builds no branch graph of g - t beyond this one:
+    # when g is top-3-connected, every cut of at most two vertices of g - t
+    # separates the removed thread's ends x and y, so it walks one x-y path
+    # of g - t itself (see ``_stays_top_3_connected``).
     ts = _threads(g)
     branch = [v for v in g.vertices if g.degree(v) != 2]
     return Graph(branch, range(len(ts)), {i: t.endpoints for i, t in enumerate(ts)}, len(ts))
 
 
-@memoized
-def is_top_3_connected(g: Graph) -> bool:
-    """True iff the graph is a subdivision of a simple 3-connected graph."""
+def _top3_candidate(g: Graph) -> Graph | None:
+    """The suppressed graph of ``g`` when ``g`` is connected, its threads
+    are defined and that graph is simple with more than 3 vertices; None
+    otherwise, and then ``g`` is not top-3-connected."""
     if not g.edges or not is_connected(g):
-        return False
+        return None
     try:
         suppressed = _suppress(g)
     except AllDegreesTwo:
+        return None
+    return suppressed if suppressed.simple and len(suppressed.vertices) > 3 else None
+
+
+@memoized
+def is_top_3_connected(g: Graph) -> bool:
+    """True iff the graph is a subdivision of a simple 3-connected graph."""
+    suppressed = _top3_candidate(g)
+    return suppressed is not None and is_k_connected(suppressed, 3)
+
+
+def _stays_top_3_connected(reduced: Graph, x, y) -> bool:
+    """Whether ``reduced`` = g - t is top-3-connected, where g is
+    top-3-connected and t is a thread of g with ends ``x`` and ``y``.
+
+    Let H be g's branch graph, simple and 3-connected, and xy t's edge in
+    H.  A cut of at most two vertices of the suppressed graph of g - t cuts
+    H - xy but not H, so xy is a bridge of H minus the cut: the cut holds
+    neither x nor y, separates them, and so holds an inner vertex of every
+    x-y path of g - t.  It therefore suffices to check that removing each
+    branch vertex inside one such path leaves the suppressed graph
+    2-connected, instead of removing every vertex.
+    """
+    suppressed = _top3_candidate(reduced)
+    if suppressed is None:
         return False
-    return suppressed.simple and is_k_connected(suppressed, 3)
+    index, nbrs = _index_neighbors(suppressed)
+    tree = bfs_tree(reduced.adjacency, x)
+    v = tree[y][0]
+    while v != x:
+        if v in index and not _biconnected_without(nbrs, (index[v],)):
+            return False
+        v = tree[v][0]
+    return True
 
 
 @memoized
 def is_top_k4(g: Graph) -> bool:
-    """True iff suppressing degree-2 vertices yields K4."""
-    if not g.edges or not is_connected(g):
-        return False
-    try:
-        suppressed = _suppress(g)
-    except AllDegreesTwo:
-        return False
-    return (
-        suppressed.simple
-        and len(suppressed.vertices) == 4
-        and len(suppressed.edges) == 6
-        and all(suppressed.degree(v) == 3 for v in suppressed.vertices)
-    )
+    """True iff suppressing degree-2 vertices yields K4: a simple
+    3-connected graph on 4 vertices is K4."""
+    return sum(g.degree(v) != 2 for v in g.vertices) == 4 and is_top_3_connected(g)

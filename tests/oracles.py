@@ -389,3 +389,26 @@ def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:
                 found.append(bits)
                 out.append(combo)
     return out
+
+
+def top_k4_by_suppression(g) -> bool:
+    """Suppressing every degree-2 vertex of ``g`` leaves K4: ``g`` is
+    connected, every maximal degree-2 run joins two distinct branch
+    vertices, and the runs join 4 branch vertices pairwise, once each."""
+    inc = {v: [] for v in g.vertices}
+    for e in g.edges:
+        u, v = g.psi[e]
+        inc[u].append((e, v))
+        inc[v].append((e, u))
+    adj = adjacency_from_pairs(g.vertices, [g.psi[e] for e in g.edges])
+    if not g.edges or len(reachable(adj, next(iter(g.vertices)))) != len(g.vertices):
+        return False
+    branch = {v for v, pairs in inc.items() if len(pairs) != 2}
+    ends = []  # each run twice, once from either end
+    for v in branch:
+        for e, w in inc[v]:
+            while w not in branch:
+                e, w = next(p for p in inc[w] if p[0] != e)
+            ends.append(frozenset((v, w)))
+    return (len(branch) == 4 and len(ends) == 12 and len(set(ends)) == 6
+            and all(len(pair) == 2 for pair in ends))

@@ -6,6 +6,7 @@ from nscycles import (
     build_graph,
     contract_edges,
     delete_edges,
+    ear_sequence,
     fingerprint,
     gen_corpus,
     is_connected,
@@ -18,6 +19,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
+from nscycles.graph_core import Graph, _stays_top_3_connected
 from nscycles.errors import (
     AllDegreesTwo,
     DanglingVertexId,
@@ -275,6 +277,45 @@ def test_top_3_connected(k4):
     partially = build_graph(7, [(0, 4), (4, 1), (0, 5), (5, 2), (0, 6), (6, 3),
                                 (1, 2), (1, 3), (2, 3)])
     assert is_top_k4(partially)
+
+
+def _down_ear_sequence(g):
+    """``g`` and every graph its ear sequence passes through, the terminal
+    included."""
+    walk = [g]
+    for _, t in ear_sequence(g).steps:
+        walk.append(thread_delete(walk[-1], t))
+    return walk
+
+
+def test_top_k4_matches_suppression_oracle(corpus):
+    # every graph down the ear sequences of the corpus and its subdivisions,
+    # and each of them minus each thread, most of those not top-3-connected
+    outcomes = set()
+    for label, host in corpus:
+        for g in (host, subdivide_every_edge(host)):
+            for h in _down_ear_sequence(g):
+                for f in [h] + [thread_delete(h, t) for t in threads(h)]:
+                    got = is_top_k4(f)
+                    assert got == oracles.top_k4_by_suppression(f), label
+                    outcomes.add(got)
+    assert outcomes == {False, True}
+
+
+def test_removal_test_matches_full_test(corpus):
+    # every thread of every graph down the ear sequences; the full test runs
+    # on a fresh copy of g - t, so no memo of the removal can answer it
+    outcomes = set()
+    for label, host in corpus:
+        for g in (host, subdivide_every_edge(host)):
+            for h in _down_ear_sequence(g):
+                for t in threads(h):
+                    r = thread_delete(h, t)
+                    got = _stays_top_3_connected(r, *t.endpoints)
+                    fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
+                    assert got == is_top_3_connected(fresh), (label, t)
+                    outcomes.add(got)
+    assert outcomes == {False, True}
 
 
 def test_top_3_connected_implies_3_connected_when_no_degree_two(corpus):

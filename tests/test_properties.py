@@ -12,6 +12,7 @@ from nscycles import (
     contract_edges,
     cyclomatic_number,
     delete_edges,
+    ear_sequence,
     enumerate_circuits,
     even_subgraph_to_circuits,
     express_in_span,
@@ -23,15 +24,18 @@ from nscycles import (
     is_k_connected,
     is_path_chord,
     is_separating,
+    is_top_3_connected,
     minimal_cut_candidates,
     non_separating_circuits,
     split_on_path_chord,
     sym_diff,
     theta_pair,
+    thread_delete,
     thread_from_edges,
     threads,
 )
 from nscycles.decomposition import _first_with_partner
+from nscycles.graph_core import Graph, _stays_top_3_connected
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -283,6 +287,25 @@ def test_cut_candidate_search_matches_subset_oracle(g):
     nc = non_separating_circuits(g)
     assert [x.ids() for x in minimal_cut_candidates(g, nc)] == \
         oracles.minimal_cut_candidates_by_subsets(g, nc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_3_connected_hosts(max_n=20))
+def test_removal_test_matches_full_test_down_the_ear_sequence(g):
+    # the full test runs on a fresh copy of g - t, which has no memo; the
+    # host's removable threads and the K4 terminal's none give both answers
+    walk = [g]
+    for _, t in ear_sequence(g).steps:
+        walk.append(thread_delete(walk[-1], t))
+    outcomes = set()
+    for h in walk:
+        for t in threads(h):
+            r = thread_delete(h, t)
+            got = _stays_top_3_connected(r, *t.endpoints)
+            fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
+            assert got == is_top_3_connected(fresh)
+            outcomes.add(got)
+    assert outcomes == {False, True}
 
 
 @settings(max_examples=25, deadline=None)
