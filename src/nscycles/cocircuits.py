@@ -47,6 +47,8 @@ def bonds(g: Graph) -> list[Bond]:
         raise Disconnected("bond enumeration requires a connected graph")
     if len(g.vertices) > MAX_BOND_VERTICES:
         raise TooLarge(f"bond enumeration is capped at {MAX_BOND_VERTICES} vertices")
+    if len(g.vertices) < 2:
+        return []
     verts = sorted(g.vertices)
     anchor, rest = verts[0], verts[1:]
     out = []

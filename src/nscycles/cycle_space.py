@@ -154,7 +154,8 @@ def express_in_span(target: EdgeSet, generators: Gf2Matrix) -> SpanCertificate:
 
 
 def cyclomatic_number(g: Graph) -> int:
-    """Dimension of the cycle space of a connected graph: |E| - |V| + 1."""
+    """Dimension of the cycle space of a connected graph: |E| - |V| + c,
+    where c, the number of components, is 1, or 0 for the null graph."""
     if not is_connected(g):
         raise Disconnected("cyclomatic number requires a connected graph")
-    return len(g.edges) - len(g.vertices) + 1
+    return len(g.edges) - len(g.vertices) + (1 if g.vertices else 0)

@@ -6,7 +6,9 @@ across a graph and its minors.
 
 Derived results (connectivity tests, threads, circuit catalogs, reductions,
 decompositions) are memoized on the ``Graph`` that owns them, through
-:func:`memoized`: they live exactly as long as that graph.
+:func:`memoized`: they live and die with that graph.  A graph may be handed
+results at birth: :func:`thread_delete` gives g - t the threads it derives
+from g's, and keeps no reference to g in it.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends are all traced by one walk, :func:`_walk`.
@@ -204,6 +206,12 @@ def memoized(fn):
     return wrapper
 
 
+def _remember(g: Graph, fn, value, *args) -> None:
+    """Record ``value`` as the result of the memoized ``fn(g, *args)``,
+    under the key :func:`memoized` uses."""
+    g._memo[(fn.__wrapped__, *args)] = value
+
+
 def fingerprint(g: Graph) -> str:
     """Stable 16-hex-digit digest of the graph's labeled structure."""
     return hashlib.sha256(repr(g._key).encode()).hexdigest()[:16]
@@ -381,9 +389,10 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
                 low[parent] = low[v]
 
 
-def bfs_tree(adjacency: dict, start, skip=()) -> dict:
+def bfs_tree(adjacency: dict, start, skip=(), until=None) -> dict:
     """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
-    pairs) from ``start``, never entering a vertex of ``skip``.
+    pairs) from ``start``, never entering a vertex of ``skip``, and
+    stopping as soon as it reaches ``until``.
 
     Returns each reached vertex's (parent, edge) in visiting order; the
     start maps to (None, None).
@@ -395,6 +404,8 @@ def bfs_tree(adjacency: dict, start, skip=()) -> dict:
         for e, w in adjacency[v]:
             if w not in tree and w not in skip:
                 tree[w] = (v, e)
+                if w == until:
+                    return tree
                 queue.append(w)
     return tree
 
@@ -491,8 +502,21 @@ def _walk(inc: dict, v, e: int, w, stop=()) -> tuple[list[int], list]:
 
 @memoized
 def _threads(g: Graph) -> tuple[Thread, ...]:
+    # Memoized apart from the partition, so that the catalog, which reads
+    # the threads once per circuit, pays one lookup for them.
     if not is_connected(g):
         raise Disconnected("thread partition requires a connected graph")
+    return _thread_partition(g)
+
+
+@memoized
+def _thread_partition(g: Graph) -> tuple[Thread, ...]:
+    """The threads of ``g``, which :func:`_threads` has found connected.
+
+    :func:`thread_delete` seeds g - t's entry from g's.  An entry is the
+    thread partition whenever its graph is connected, which is all that
+    :func:`_threads` reads it for: g - t connected makes g connected.
+    """
     branch = {v for v in g.vertices if g.degree(v) != 2}
     if g.edges and not branch:
         raise AllDegreesTwo("every vertex has degree 2: the graph is a cycle")
@@ -514,6 +538,34 @@ def _threads(g: Graph) -> tuple[Thread, ...]:
     if covered != set(g.edges):
         raise AllDegreesTwo("some degree-2 run never reaches a branch vertex")
     out.sort(key=lambda t: tuple(sorted(t.edges)))
+    return tuple(out)
+
+
+def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple | None:
+    """The threads of g - t from ``ts``, the threads of ``g``: every thread
+    but t, with the two threads at each end of t that is left with degree
+    two joined into one.  None when a join would close a run on itself,
+    where the full walk raises instead.
+
+    The result keeps the walk's order: threads are edge-disjoint, so their
+    sorted edge tuples compare by smallest edge, and a joined thread takes
+    the place of the earlier of its two halves.
+    """
+    t_edges = set(t.edges)
+    out = [s for s in ts if s.edges[0] not in t_edges]
+    for v in t.endpoints:
+        if g.degree(v) != 3:
+            continue
+        i, j = [i for i, s in enumerate(out) if v in (s.vertices[0], s.vertices[-1])]
+        a, b = out[i], out[j]
+        a_edges, a_verts = (a.edges, a.vertices) if a.vertices[-1] == v else (
+            a.edges[::-1], a.vertices[::-1])
+        b_edges, b_verts = (b.edges, b.vertices) if b.vertices[0] == v else (
+            b.edges[::-1], b.vertices[::-1])
+        if a_verts[0] == b_verts[-1]:
+            return None
+        out[i] = Thread.oriented(a_edges + b_edges, a_verts + b_verts[1:])
+        del out[j]
     return tuple(out)
 
 
@@ -542,11 +594,22 @@ def _validate_thread(g: Graph, t: Thread) -> None:
 
 @memoized
 def thread_delete(g: Graph, t: Thread) -> Graph:
-    """Remove a thread: all of its edges and all of its inner vertices."""
+    """Remove a thread: all of its edges and all of its inner vertices.
+
+    When g's threads are known, g - t gets its threads from them: removing
+    t changes only the threads that meet at t's ends.  g - t keeps no
+    reference to ``g``.
+    """
     _validate_thread(g, t)
     keep_edges = g.edges - set(t.edges)
     keep_vertices = g.vertices - set(t.inner_vertices())
-    return Graph(keep_vertices, keep_edges, g.psi, g.universe)
+    reduced = Graph(keep_vertices, keep_edges, g.psi, g.universe)
+    ts = g._memo.get((_thread_partition.__wrapped__,))
+    if ts is not None:
+        derived = _threads_after_delete(g, t, ts)
+        if derived is not None:
+            _remember(reduced, _thread_partition, derived)
+    return reduced
 
 
 def thread_from_edges(g: Graph, edge_ids) -> Thread:
@@ -594,10 +657,9 @@ def _suppress(g: Graph) -> Graph:
     # Not memoized: the 3-connectivity tests run on every graph that
     # ``_reduction`` tries and keeps, and holding a branch graph for each of
     # them raised the peak memory of ear sequences on random3c-40..60 by 15%.
-    # The removal test builds no branch graph of g - t beyond this one:
-    # when g is top-3-connected, every cut of at most two vertices of g - t
-    # separates the removed thread's ends x and y, so it walks one x-y path
-    # of g - t itself (see ``_stays_top_3_connected``).
+    # For a candidate g - t this is the only branch graph built, and its
+    # threads come from g's (see ``thread_delete``), so building it walks
+    # no thread of g - t.
     ts = _threads(g)
     branch = [v for v in g.vertices if g.degree(v) != 2]
     return Graph(branch, range(len(ts)), {i: t.endpoints for i, t in enumerate(ts)}, len(ts))
@@ -634,12 +696,19 @@ def _stays_top_3_connected(reduced: Graph, x, y) -> bool:
     x-y path of g - t.  It therefore suffices to check that removing each
     branch vertex inside one such path leaves the suppressed graph
     2-connected, instead of removing every vertex.
+
+    One BFS from x, stopped at y, both finds that path and decides that
+    g - t is connected: every vertex of g - t reaches x or y in g - t,
+    since g is connected and t's inner vertices touch only t.
     """
+    tree = bfs_tree(reduced.adjacency, x, until=y)
+    if y not in tree:
+        return False
+    _remember(reduced, is_connected, True)
     suppressed = _top3_candidate(reduced)
     if suppressed is None:
         return False
     index, nbrs = _index_neighbors(suppressed)
-    tree = bfs_tree(reduced.adjacency, x)
     v = tree[y][0]
     while v != x:
         if v in index and not _biconnected_without(nbrs, (index[v],)):

@@ -190,7 +190,10 @@ def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
     seq = ear_sequence(g)
     current = g
     for step_fingerprint, t in seq.steps:
-        if fingerprint(current) != step_fingerprint or not is_top_3_connected(current):
+        # The full test runs on a copy, which reads none of the connectivity
+        # and threads that the ear loop handed each g - t.
+        fresh = Graph(current.vertices, current.edges, current.psi, current.universe)
+        if fingerprint(current) != step_fingerprint or not is_top_3_connected(fresh):
             return False, "intermediate graph fails the reduction invariant"
         current = thread_delete(current, t)
     if current != seq.terminal or not is_top_k4(current):

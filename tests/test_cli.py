@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nscycles import decomposition, gen_corpus, is_k_connected
-from nscycles.cli import MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
+from nscycles.cli import _COMMANDS, MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
 from nscycles.corpus import MAX_GEN_N
 from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
 
@@ -333,3 +333,14 @@ def test_cli_circuits_on_a_long_cycle(tmp_path, capsys):
     code, payload = run_json(["circuits", "--input", _long_cycle(tmp_path)], capsys)
     assert code == 0
     assert payload["count"] == 1 and payload["circuits"] == [list(range(3000))]
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "1 0\n"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_on_a_graph_without_edges(command, text, tmp_path, capsys):
+    # the null graph and a single vertex: an exit code, never a traceback
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    extra = {"decompose": ["--circuit", "0"], "theta": ["--thread", "0"]}.get(command, [])
+    assert run_command([command, "--input", str(path), *extra]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

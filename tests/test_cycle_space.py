@@ -63,6 +63,13 @@ def test_fundamental_basis_petersen(petersen):
     assert gf2_rank(Gf2Matrix.from_rows(basis, 15)) == 6
 
 
+def test_cyclomatic_number_without_edges():
+    # |E| - |V| + components: the null graph has no component
+    for n in (0, 1):
+        g = build_graph(n, [])
+        assert cyclomatic_number(g) == len(fundamental_basis(g)) == 0
+
+
 def test_fundamental_basis_requires_connected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(Disconnected):

@@ -320,3 +320,28 @@ def test_theta_selection_is_pinned():
                 f"{list(t.edges)} {list(pair.first.edges.ids())} {list(pair.second.edges.ids())}")
     assert len(lines) == 221
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THETA_SELECTION_SHA256
+
+
+# sha256 of one line of thread edges per step of the ear sequence of each of
+# EAR_GRAPHS, then one line with the terminal's fingerprint; recorded before
+# the threads of g - t were derived from g's.
+EAR_SEQUENCE_SHA256 = "d9382ff6c6be4e4db28270e3ace8284e3318068750f01b6f9a9cdc6e5306a33f"
+EAR_GRAPHS = (
+    [subdivide_every_edge(gen_corpus(name)) for name in (
+        "k4", "k5", "k6", "k33", "wheel-4", "wheel-5", "wheel-6", "wheel-7",
+        "prism", "petersen")]
+    + [subdivide_every_edge(gen_corpus(f"random3c-{n}", seed))
+       for n in (20, 30, 40) for seed in range(3)]
+)
+
+
+def test_ear_sequences_on_subdivided_hosts_are_pinned():
+    # every edge subdivided, so removals leave ends of degree 2 whose
+    # threads merge
+    lines = []
+    for g in EAR_GRAPHS:
+        seq = ear_sequence(g)
+        lines.extend(f"{list(t.edges)}" for _, t in seq.steps)
+        lines.append(fingerprint(seq.terminal))
+    assert len(lines) == 180
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EAR_SEQUENCE_SHA256

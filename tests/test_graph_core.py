@@ -19,11 +19,19 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.graph_core import Graph, _stays_top_3_connected
+from nscycles.graph_core import (
+    Graph,
+    Thread,
+    _stays_top_3_connected,
+    _thread_partition,
+    _threads,
+)
 from nscycles.errors import (
     AllDegreesTwo,
     DanglingVertexId,
+    Disconnected,
     DuplicateEdge,
+    GraphError,
     LoopRejected,
     NotAThread,
     UniverseMismatch,
@@ -316,6 +324,64 @@ def test_removal_test_matches_full_test(corpus):
                     assert got == is_top_3_connected(fresh), (label, t)
                     outcomes.add(got)
     assert outcomes == {False, True}
+
+
+def _fresh(g):
+    """A copy of ``g`` with an empty memo table."""
+    return Graph(g.vertices, g.edges, g.psi, g.universe)
+
+
+def _thread_outcome(g):
+    """The threads of ``g``, or the type and message of what they raise."""
+    try:
+        return _threads(g)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _derived_threads_hold(g, t) -> bool:
+    """Check g - t's threads, derived from g's, against a fresh walk of
+    g - t; True iff they were derived rather than walked."""
+    threads(g)
+    r = thread_delete(g, t)
+    derived = (_thread_partition.__wrapped__,) in r._memo
+    assert _thread_outcome(r) == _thread_outcome(_fresh(r)), t
+    return derived
+
+
+def test_derived_threads_match_a_fresh_walk(corpus):
+    # every thread of every graph down the ear sequences of the corpus and
+    # of its subdivisions, where removals leave ends of degree 2 to join
+    derived = 0
+    for label, host in corpus:
+        for g in (_fresh(host), subdivide_every_edge(host)):
+            for h in _down_ear_sequence(g):
+                for t in threads(h):
+                    derived += _derived_threads_hold(h, t)
+    assert derived > 0
+
+
+def test_derived_threads_raise_as_the_walk_does():
+    # a bridge between two K4s: g - t is disconnected; a theta graph: g - t
+    # is a cycle, where the join at t's second end would close on itself
+    bridged = build_graph(8, K4_PAIRS + [(u + 4, v + 4) for u, v in K4_PAIRS] + [(3, 4)])
+    theta = build_graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+    for g, edges, error in ((bridged, [12], Disconnected), (theta, [0, 1], AllDegreesTwo)):
+        t = thread_from_edges(g, edges)
+        _derived_threads_hold(g, t)
+        with pytest.raises(error):
+            threads(thread_delete(g, t))
+
+
+@pytest.mark.parametrize("name", ["k5", "k6"])
+def test_derived_threads_ignore_the_thread_orientation(name):
+    # t's ends keep degree >= 3, so g - t has exactly one thread fewer
+    g = gen_corpus(name)
+    for t in threads(g):
+        backwards = Thread(t.edges[::-1], t.vertices[::-1])
+        assert backwards != t
+        assert _derived_threads_hold(g, backwards)
+        assert len(threads(thread_delete(g, backwards))) == len(threads(g)) - 1
 
 
 def test_top_3_connected_implies_3_connected_when_no_degree_two(corpus):

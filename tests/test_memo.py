@@ -1,4 +1,5 @@
 import gc
+import inspect
 
 import pytest
 
@@ -12,6 +13,7 @@ from nscycles import (
     gen_corpus,
     lift_circuit,
     non_separating_circuits,
+    subdivide_every_edge,
     suppress_degree_two,
     theta_pair,
     thread_delete,
@@ -42,6 +44,19 @@ def test_derived_results_die_with_their_graph():
     assert _graph_count() > before + 1
     del g, basis, seq, cert
     assert _graph_count() == before
+
+
+def test_ear_terminal_does_not_keep_its_host_alive():
+    # g - t is handed threads derived from g's, never g itself
+    before = _graph_count()
+    g = subdivide_every_edge(gen_corpus("random3c-12"))
+    terminal = ear_sequence(g).terminal
+    assert terminal is not g
+    for obj in gc.get_objects():
+        if isinstance(obj, Graph):
+            assert all(inspect.isfunction(key[0]) for key in obj._memo)
+    del g
+    assert _graph_count() == before + 1
 
 
 def test_lift_theta_and_branch_graph_memos_die_with_their_graph():

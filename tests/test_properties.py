@@ -292,7 +292,8 @@ def test_cut_candidate_search_matches_subset_oracle(g):
 @settings(max_examples=25, deadline=None)
 @given(top_3_connected_hosts(max_n=20))
 def test_removal_test_matches_full_test_down_the_ear_sequence(g):
-    # the full test runs on a fresh copy of g - t, which has no memo; the
+    # the full test and the thread walk run on a fresh copy of g - t, which
+    # has no memo, so neither reads the threads g - t derived from h's; the
     # host's removable threads and the K4 terminal's none give both answers
     walk = [g]
     for _, t in ear_sequence(g).steps:
@@ -304,6 +305,7 @@ def test_removal_test_matches_full_test_down_the_ear_sequence(g):
             got = _stays_top_3_connected(r, *t.endpoints)
             fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
             assert got == is_top_3_connected(fresh)
+            assert threads(r) == threads(fresh)
             outcomes.add(got)
     assert outcomes == {False, True}
 
