@@ -150,12 +150,12 @@ def gen_corpus(name: str, seed: int = 0) -> Graph:
 
 
 def subdivide_every_edge(g: Graph) -> Graph:
-    """Place one new vertex on every edge of a simple graph."""
-    n = max(g.vertices) + 1 if g.vertices else 0
+    """Place one new vertex on every edge of a simple graph: with g's
+    vertices renumbered 0..|V|-1 in order, the one on its i-th edge by id
+    is |V| + i, so vertices 0..n-1 and edges 0..m-1 keep their labels."""
+    label = {v: i for i, v in enumerate(sorted(g.vertices))}
     pairs = []
-    for e in sorted(g.edges):
+    for mid, e in enumerate(sorted(g.edges), len(label)):
         u, v = g.psi[e]
-        mid = n + e
-        pairs.append((u, mid))
-        pairs.append((mid, v))
-    return build_graph(n + g.universe, pairs)
+        pairs += [(label[u], mid), (mid, label[v])]
+    return build_graph(len(label) + len(g.edges), pairs)

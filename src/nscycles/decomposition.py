@@ -16,11 +16,11 @@ the other in the thread (alpha = |E| - |C|); those are chordless in H, so
 they are grown as induced paths between the thread's ends there.  The
 non-separating catalog is built only for the K4 terminal of the induction.
 
-A thread t = xy is removable when g - t stays top-3-connected.  As g is
-top-3-connected, every cut of at most two vertices of g - t's branch graph
-separates x from y, so only the branch vertices of one x-y path of g - t
-are tested, each by one low-point search; the full test of every vertex
-runs only on the host and on the K4 terminal.
+A thread t = xy is removable when g - t stays top-3-connected, decided on
+g's branch graph H: as H is 3-connected, every cut of at most two vertices
+of H - xy, x and y suppressed, separates x from y, so only the inner
+vertices of one x-y path are tested, each by one low-point search.  The
+full test of every vertex runs only on the host and on the K4 terminal.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .graph_core import (
     Graph,
     Thread,
     _branch_graph,
-    _stays_top_3_connected,
+    _ear_step,
     _validate_thread,
     fingerprint,
     is_top_3_connected,
@@ -112,22 +112,21 @@ def count_threads(g: Graph) -> int:
 
 @memoized
 def _reduction(g: Graph) -> tuple[Thread, Graph]:
-    for t in threads(g):
-        reduced = thread_delete(g, t)
-        if _stays_top_3_connected(reduced, *t.endpoints):
-            return t, reduced
-    raise VerificationFailed(
-        "no removable thread found; impossible for a subdivision of a 3-connected graph"
-    )
+    step = _ear_step(g)
+    if step is None:
+        raise VerificationFailed(
+            "no removable thread found; impossible for a subdivision of a 3-connected graph"
+        )
+    return step
 
 
 def find_reducible_thread(g: Graph) -> Thread:
     """Lexicographically first thread whose removal keeps the graph a
     subdivision of a 3-connected graph.
 
-    Since ``g`` is top-3-connected, a cut of at most two vertices of the
-    branch graph of g - t must separate t's ends, so removability is
-    decided by the branch vertices of one path between them.
+    Removability is decided on g's branch graph H: a cut of at most two
+    vertices of H - t's edge, t's ends suppressed, separates those ends,
+    so it is decided by the inner vertices of one path between them.
     """
     _require_top3(g)
     if is_top_k4(g):
@@ -139,9 +138,9 @@ def ear_sequence(g: Graph) -> EarSequence:
     """Iterate thread removals until a subdivision of K4 remains.
 
     Each graph of the sequence is top-3-connected, so each removal is
-    tested on one path between the thread's ends, as in
-    :func:`find_reducible_thread`; only the host and the terminal get the
-    full test.
+    tested on its branch graph, as in :func:`find_reducible_thread`; g - t
+    is built only for the thread removed, and only the host and the
+    terminal get the full test.
     """
     _require_top3(g)
     steps = []

@@ -7,8 +7,8 @@ across a graph and its minors.
 Derived results (connectivity tests, threads, circuit catalogs, reductions,
 decompositions) are memoized on the ``Graph`` that owns them, through
 :func:`memoized`: they live and die with that graph.  A graph may be handed
-results at birth: :func:`thread_delete` gives g - t the threads it derives
-from g's, and keeps no reference to g in it.
+results at birth: the g - t that :func:`_ear_step` keeps gets the threads it
+derives from g's, and no reference to g.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends are all traced by one walk, :func:`_walk`.
@@ -502,21 +502,8 @@ def _walk(inc: dict, v, e: int, w, stop=()) -> tuple[list[int], list]:
 
 @memoized
 def _threads(g: Graph) -> tuple[Thread, ...]:
-    # Memoized apart from the partition, so that the catalog, which reads
-    # the threads once per circuit, pays one lookup for them.
     if not is_connected(g):
         raise Disconnected("thread partition requires a connected graph")
-    return _thread_partition(g)
-
-
-@memoized
-def _thread_partition(g: Graph) -> tuple[Thread, ...]:
-    """The threads of ``g``, which :func:`_threads` has found connected.
-
-    :func:`thread_delete` seeds g - t's entry from g's.  An entry is the
-    thread partition whenever its graph is connected, which is all that
-    :func:`_threads` reads it for: g - t connected makes g connected.
-    """
     branch = {v for v in g.vertices if g.degree(v) != 2}
     if g.edges and not branch:
         raise AllDegreesTwo("every vertex has degree 2: the graph is a cycle")
@@ -541,11 +528,11 @@ def _thread_partition(g: Graph) -> tuple[Thread, ...]:
     return tuple(out)
 
 
-def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple | None:
+def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple:
     """The threads of g - t from ``ts``, the threads of ``g``: every thread
     but t, with the two threads at each end of t that is left with degree
-    two joined into one.  None when a join would close a run on itself,
-    where the full walk raises instead.
+    two joined into one.  No join closes a run on itself when g's branch
+    graph is simple.
 
     The result keeps the walk's order: threads are edge-disjoint, so their
     sorted edge tuples compare by smallest edge, and a joined thread takes
@@ -562,8 +549,6 @@ def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple | None:
             a.edges[::-1], a.vertices[::-1])
         b_edges, b_verts = (b.edges, b.vertices) if b.vertices[0] == v else (
             b.edges[::-1], b.vertices[::-1])
-        if a_verts[0] == b_verts[-1]:
-            return None
         out[i] = Thread.oriented(a_edges + b_edges, a_verts + b_verts[1:])
         del out[j]
     return tuple(out)
@@ -594,22 +579,11 @@ def _validate_thread(g: Graph, t: Thread) -> None:
 
 @memoized
 def thread_delete(g: Graph, t: Thread) -> Graph:
-    """Remove a thread: all of its edges and all of its inner vertices.
-
-    When g's threads are known, g - t gets its threads from them: removing
-    t changes only the threads that meet at t's ends.  g - t keeps no
-    reference to ``g``.
-    """
+    """Remove a thread: all of its edges and all of its inner vertices."""
     _validate_thread(g, t)
     keep_edges = g.edges - set(t.edges)
     keep_vertices = g.vertices - set(t.inner_vertices())
-    reduced = Graph(keep_vertices, keep_edges, g.psi, g.universe)
-    ts = g._memo.get((_thread_partition.__wrapped__,))
-    if ts is not None:
-        derived = _threads_after_delete(g, t, ts)
-        if derived is not None:
-            _remember(reduced, _thread_partition, derived)
-    return reduced
+    return Graph(keep_vertices, keep_edges, g.psi, g.universe)
 
 
 def thread_from_edges(g: Graph, edge_ids) -> Thread:
@@ -654,67 +628,83 @@ def _branch_graph(g: Graph) -> Graph:
 
 
 def _suppress(g: Graph) -> Graph:
-    # Not memoized: the 3-connectivity tests run on every graph that
-    # ``_reduction`` tries and keeps, and holding a branch graph for each of
-    # them raised the peak memory of ear sequences on random3c-40..60 by 15%.
-    # For a candidate g - t this is the only branch graph built, and its
-    # threads come from g's (see ``thread_delete``), so building it walks
-    # no thread of g - t.
+    # Not memoized: the host and the terminal get the full 3-connectivity
+    # test, and :func:`_ear_step` decides every removal on the branch
+    # graph of the graph it reduces; holding a branch graph for each graph
+    # of an ear sequence raised the peak memory of ear sequences on
+    # random3c-40..60 by 15%.
     ts = _threads(g)
     branch = [v for v in g.vertices if g.degree(v) != 2]
     return Graph(branch, range(len(ts)), {i: t.endpoints for i, t in enumerate(ts)}, len(ts))
 
 
-def _top3_candidate(g: Graph) -> Graph | None:
-    """The suppressed graph of ``g`` when ``g`` is connected, its threads
-    are defined and that graph is simple with more than 3 vertices; None
-    otherwise, and then ``g`` is not top-3-connected."""
-    if not g.edges or not is_connected(g):
-        return None
-    try:
-        suppressed = _suppress(g)
-    except AllDegreesTwo:
-        return None
-    return suppressed if suppressed.simple and len(suppressed.vertices) > 3 else None
-
-
 @memoized
 def is_top_3_connected(g: Graph) -> bool:
     """True iff the graph is a subdivision of a simple 3-connected graph."""
-    suppressed = _top3_candidate(g)
-    return suppressed is not None and is_k_connected(suppressed, 3)
+    if not g.edges or not is_connected(g):
+        return False
+    try:
+        suppressed = _suppress(g)
+    except AllDegreesTwo:
+        return False
+    return suppressed.simple and is_k_connected(suppressed, 3)
 
 
-def _stays_top_3_connected(reduced: Graph, x, y) -> bool:
-    """Whether ``reduced`` = g - t is top-3-connected, where g is
-    top-3-connected and t is a thread of g with ends ``x`` and ``y``.
+def _removable(h: Graph, index: dict, nbrs: list, x, y) -> bool:
+    """Whether g - t is top-3-connected, where g is top-3-connected with
+    branch graph ``h``, ``index`` and ``nbrs`` are h's low-point index
+    lists, and t is a thread of g with ends ``x`` and ``y``.
 
-    Let H be g's branch graph, simple and 3-connected, and xy t's edge in
-    H.  A cut of at most two vertices of the suppressed graph of g - t cuts
-    H - xy but not H, so xy is a bridge of H minus the cut: the cut holds
-    neither x nor y, separates them, and so holds an inner vertex of every
-    x-y path of g - t.  It therefore suffices to check that removing each
-    branch vertex inside one such path leaves the suppressed graph
-    2-connected, instead of removing every vertex.
-
-    One BFS from x, stopped at y, both finds that path and decides that
-    g - t is connected: every vertex of g - t reaches x or y in g - t,
-    since g is connected and t's inner vertices touch only t.
+    g - t's branch graph H' is h - xy with x and y suppressed where they
+    are left with degree 2.  It must be simple, and then has more than 3
+    vertices: it keeps |E(h)| - 1 - s edges on |V(h)| - s vertices, s <= 2
+    the ends suppressed, and h has minimum degree 3.  A cut S of at most
+    two vertices of H' cuts h - xy but not h, so xy is a bridge of h - S:
+    S holds neither x nor y, separates them, and so holds an inner vertex
+    of every x-y path of h - xy.  It therefore suffices to check that
+    removing each inner vertex of one such path leaves H' 2-connected,
+    instead of removing every vertex.
     """
-    tree = bfs_tree(reduced.adjacency, x, until=y)
-    if y not in tree:
-        return False
-    _remember(reduced, is_connected, True)
-    suppressed = _top3_candidate(reduced)
-    if suppressed is None:
-        return False
-    index, nbrs = _index_neighbors(suppressed)
-    v = tree[y][0]
-    while v != x:
-        if v in index and not _biconnected_without(nbrs, (index[v],)):
+    i, j = index[x], index[y]
+    nbrs = list(nbrs)
+    for v, w in ((i, j), (j, i)):
+        nbrs[v] = list(nbrs[v])
+        nbrs[v].remove(w)
+    removed = ()
+    for v in (i, j):
+        if len(nbrs[v]) == 2:
+            # v, now inside an edge ab, stays in a's and b's lists: removed
+            # vertices are never entered
+            a, b = nbrs[v]
+            if b in nbrs[a]:
+                return False
+            nbrs[a] = nbrs[a] + [b]
+            nbrs[b] = nbrs[b] + [a]
+            removed += (v,)
+    w = next(w for _, w in h.adjacency[y] if w != x)
+    tree = bfs_tree(h.adjacency, x, skip=(y,), until=w)
+    while w != x:
+        if not _biconnected_without(nbrs, removed + (index[w],)):
             return False
-        v = tree[v][0]
+        w = tree[w][0]
     return True
+
+
+def _ear_step(g: Graph) -> tuple[Thread, Graph] | None:
+    """The first thread t of top-3-connected ``g`` whose removal leaves it
+    top-3-connected, and g - t, handed its connectivity and its threads
+    derived from g's; None if there is none.  Removals are decided on g's
+    branch graph, so g - t is built only for the thread removed."""
+    ts = _threads(g)
+    h = _suppress(g)
+    index, nbrs = _index_neighbors(h)
+    for t in ts:
+        if _removable(h, index, nbrs, *t.endpoints):
+            reduced = thread_delete(g, t)
+            _remember(reduced, is_connected, True)
+            _remember(reduced, _threads, _threads_after_delete(g, t, ts))
+            return t, reduced
+    return None
 
 
 @memoized

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nscycles import decomposition, gen_corpus, is_k_connected
+from nscycles import gen_corpus, graph_core, is_k_connected
 from nscycles.cli import _COMMANDS, MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
 from nscycles.corpus import MAX_GEN_N
 from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
@@ -271,17 +271,17 @@ def test_cli_verify_all_rejects_weak_hosts(tmp_path, capsys):
 def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
     # the removal test wrongly accepts the first thread it should reject;
     # ear_assembly_reduction re-tests each step with the full test
-    real = decomposition._stays_top_3_connected
+    real = graph_core._removable
     accepted = []
 
-    def accept_one_bad(reduced, x, y):
-        ok = real(reduced, x, y)
+    def accept_one_bad(h, index, nbrs, x, y):
+        ok = real(h, index, nbrs, x, y)
         if not ok and not accepted:
             accepted.append((x, y))
             return True
         return ok
 
-    monkeypatch.setattr(decomposition, "_stays_top_3_connected", accept_one_bad)
+    monkeypatch.setattr(graph_core, "_removable", accept_one_bad)
     code, payload = run_json(["verify-all", "--gen", "k5"], capsys)
     assert accepted and code == 1
     by_name = {c["name"]: c for c in payload["checks"]}

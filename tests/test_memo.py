@@ -59,6 +59,20 @@ def test_ear_terminal_does_not_keep_its_host_alive():
     assert _graph_count() == before + 1
 
 
+def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
+    # removals are decided on the branch graph, so the one g - t in a
+    # graph's memo is that of the thread removed
+    g = subdivide_every_edge(gen_corpus("random3c-12"))
+    seq = ear_sequence(g)
+    current = g
+    for _, t in seq.steps:
+        removals = [key for key in current._memo if key[0] is thread_delete.__wrapped__]
+        assert removals == [(thread_delete.__wrapped__, t)]
+        current = thread_delete(current, t)
+    assert current is seq.terminal
+    assert not any(key[0] is thread_delete.__wrapped__ for key in current._memo)
+
+
 def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
     before = _graph_count()
     g = gen_corpus("random3c-12")

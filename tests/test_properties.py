@@ -35,7 +35,7 @@ from nscycles import (
     threads,
 )
 from nscycles.decomposition import _first_with_partner
-from nscycles.graph_core import Graph, _stays_top_3_connected
+from nscycles.graph_core import Graph, _index_neighbors, _removable, _suppress
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -293,16 +293,19 @@ def test_cut_candidate_search_matches_subset_oracle(g):
 @given(top_3_connected_hosts(max_n=20))
 def test_removal_test_matches_full_test_down_the_ear_sequence(g):
     # the full test and the thread walk run on a fresh copy of g - t, which
-    # has no memo, so neither reads the threads g - t derived from h's; the
-    # host's removable threads and the K4 terminal's none give both answers
+    # has no memo, so neither reads the threads the ear step derived from
+    # h's; the host's removable threads and the K4 terminal's none give both
+    # answers
     walk = [g]
     for _, t in ear_sequence(g).steps:
         walk.append(thread_delete(walk[-1], t))
     outcomes = set()
     for h in walk:
+        branch = _suppress(h)
+        index, nbrs = _index_neighbors(branch)
         for t in threads(h):
+            got = _removable(branch, index, nbrs, *t.endpoints)
             r = thread_delete(h, t)
-            got = _stays_top_3_connected(r, *t.endpoints)
             fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
             assert got == is_top_3_connected(fresh)
             assert threads(r) == threads(fresh)
