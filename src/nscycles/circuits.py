@@ -200,7 +200,7 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-def _induced_paths(h: Graph, start, allowed, ends):
+def _induced_paths(h: Graph, start, allowed, ends, weight=None, bound=None, limit=None):
     """Each induced path of the simple graph ``h`` that leaves ``start``
     through vertices of ``allowed`` and stops at the first one in ``ends``,
     as its vertices but the last (a list the search goes on to change),
@@ -209,6 +209,14 @@ def _induced_paths(h: Graph, start, allowed, ends):
     Grows the path depth first: a vertex extends the tip without a chord
     iff no other path vertex is or is adjacent to it.  A vertex of ``ends``
     closes a path and is not passed.
+
+    Given ``weight`` (edge id -> length), ``bound`` (vertex -> a lower
+    bound on the length still to go after it; vertices with no bound are
+    skipped) and ``limit`` (a one-item list the caller may lower as the
+    search runs), the search is bounded: the tip's edges are tried nearest
+    first, and a step is dropped when its length plus its bound is
+    strictly greater than ``limit[0]``, so every path within the limit is
+    still yielded.  It stays exponential in the worst case.
     """
     adjacency = h.adjacency
     # hits[v]: the path vertices that are v or adjacent to v, plus 2 when v
@@ -220,21 +228,26 @@ def _induced_paths(h: Graph, start, allowed, ends):
         for _, x in adjacency[v]:
             hits[x] += step
 
+    # the tip's steps: nearest first when bounded
+    order = adjacency if limit is None else {
+        v: sorted((p for p in pairs if p[1] in bound), key=lambda p: weight[p[0]] + bound[p[1]])
+        for v, pairs in adjacency.items()}
     mark(start, 1)
     path = [start]
-    # DFS frames: (edge bitmask of the path, iterator over its tip's edges)
-    frames = [(0, iter(adjacency[start]))]
+    # DFS frames: (edge bitmask and length of the path, iterator over its
+    # tip's edges)
+    frames = [(0, 0, iter(order[start]))]
     while frames:
-        bits, edges = frames[-1]
+        bits, length, edges = frames[-1]
         for e, w in edges:
-            if hits[w] != 1:
+            if hits[w] != 1 or limit and length + weight[e] + bound[w] > limit[0]:
                 continue
             if w in ends:
                 yield path, bits | 1 << e, w
             else:
                 mark(w, 1)
                 path.append(w)
-                frames.append((bits | 1 << e, iter(adjacency[w])))
+                frames.append((bits | 1 << e, limit and length + weight[e], iter(order[w])))
                 break
         else:
             frames.pop()

@@ -54,7 +54,6 @@ from .cocircuits import (
     verify_cocircuit_identity,
 )
 
-THETA_EDGE_BOUND = 15
 TRIPLE_EDGE_BOUND = 12
 ORTHOGONALITY_EDGE_BOUND = 12
 WITNESS_SAMPLE_CAP = 150
@@ -226,8 +225,6 @@ def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
 
 def _check_theta_pairs(g: Graph) -> tuple[bool, str]:
     pool = threads(g)
-    if len(g.edges) > THETA_EDGE_BOUND:
-        pool = pool[:5]
     for t in pool:
         pair = theta_pair(g, t)
         tset = g.edge_set(t.edges)

@@ -318,56 +318,40 @@ def _partners(through, ref, t) -> list:
             if set(c) & set(ref) == tedges and cverts & rverts == tverts]
 
 
-def _reference(through, t):
-    return next((c for c, _ in through if _partners(through, c, t)), None)
-
-
-def theta_reference_by_enumeration(g, t, circuits):
-    """Sorted edge ids of the first circuit through thread ``t``, in sorted
-    order, that has a partner; None if none has one.  ``circuits`` holds
-    every circuit of ``g``, as from :func:`circuits_by_cycle_space`."""
-    return _reference(_circuits_through(g, t, circuits), t)
-
-
 def theta_by_enumeration(g, t, circuits) -> tuple:
     """The theta pair of thread ``t`` as (first, second) sorted edge ids,
-    from ``circuits``, every circuit of ``g``: the reference is the first
-    circuit through t with a partner; first is the reference's partner
-    whose bridge holding the reference's remainder has the most edges,
-    second is first's partner chosen alike, the earliest winning ties."""
+    from ``circuits``, every circuit of ``g``: first is the fewest-edge
+    circuit through t that :func:`separating_by_block_count` calls
+    non-separating, the first by sorted ids; second is first's partner
+    whose bridge holding first's remainder has the most edges, the
+    earliest winning ties."""
     through = _circuits_through(g, t, circuits)
-
-    def best(ref):
-        anchor = set(ref) - set(t.edges)
-        return max(_partners(through, ref, t),
-                   key=lambda c: _bridge_edge_count(g, c, anchor))
-
-    first = best(_reference(through, t))
-    return first, best(first)
+    first = next(c for c in sorted((c for c, _ in through), key=lambda c: (len(c), c))
+                 if not separating_by_block_count(g, c))
+    anchor = set(first) - set(t.edges)
+    return first, max(_partners(through, first, t),
+                      key=lambda c: _bridge_edge_count(g, c, anchor))
 
 
-def theta_by_catalog(g, t, catalog, reference) -> tuple:
+def theta_by_catalog(g, t, catalog) -> tuple:
     """The theta pair of thread ``t`` as (first, second) sorted edge ids,
     filtered out of ``catalog``, every non-separating circuit of ``g`` in
-    sorted order: first is the member meeting ``reference`` exactly in t,
-    by edges and by vertices, whose bridge holding the reference's
-    remainder has the most edges; second is first's partner chosen alike,
-    the earliest winning ties.  Every alpha maximizer is non-separating,
-    so the catalog holds them."""
+    sorted order: first is the fewest-edge member through t, the first by
+    sorted ids; second is the member meeting first exactly in t, by edges
+    and by vertices, whose bridge holding first's remainder has the most
+    edges, the earliest winning ties.  Every alpha maximizer is
+    non-separating, so the catalog holds them."""
     tedges, tverts = set(t.edges), set(t.vertices)
     through = [(c.edges.ids(), set(c.vertex_cycle)) for c in catalog
                if tedges.issubset(c.edges.ids())]
-
-    def best(ref, rverts):
-        anchor = set(ref) - tedges
-        return max(
-            ((c, cverts) for c, cverts in through
-             if set(c) & set(ref) == tedges and cverts & rverts == tverts),
-            key=lambda pair: _bridge_edge_count(g, pair[0], anchor),
-        )
-
-    first = best(reference.edges.ids(), set(reference.vertex_cycle))
-    return first[0], best(*first)[0]
+    first, fverts = min(through, key=lambda pair: (len(pair[0]), pair[0]))
+    anchor = set(first) - tedges
+    second = max(
+        (c for c, cverts in through
+         if set(c) & set(first) == tedges and cverts & fverts == tverts),
+        key=lambda c: _bridge_edge_count(g, c, anchor),
+    )
+    return first, second
 
 
 def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:

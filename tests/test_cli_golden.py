@@ -29,7 +29,7 @@ GOLDEN = {
     ("k4", "nc"): (0, "89a39de8641c18e219a90d304051ddd37591e2d9f12408592beb49752d986c0b"),
     ("k4", "basis"): (0, "27da27efc7cd71ded1aefec24b0c9711cb284bf68939ee3ba29dc902818d8b1e"),
     ("k4", "decompose"): (0, "e54bfb630fc9fc2452f48507f370701cfe2aa561087630facf8d23c6aa04487a"),
-    ("k4", "theta"): (0, "041c3720b20de2d52154cf29563cc9da00e95c4f62c98359a134ca0b1e8ba1a1"),
+    ("k4", "theta"): (0, "6fc31c7d8df589b7c1e160e99911d139fcfc9ed368e936fa9557952656541f9b"),
     ("k4", "ears"): (0, "e73ea5be6b31f2e320184df457aa57d987d664acca53f4cdce081e533c1b5c52"),
     ("k4", "bonds"): (0, "0b4e37fbabc5a64bd3c27f174274e338db41a40accbf51571401d315a77aa23b"),
     ("k4", "whitney"): (0, "fcbb55c072cfeea8ed019797b1150ce56018951621e9dd1013ada98b25179f60"),
@@ -42,7 +42,7 @@ GOLDEN = {
     ("prism", "nc"): (0, "be880e4c230d8b052c0812aeeb8746ea5d2e6af01ef6c5363169502ebdb83eb7"),
     ("prism", "basis"): (0, "31a18f6bd307e0cbff4585324a38869f68628682b237561fd32ac00f70a6d1b9"),
     ("prism", "decompose"): (0, "0ffd151a05683b8d7efee8c503c8369761438b564c9116c9bcad0a5371a0c6a5"),
-    ("prism", "theta"): (0, "366243e7337bc573490ba3b864d0e9f49b65f7a87061e0a6bd0603835436d26b"),
+    ("prism", "theta"): (0, "7c3f8ce56d5498f75aad18a25daed531cd305afd7d9df91f956ff315bdfba1ae"),
     ("prism", "ears"): (0, "65c9c5ad4388ca5ae629c2d1eaf03a10e8086812b077d9dbd1de93932b47573b"),
     ("prism", "bonds"): (0, "d28b44ea262549ebd7c97f4be70966625171aca3ed30edff2d15180aa16708a8"),
     ("prism", "whitney"): (0, "59cabcec7e2112b848ca987660a8ba6633447f5b59b1c7848a2ec815ab9da367"),
@@ -67,8 +67,8 @@ GOLDEN = {
     ("petersen", "circuits"): (0, "698a0392c3904003ca3f6a794d78168670fef426e49ca778d378fd224c0013f7"),
     ("petersen", "nc"): (0, "0ac6b5ae9ebd42eb1cd8a6e1b482de4537b9dcab0fb371163edaf461144b7097"),
     ("petersen", "basis"): (0, "d512d14055106aa6ffdd65114a4559482739ae9d252fc08ec54c0657cb65244e"),
-    ("petersen", "decompose"): (0, "1eccb31e87cade02bb3bed0f48345457ff5e8d889ffb4cfb282cf41a32820736"),
-    ("petersen", "theta"): (0, "15300b0f4c7d32442092f7780268f959aedbfceffd483c3fd544126b39fd0635"),
+    ("petersen", "decompose"): (0, "e92c6c29e33d0f29b7cbdcaff04550f84ee75ab84e5b64ca372bc14ec9a8ea2f"),
+    ("petersen", "theta"): (0, "8488bc732fe1523573ec55f2818705bdd4990dc811f814ea6777d18cdd23dcbb"),
     ("petersen", "ears"): (0, "7b9235e9410da104491d5056b1a8baa96900ca5171c8d75cce7407f7df8eff63"),
     ("petersen", "bonds"): (0, "3e7efbc0d22efda4ff42b65baf6ae1ed3d4705f3f0f4b1665d7b2d137d5ae7b1"),
     ("petersen", "whitney"): (0, "6debc2740704abb01db32df0afac9fcb3ddb8cc6e5fac2cf6c27f339a9e85691"),
@@ -80,12 +80,12 @@ GOLDEN = {
     ("random3c-10", "circuits"): (0, "12020c6a1bf8619409fabd68ca968468e9a3851102299db6c838349346b4608d"),
     ("random3c-10", "nc"): (0, "89699268cace498e1301b65fe99e361f8fa32982af3a3bea919155548d25e28d"),
     ("random3c-10", "basis"): (0, "9c8e3d7f80440976cd7b45a2498bb96a4c6e0322827a1860b7cf49583773796f"),
-    ("random3c-10", "decompose"): (0, "b821beb7d8cd9754fb8cc95e0b9d8384eb05dd0bc3170ef0624660060e853275"),
-    ("random3c-10", "theta"): (0, "7840ae5e1f569e581b986cafba9d79fe88390c94908680652047aa6070615051"),
+    ("random3c-10", "decompose"): (0, "5d383ce88f239e737902975351207e02ca5ed6312154eed5e45bba7c45f8a7d2"),
+    ("random3c-10", "theta"): (0, "62e50743684319a80949bcd5829875fb6e658089f2d682885155e57871d8b3d9"),
     ("random3c-10", "ears"): (0, "3122a69653a97fc3ae7ba13ab3c84fff5ad8648c7edffe8d06458da07632e944"),
     ("random3c-10", "bonds"): (0, "161bc76cc3bf1387c7725fe85850aa683ff683ab109e5dbf0c57e235eb3ba260"),
     ("random3c-10", "whitney"): (0, "a5a4f9ad578e66c2ae764b349588dd01bc0b5af3bb3e065e67bafd6efa57ef49"),
-    ("random3c-10", "verify-all"): (0, "32892c9481eba6dfebdf79b124ff652927845b5d1559d29bd2f0fb56509dd5a4"),
+    ("random3c-10", "verify-all"): (0, "cfb32ee1148d7fa231dcf8eb5f8f0b35b4d2fb43f7b1f89ea778d3eacacd3feb"),
     ("random3c-10", "gen"): (0, "b254810bbbda9151a2eccb855bd14c42b2f718357f4526c546b3a6558cdc2720"),
 }
 

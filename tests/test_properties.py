@@ -34,7 +34,6 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.decomposition import _first_with_partner
 from nscycles.graph_core import Graph, _index_neighbors, _removable, _suppress
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
@@ -332,7 +331,7 @@ def test_theta_pair_matches_catalog_filter(g):
     for t in threads(g):
         pair = theta_pair(g, t)
         assert (pair.first.edges.ids(), pair.second.edges.ids()) == \
-            oracles.theta_by_catalog(g, t, catalog, _first_with_partner(g, t))
+            oracles.theta_by_catalog(g, t, catalog)
 
 
 @settings(max_examples=20, deadline=None)
