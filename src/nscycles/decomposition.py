@@ -1,10 +1,10 @@
 """Ear assembly, theta pairs, and decomposition into non-separating circuits.
 
-The decomposition runs an induction on threads: peel a reducible thread,
-decompose in the smaller graph, and lift the parts back, splitting along
-path-chords and toggling a theta circuit when the target uses the removed
-thread.  Every intermediate claim is re-verified, so a returned certificate
-is sound by construction.
+The decomposition runs the induction on threads in one pass down the ear
+sequence, toggling the target with a theta circuit wherever it holds the
+removed thread, and one pass back up, lifting the parts and splitting them
+along path-chords; nothing recurses.  Every intermediate claim is
+re-verified, so a returned certificate is sound by construction.
 
 The theta search runs on the branch graph H alone, one edge per thread,
 and builds no circuit list.  A theta pair is the shortest non-separating
@@ -34,6 +34,7 @@ from .errors import (
     IsTopK4,
     NotACircuit,
     NotAThread,
+    NotEven,
     NotInNcOfReduced,
     NotTop3Connected,
     VerificationFailed,
@@ -61,7 +62,6 @@ from .circuits import (
     _is_separating_edges,
     _separates,
     _validate_circuit,
-    even_subgraph_to_circuits,
     is_path_chord,
     non_separating_circuits,
     split_on_path_chord,
@@ -260,41 +260,41 @@ def _lift(g: Graph, t: Thread, q: Circuit) -> tuple[Circuit, ...]:
     return lifted
 
 
-def _cancel_mod2(parts) -> tuple[Circuit, ...]:
-    parity: dict[Circuit, int] = {}
-    for part in parts:
-        parity[part] = parity.get(part, 0) ^ 1
-    kept = [c for c, odd in parity.items() if odd]
-    kept.sort(key=Circuit.sort_key)
-    return tuple(kept)
-
-
 @memoized
 def _catalog_matrix(g: Graph) -> Gf2Matrix:
     return Gf2Matrix.from_rows(non_separating_circuits(g).edge_sets(), g.universe)
 
 
-@memoized
-def _decompose(g: Graph, circ: Circuit) -> tuple[Circuit, ...]:
-    if is_top_k4(g):
-        cert = express_in_span(circ.edges, _catalog_matrix(g))
-        return tuple(non_separating_circuits(g).members[i] for i in cert.coefficients)
-    t, reduced = _reduction(g)
-    tbits = g.edge_set(t.edges)
-    if circ.edges.isdisjoint(tbits):
-        parts = []
-        for part in _decompose(reduced, circ):
-            parts.extend(lift_circuit(g, t, part))
-        return _cancel_mod2(parts)
-    if not tbits.issubset(circ.edges):
-        raise VerificationFailed("circuit meets the thread in a proper nonempty subset")
-    p = _theta(g, t).first
-    leftover = circ.edges ^ p.edges
-    parts = [p]
-    for piece in even_subgraph_to_circuits(reduced, leftover):
-        for part in _decompose(reduced, piece):
-            parts.extend(lift_circuit(g, t, part))
-    return _cancel_mod2(parts)
+def _decompose(g: Graph, x: EdgeSet) -> frozenset[Circuit]:
+    """Non-separating circuits of ``g`` summing to the even set x.
+
+    Down the ear sequence, an x holding the removed thread t is toggled
+    with p, the first circuit of t's theta pair; at the K4 terminal, x is
+    expressed in the catalog; back up, the parts are p plus the lifts of
+    the parts below, mod 2.  This is linear in x: the catalog expression
+    reduces against fixed pivots, lifts are summed part by part, p is fixed
+    by (g, t), and an even set holds t iff it holds t's first edge.  So any
+    split of x, such as a peel into circuits, gives these same parts.
+    """
+    steps = []
+    while not is_top_k4(g):
+        t, reduced = _reduction(g)
+        tbits = g.edge_set(t.edges)
+        used = set()  # p, if x holds t
+        if not x.isdisjoint(tbits):
+            if not tbits.issubset(x):
+                raise VerificationFailed("edge set meets the thread in a proper nonempty subset")
+            p = _theta(g, t).first
+            used, x = {p}, x ^ p.edges
+        steps.append((g, t, used))
+        g = reduced
+    members = non_separating_circuits(g).members
+    parts = frozenset(members[i] for i in express_in_span(x, _catalog_matrix(g)).coefficients)
+    for g, t, lifted in reversed(steps):
+        for q in parts:
+            lifted.symmetric_difference_update(lift_circuit(g, t, q))
+        parts = frozenset(lifted)
+    return parts
 
 
 def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
@@ -305,12 +305,12 @@ def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
 
 def decompose_cs_element(g: Graph, x: EdgeSet) -> DecompositionCertificate:
     """Express any cycle-space member as a GF(2) sum of non-separating
-    circuits: peel it into edge-disjoint circuits and decompose each."""
+    circuits, sorted by edge ids (see ``_decompose``)."""
     _require_top3(g)
-    parts = []
-    for piece in even_subgraph_to_circuits(g, x):
-        parts.extend(_decompose(g, piece))
-    cert = DecompositionCertificate(x, _cancel_mod2(parts), fingerprint(g))
+    if not is_cycle_space_member(g, x):
+        raise NotEven("edge set has a vertex of odd degree")
+    parts = tuple(sorted(_decompose(g, x), key=Circuit.sort_key))
+    cert = DecompositionCertificate(x, parts, fingerprint(g))
     if cert.replay() != x:
         raise VerificationFailed("certificate replay does not reproduce the target")
     return cert

@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles (subset enumeration,
 union-find, BFS) and deliberately avoids the library's own algorithms;
-only the Graph/EdgeSet data accessors are shared.
+only the Graph/EdgeSet data accessors are shared.  The one exception,
+:func:`decompose_by_peeling`, runs the library's own induction steps in
+another order of evaluation.
 """
 
 from __future__ import annotations
@@ -396,3 +398,56 @@ def top_k4_by_suppression(g) -> bool:
             ends.append(frozenset((v, w)))
     return (len(branch) == 4 and len(ends) == 12 and len(set(ends)) == 6
             and all(len(pair) == 2 for pair in ends))
+
+
+def decompose_by_peeling(g, x) -> list[tuple]:
+    """(sorted edge ids, vertex cycle) of each part of the decomposition of
+    the even set ``x`` of ``g``, in sorted order, evaluated circuit by
+    circuit down the ear sequence: peel the set into edge-disjoint
+    circuits and decompose each.  A circuit avoiding the removed thread t
+    is decomposed in g - t; one through t is toggled with the first circuit
+    of t's theta pair and the leftover is peeled and decomposed in g - t.
+    Every part from g - t is lifted to g, and parts occurring an even
+    number of times cancel.  At the K4 terminal a circuit is expressed in
+    the non-separating catalog.  Unlike the rest of this module it runs
+    the library's own steps (reduction, theta pair, lift, peel, catalog);
+    only the order of evaluation differs from the library's."""
+    from nscycles import (Gf2Matrix, even_subgraph_to_circuits, express_in_span,
+                          is_top_k4, lift_circuit, non_separating_circuits)
+    from nscycles.decomposition import _reduction, _theta
+
+    levels = [g]  # the graphs of the ear sequence, host first
+    while not is_top_k4(levels[-1]):
+        levels.append(_reduction(levels[-1])[1])
+    terminal = levels[-1]
+    catalog = non_separating_circuits(terminal).members
+    matrix = Gf2Matrix.from_rows([c.edges for c in catalog], terminal.universe)
+    memo: dict = {}
+
+    def cancel(parts) -> list:
+        odd: dict = {}
+        for c in parts:
+            odd[c] = not odd.get(c, False)
+        return [c for c, keep in odd.items() if keep]
+
+    def decompose(level, circ) -> list:
+        if (level, circ) in memo:
+            return memo[level, circ]
+        h = levels[level]
+        if h is terminal:
+            out = [catalog[i] for i in express_in_span(circ.edges, matrix).coefficients]
+        else:
+            t = _reduction(h)[0]
+            parts, rest = [], circ.edges
+            if set(t.edges) <= set(circ.edges.ids()):
+                p = _theta(h, t).first
+                parts, rest = [p], rest ^ p.edges
+            for piece in even_subgraph_to_circuits(levels[level + 1], rest):
+                for q in decompose(level + 1, piece):
+                    parts.extend(lift_circuit(h, t, q))
+            out = cancel(parts)
+        memo[level, circ] = out
+        return out
+
+    parts = cancel(q for piece in even_subgraph_to_circuits(g, x) for q in decompose(0, piece))
+    return sorted((c.edges.ids(), c.vertex_cycle) for c in parts)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 
 import pytest
@@ -270,6 +271,43 @@ def test_decompose_cs_element(prism):
     cert = decompose_cs_element(prism, both)
     assert cert.replay() == both
     assert all(not is_separating(prism, p) for p in cert.parts)
+
+
+def test_decompose_deeper_than_the_recursion_limit():
+    # the rim's ear sequence has 497 steps; a recursive evaluation, a few
+    # frames per step, overflowed the stack from wheel-495 on
+    g = gen_corpus("wheel-500")
+    limit = sys.getrecursionlimit()
+    assert len(ear_sequence(g).steps) == 497
+    rim = g.edge_set(range(500))
+    cert = decompose_cs_element(g, rim)
+    assert cert.replay() == rim
+    for part in cert.parts:
+        assert not oracles.separating_by_block_count(g, part.edges.ids())
+    assert sys.getrecursionlimit() == limit
+
+
+def test_decomposition_matches_peeling_oracle():
+    # the fundamental rows and random combinations of them, on named,
+    # random and subdivided hosts; the walk down and back up the ear
+    # sequence must give the parts of a circuit-by-circuit evaluation
+    hosts = [gen_corpus(name) for name in (
+        "k4", "k5", "k6", "k33", "wheel-4", "wheel-7", "prism", "petersen")]
+    hosts += [gen_corpus(f"random3c-{n}", seed) for n in range(8, 31, 2) for seed in range(3)]
+    hosts += [subdivide_every_edge(gen_corpus(f"random3c-{n}", 0)) for n in range(8, 31, 2)]
+    for g in hosts:
+        basis = fundamental_basis(g)
+        rng = random.Random(fingerprint(g))
+        targets = list(basis)
+        for _ in range(20):
+            x = EdgeSet.empty(g.universe)
+            for row in basis:
+                if rng.random() < 0.5:
+                    x = x ^ row
+            targets.append(x)
+        for x in targets:
+            parts = [(c.edges.ids(), c.vertex_cycle) for c in decompose_cs_element(g, x).parts]
+            assert parts == oracles.decompose_by_peeling(g, x), (fingerprint(g), x.ids())
 
 
 def test_decompose_requires_top_3_connected():

@@ -11,6 +11,7 @@ from nscycles import (
     circuit_from_edges,
     contract_edges,
     cyclomatic_number,
+    decompose_cs_element,
     delete_edges,
     ear_sequence,
     enumerate_circuits,
@@ -356,3 +357,25 @@ def test_bridge_alpha_matches_contraction_blocks(g):
                     assert anchor.issubset(block)
                     if not is_separating(g, c):
                         assert len(block) == len(g.edges) - len(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_3_connected_hosts(), st.data())
+def test_decomposition_is_linear(g, data):
+    # the parts of a sum are the symmetric difference of the parts of its
+    # terms: one linear map, however the target is split
+    basis = fundamental_basis(g)
+
+    def combination() -> EdgeSet:
+        x = EdgeSet.empty(g.universe)
+        picks = data.draw(st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)))
+        for row, pick in zip(basis, picks):
+            if pick:
+                x = x ^ row
+        return x
+
+    def parts(x) -> set:
+        return set(decompose_cs_element(g, x).parts)
+
+    x, y = combination(), combination()
+    assert parts(x ^ y) == parts(x) ^ parts(y)
