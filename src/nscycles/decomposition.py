@@ -7,15 +7,17 @@ along path-chords; nothing recurses.  Every intermediate claim is
 re-verified, so a returned certificate is sound by construction.
 
 The theta search runs on the branch graph H alone, one edge per thread,
-and builds no circuit list.  A theta pair is the shortest non-separating
-circuit through the thread and the shortest one meeting it exactly in the
-thread (alpha = |E| - |C|), ties going to the smallest sorted edge ids.
-Non-separating circuits are chordless in H (Tutte 1963), so both are grown
-as induced paths between the thread's ends there, by a depth-first search
-that drops a path once its length plus its Dijkstra distance to the far
-end exceeds the best circuit found so far; it stays exponential in the
-worst case.  The non-separating catalog is built only for the K4 terminal
-of the induction.
+and builds no circuit list.  One search returns the shortest
+non-separating circuit through the thread meeting a vertex set only in
+the thread's ends, ties going to the smallest sorted edge ids: a theta
+pair is the shortest one through the thread, then the shortest meeting
+that exactly in the thread (alpha = |E| - |C|); the decomposition needs
+only the first.  Non-separating circuits are chordless in H (Tutte 1963),
+so each is the thread plus an induced path between its ends there, grown
+by a depth-first search that drops a path once its length plus its
+Dijkstra distance to the far end exceeds the best circuit found so far;
+it stays exponential in the worst case.  The non-separating catalog is
+built only for the K4 terminal of the induction.
 
 A thread t = xy is removable when g - t stays top-3-connected, decided on
 g's branch graph H: as H is 3-connected, every cut of at most two vertices
@@ -62,7 +64,6 @@ from .circuits import (
     _is_separating_edges,
     _separates,
     _validate_circuit,
-    is_path_chord,
     non_separating_circuits,
     split_on_path_chord,
 )
@@ -176,38 +177,31 @@ def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
 
 
 @memoized
-def _theta(g: Graph, t: Thread) -> ThetaPair:
+def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
+    """The shortest non-separating circuit through the thread that meets
+    the vertices ``avoid`` only in its ends, the first by sorted edge ids
+    on ties: t plus an induced x-y path of h - t's edge off ``avoid``, as
+    non-separating circuits are chordless in the branch graph h.  The path
+    stops at the first neighbor of y, as an edge from a path vertex to y
+    would be a chord.  VerificationFailed if there is none."""
     h = _branch_graph(g)
     x, y = t.endpoints
     ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
     weight = [len(s.edges) for s in _threads(g)]  # thread length of each h-edge
-
-    def best_partner(avoid) -> Circuit | None:
-        """The shortest non-separating circuit through the thread that
-        meets the vertices ``avoid`` only in x and y, the first by sorted
-        edge ids on ties: t plus an induced x-y path of h - ht off
-        ``avoid``, since non-separating circuits are chordless in h.  The
-        path stops at the first neighbor of y, as an edge from a path
-        vertex to y would be a chord."""
-        allowed = h.vertices.difference(avoid)
-        to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
-        bound = _distances_to(h, weight, to_y, allowed)
-        limit = [math.inf]  # on the length of the x-y path
-        best = None
-        for path, bits, last in _induced_paths(h, x, allowed, to_y, weight, bound, limit):
-            bits |= 1 << to_y[last] | 1 << ht
-            if not _separates(h, {*path, last, y}, bits):
-                c = _branch_cycle_circuit(g, bits)
-                if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
-                    best, limit[0] = c, len(c) - weight[ht]
-        return best
-
-    first = best_partner((x, y))
-    second = None if first is None else best_partner(first.vertex_cycle)
-    if second is None or _is_separating_edges(g, first.edges) \
-            or _is_separating_edges(g, second.edges):
+    allowed = h.vertices.difference(avoid)
+    to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
+    bound = _distances_to(h, weight, to_y, allowed)
+    limit = [math.inf]  # on the length of the x-y path
+    best = None
+    for path, bits, last in _induced_paths(h, x, allowed, to_y, weight, bound, limit):
+        bits |= 1 << to_y[last] | 1 << ht
+        if not _separates(h, {*path, last, y}, bits):
+            c = _branch_cycle_circuit(g, bits)
+            if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
+                best, limit[0] = c, len(c) - weight[ht]
+    if best is None or _is_separating_edges(g, best.edges):
         raise VerificationFailed("the shortest non-separating theta pair is separating")
-    return ThetaPair(first, second, t)
+    return best
 
 
 def theta_pair(g: Graph, t: Thread) -> ThetaPair:
@@ -229,7 +223,8 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     """
     _require_top3(g)
     _validate_thread(g, t)
-    return _theta(g, t)
+    first = _theta(g, t, t.endpoints)
+    return ThetaPair(first, _theta(g, t, first.vertex_cycle), t)
 
 
 def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
@@ -253,7 +248,8 @@ def _lift(g: Graph, t: Thread, q: Circuit) -> tuple[Circuit, ...]:
         raise NotInNcOfReduced(f"not a circuit of the reduced graph: {exc}") from exc
     if _is_separating_edges(reduced, q.edges):
         raise NotInNcOfReduced("circuit is separating in the reduced graph")
-    lifted = split_on_path_chord(g, q, t) if is_path_chord(g, q, t) else (q,)
+    # q is a circuit of g - t, so t path-chords it iff q passes both of t's ends
+    lifted = split_on_path_chord(g, q, t) if set(t.endpoints) <= set(q.vertex_cycle) else (q,)
     for c in lifted:
         if _is_separating_edges(g, c.edges):
             raise VerificationFailed("lifted circuit is separating in the host")
@@ -269,7 +265,8 @@ def _decompose(g: Graph, x: EdgeSet) -> frozenset[Circuit]:
     """Non-separating circuits of ``g`` summing to the even set x.
 
     Down the ear sequence, an x holding the removed thread t is toggled
-    with p, the first circuit of t's theta pair; at the K4 terminal, x is
+    with p, the shortest non-separating circuit through t (the first of
+    t's theta pair, found by one search); at the K4 terminal, x is
     expressed in the catalog; back up, the parts are p plus the lifts of
     the parts below, mod 2.  This is linear in x: the catalog expression
     reduces against fixed pivots, lifts are summed part by part, p is fixed
@@ -284,7 +281,7 @@ def _decompose(g: Graph, x: EdgeSet) -> frozenset[Circuit]:
         if not x.isdisjoint(tbits):
             if not tbits.issubset(x):
                 raise VerificationFailed("edge set meets the thread in a proper nonempty subset")
-            p = _theta(g, t).first
+            p = _theta(g, t, t.endpoints)
             used, x = {p}, x ^ p.edges
         steps.append((g, t, used))
         g = reduced

@@ -389,10 +389,10 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
                 low[parent] = low[v]
 
 
-def bfs_tree(adjacency: dict, start, skip=(), until=None) -> dict:
+def bfs_tree(adjacency: dict, start, skip=(), until=()) -> dict:
     """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
     pairs) from ``start``, never entering a vertex of ``skip``, and
-    stopping as soon as it reaches ``until``.
+    stopping as soon as it reaches a vertex of ``until``.
 
     Returns each reached vertex's (parent, edge) in visiting order; the
     start maps to (None, None).
@@ -404,7 +404,7 @@ def bfs_tree(adjacency: dict, start, skip=(), until=None) -> dict:
         for e, w in adjacency[v]:
             if w not in tree and w not in skip:
                 tree[w] = (v, e)
-                if w == until:
+                if w in until:
                     return tree
                 queue.append(w)
     return tree
@@ -681,8 +681,8 @@ def _removable(h: Graph, index: dict, nbrs: list, x, y) -> bool:
             nbrs[a] = nbrs[a] + [b]
             nbrs[b] = nbrs[b] + [a]
             removed += (v,)
-    w = next(w for _, w in h.adjacency[y] if w != x)
-    tree = bfs_tree(h.adjacency, x, skip=(y,), until=w)
+    tree = bfs_tree(h.adjacency, x, skip=(y,), until={w for _, w in h.adjacency[y]})
+    w = next(reversed(tree))  # the first neighbor of y reached, x aside
     while w != x:
         if not _biconnected_without(nbrs, removed + (index[w],)):
             return False

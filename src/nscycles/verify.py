@@ -15,11 +15,10 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AllDegreesTwo, GraphError, TooLarge
+from .errors import AllDegreesTwo, Disconnected, GraphError, TooLarge
 from .graph_core import (
     EdgeSet,
     Graph,
-    delete_edges,
     blocks,
     fingerprint,
     is_connected,
@@ -245,10 +244,10 @@ def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
     pool = pool[:WITNESS_SAMPLE_CAP]
     checked = 0
     for combo in pool:
-        x = g.edge_set(combo)
-        if not is_connected(delete_edges(g, x)):
+        try:
+            result = circuits_meeting_once(g, g.edge_set(combo), nc)
+        except Disconnected:
             continue
-        result = circuits_meeting_once(g, x, nc)
         if isinstance(result, CounterexampleReport):
             return False, f"no witness pair for edges {list(combo)}"
         checked += 1

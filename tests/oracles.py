@@ -440,7 +440,7 @@ def decompose_by_peeling(g, x) -> list[tuple]:
             t = _reduction(h)[0]
             parts, rest = [], circ.edges
             if set(t.edges) <= set(circ.edges.ids()):
-                p = _theta(h, t).first
+                p = _theta(h, t, t.endpoints)
                 parts, rest = [p], rest ^ p.edges
             for piece in even_subgraph_to_circuits(levels[level + 1], rest):
                 for q in decompose(level + 1, piece):

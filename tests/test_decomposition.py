@@ -16,20 +16,24 @@ from nscycles import (
     fingerprint,
     fundamental_basis,
     gen_corpus,
+    is_path_chord,
     is_separating,
     is_top_3_connected,
     is_top_k4,
     lift_circuit,
     non_separating_circuits,
+    split_on_path_chord,
     subdivide_every_edge,
     theta_pair,
     thread_delete,
     thread_from_edges,
     threads,
 )
+from nscycles.decomposition import _reduction
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected
 
 import oracles
+from conftest import CORPUS_NAMES
 
 
 def test_count_threads(k4, k5):
@@ -217,6 +221,22 @@ def test_lift_rejects_circuits_outside_reduced_nc(k5):
     bad = circuit_from_edges(k5, [0, 1, 4])
     with pytest.raises(NotInNcOfReduced):
         lift_circuit(k5, t, bad)
+
+
+@pytest.mark.parametrize("name,seed", [(name, 0) for name in CORPUS_NAMES] + [
+    (f"random3c-{n}", seed) for n in range(8, 15) for seed in range(3)])
+def test_lift_splits_exactly_the_circuits_through_both_thread_ends(name, seed):
+    # a circuit q of g - t meets t at most in its ends, so t path-chords q
+    # iff q passes both of them
+    g = gen_corpus(name, seed)
+    while not is_top_k4(g):
+        t, reduced = _reduction(g)
+        for q in non_separating_circuits(reduced).members:
+            chord = set(t.endpoints) <= set(q.vertex_cycle)
+            assert chord == is_path_chord(g, q, t)
+            expected = list(split_on_path_chord(g, q, t)) if chord else [q]
+            assert lift_circuit(g, t, q) == expected
+        g = reduced
 
 
 def test_decompose_triangle_is_itself(k4):

@@ -11,6 +11,7 @@ from nscycles import (
     find_reducible_thread,
     fundamental_basis,
     gen_corpus,
+    is_top_k4,
     lift_circuit,
     non_separating_circuits,
     subdivide_every_edge,
@@ -19,6 +20,7 @@ from nscycles import (
     thread_delete,
     threads,
 )
+from nscycles.decomposition import _reduction, _theta
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -71,6 +73,34 @@ def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
         current = thread_delete(current, t)
     assert current is seq.terminal
     assert not any(key[0] is thread_delete.__wrapped__ for key in current._memo)
+
+
+def test_decompose_runs_only_the_first_theta_search():
+    # down the reduction chain each step needs one circuit through the
+    # removed thread, never a partner of it
+    searched = 0
+    for n in range(8, 21):
+        host = gen_corpus(f"random3c-{n}")
+        for g in (host, subdivide_every_edge(host)):
+            basis = fundamental_basis(g)
+            total = basis[0]
+            for row in basis:
+                decompose_cs_element(g, row)
+                total = total ^ row
+            decompose_cs_element(g, total)
+            current = g
+            while not is_top_k4(current):
+                t, reduced = _reduction(current)
+                keys = [key for key in current._memo if key[0] is _theta.__wrapped__]
+                assert all(key[1:] == (t, t.endpoints) for key in keys), keys
+                searched += len(keys)
+                current = reduced
+    assert searched > 100
+    g = gen_corpus("random3c-12")
+    t = threads(g)[0]
+    pair = theta_pair(g, t)
+    keys = {key[1:] for key in g._memo if key[0] is _theta.__wrapped__}
+    assert keys == {(t, t.endpoints), (t, pair.first.vertex_cycle)}
 
 
 def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
