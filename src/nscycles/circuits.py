@@ -7,6 +7,9 @@ with its edges to C.  Contracting C turns its block into one block per
 bridge, so this is contracting C leaving more blocks than the host has.
 Subdivisions of simple 3-connected graphs read their non-separating catalog
 off the chordless cycles of the branch graph; other hosts test every circuit.
+
+The induced-path search and the separation test work on vertex bitmasks
+(:func:`_vertex_bits`); catalog circuits are walked on the branch graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .graph_core import (
     _threads,
     _validate_thread,
     _walk,
-    bfs_tree,
     fingerprint,
     is_connected,
     is_top_3_connected,
@@ -81,11 +83,24 @@ def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
     return rot
 
 
+def _cycle_walk(psi: dict, ids) -> tuple[list[int], list]:
+    """The edges and vertices (both ends included) of the one cycle that the
+    edges ``ids`` of ``psi`` form, walked from its least vertex; else NotACircuit."""
+    if not ids:
+        raise NotACircuit("empty edge set")
+    inc = _incidence(psi, ids)
+    if any(len(lst) != 2 for lst in inc.values()):
+        raise NotACircuit("some vertex does not have degree 2")
+    start = min(inc)
+    edges, cycle = _walk(inc, start, *inc[start][0])
+    if len(edges) != len(ids):
+        raise NotACircuit("edges form more than one cycle")
+    return edges, cycle
+
+
 def circuit_from_edges(g: Graph, edge_ids) -> Circuit:
     """Validate that the edges form one cycle of ``g`` and canonicalize it."""
     ids = sorted(set(edge_ids))
-    if not ids:
-        raise NotACircuit("empty edge set")
     for e in ids:
         if e not in g.edges:
             raise NotACircuit(f"edge {e} is not an edge of the graph")
@@ -94,14 +109,7 @@ def circuit_from_edges(g: Graph, edge_ids) -> Circuit:
         raise NotACircuit("a single non-loop edge is not a cycle")
     if loops and len(ids) > 1:
         raise NotACircuit(f"loop edge {loops[0]} inside a multi-edge set")
-    inc = _incidence(g.psi, ids)
-    if any(len(lst) != 2 for lst in inc.values()):
-        raise NotACircuit("some vertex does not have degree 2")
-    start = min(inc)
-    e, w = inc[start][0]
-    edges, cycle = _walk(inc, start, e, w)
-    if len(edges) != len(ids):
-        raise NotACircuit("edges form more than one cycle")
+    cycle = _cycle_walk(g.psi, ids)[1]
     return Circuit(g.edge_set(ids), _canonical_cycle(tuple(cycle[:-1])))
 
 
@@ -165,23 +173,43 @@ def enumerate_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit
     return list(_enumerate(g, cap))
 
 
-def _separates(g: Graph, on_cycle: set, cycle_bits: int) -> bool:
+@memoized
+def _vertex_bits(g: Graph) -> tuple[dict, list]:
+    """Vertex -> its bit ``1 << i``, i its position in ``g.adjacency``, and
+    index i -> the bits of that vertex's neighbors, ORed (a loop puts a
+    vertex among its own neighbors; parallel edges set one bit)."""
+    bit = {v: 1 << i for i, v in enumerate(g.adjacency)}
+    nbrs = [0] * len(bit)
+    for i, pairs in enumerate(g.adjacency.values()):
+        for _, w in pairs:
+            nbrs[i] |= bit[w]
+    return bit, nbrs
+
+
+def _separates(g: Graph, on_cycle, cycle_bits: int) -> bool:
     """True iff the cycle with vertices ``on_cycle`` and edge bitmask
-    ``cycle_bits`` has two or more bridges.  O(m)."""
+    ``cycle_bits`` has two or more bridges.  O(m) bitmask operations."""
     adjacency = g.adjacency
+    bit, nbrs = _vertex_bits(g)
+    on = sum(map(bit.__getitem__, on_cycle))  # on_cycle holds each vertex once
     # chords, each counted at its smaller end
     bridges = sum(1 for v in on_cycle for e, w in adjacency[v]
-                  if v < w and w in on_cycle and not cycle_bits >> e & 1)
-    rest = g.vertices - on_cycle
-    seen: set = set()
-    for start in rest:
-        if start in seen or bridges >= 2:
-            continue
-        part = bfs_tree(adjacency, start, on_cycle)
-        if not bridges and len(part) == len(rest):
+                  if v < w and on & bit[w] and not cycle_bits >> e & 1)
+    rest = ((1 << len(nbrs)) - 1) & ~on
+    while rest and bridges < 2:
+        # flood one component of G - V(C), collecting its neighbors
+        part = frontier = rest & -rest
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbrs[low.bit_length() - 1]
+            new = reach & rest & ~part
+            frontier ^= low | new
+            part |= new
+        if not bridges and part == rest:
             return False  # no chord and one component: at most one bridge
-        seen.update(part)
-        bridges += len({w for v in part for _, w in adjacency[v] if w in on_cycle}) >= 2
+        rest &= ~part
+        bridges += (reach & on).bit_count() >= 2
     return bridges >= 2
 
 
@@ -200,15 +228,16 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-def _induced_paths(h: Graph, start, allowed, ends, weight=None, bound=None, limit=None):
+def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None, limit=None):
     """Each induced path of the simple graph ``h`` that leaves ``start``
-    through vertices of ``allowed`` and stops at the first one in ``ends``,
-    as its vertices but the last (a list the search goes on to change),
-    its edge bitmask and its last vertex.
+    through the vertices whose bits are in ``allowed`` and stops at the
+    first one in ``ends``, as its vertices but the last (a list the search
+    goes on to change), its edge bitmask and its last vertex.
 
-    Grows the path depth first: a vertex extends the tip without a chord
-    iff no other path vertex is or is adjacent to it.  A vertex of ``ends``
-    closes a path and is not passed.
+    Grows the path depth first.  Each frame carries ``free``: the allowed
+    vertices off the path and adjacent to no path vertex but the tip, which
+    are those that extend the tip without a chord; a push clears the old
+    tip and its neighbors.  A vertex of ``ends`` closes a path, unpassed.
 
     Given ``weight`` (edge id -> length), ``bound`` (vertex -> a lower
     bound on the length still to go after it; vertices with no bound are
@@ -218,40 +247,31 @@ def _induced_paths(h: Graph, start, allowed, ends, weight=None, bound=None, limi
     strictly greater than ``limit[0]``, so every path within the limit is
     still yielded.  It stays exponential in the worst case.
     """
-    adjacency = h.adjacency
-    # hits[v]: the path vertices that are v or adjacent to v, plus 2 when v
-    # is not allowed, so v extends the tip iff hits[v] == 1
-    hits = {v: 0 if v in allowed else 2 for v in h.vertices}
-
-    def mark(v, step: int) -> None:
-        hits[v] += step
-        for _, x in adjacency[v]:
-            hits[x] += step
-
+    bit, nbrs = _vertex_bits(h)
     # the tip's steps: nearest first when bounded
-    order = adjacency if limit is None else {
+    order = h.adjacency if limit is None else {
         v: sorted((p for p in pairs if p[1] in bound), key=lambda p: weight[p[0]] + bound[p[1]])
-        for v, pairs in adjacency.items()}
-    mark(start, 1)
+        for v, pairs in h.adjacency.items()}
     path = [start]
-    # DFS frames: (edge bitmask and length of the path, iterator over its
-    # tip's edges)
-    frames = [(0, 0, iter(order[start]))]
+    # DFS frames: (free vertices, edge bitmask and length of the path,
+    # iterator over its tip's edges)
+    frames = [(allowed, 0, 0, iter(order[start]))]
     while frames:
-        bits, length, edges = frames[-1]
+        free, bits, length, edges = frames[-1]
         for e, w in edges:
-            if hits[w] != 1 or limit and length + weight[e] + bound[w] > limit[0]:
+            if not free & bit[w] or limit and length + weight[e] + bound[w] > limit[0]:
                 continue
             if w in ends:
                 yield path, bits | 1 << e, w
             else:
-                mark(w, 1)
+                u = bit[path[-1]]
+                free &= ~(u | nbrs[u.bit_length() - 1])
                 path.append(w)
-                frames.append((bits | 1 << e, limit and length + weight[e], iter(order[w])))
+                frames.append((free, bits | 1 << e, limit and length + weight[e], iter(order[w])))
                 break
         else:
             frames.pop()
-            mark(path.pop(), -1)
+            path.pop()
 
 
 def _chordless_cycles(h: Graph, cap: int):
@@ -266,7 +286,7 @@ def _chordless_cycles(h: Graph, cap: int):
     found = 0
     for s in sorted(h.vertices):
         to_s = {w: e for e, w in h.adjacency[s] if w > s}
-        above = {v for v in h.vertices if v > s}
+        above = sum(b for v, b in _vertex_bits(h)[0].items() if v > s)
         for first, e1 in to_s.items():
             for path, bits, last in _induced_paths(h, first, above, to_s):
                 if first < last:
@@ -277,10 +297,16 @@ def _chordless_cycles(h: Graph, cap: int):
 
 
 def _branch_cycle_circuit(g: Graph, bits: int) -> Circuit:
-    """The circuit of ``g`` that runs along the cycle of its branch graph
-    with edge bitmask ``bits``, one thread per edge."""
+    """The circuit of ``g`` walked along the cycle of its branch graph with
+    edge bitmask ``bits``, each edge's thread laid out in the walk's direction."""
     ts = _threads(g)
-    return circuit_from_edges(g, [e for i in EdgeSet(bits, len(ts)) for e in ts[i].edges])
+    h_edges, h_verts = _cycle_walk(_branch_graph(g).psi, EdgeSet(bits, len(ts)).ids())
+    cycle, edges = [], []
+    for i, v in zip(h_edges, h_verts):
+        t = ts[i]
+        cycle += t.vertices[:-1] if t.vertices[0] == v else t.vertices[:0:-1]
+        edges += t.edges
+    return Circuit(g.edge_set(edges), _canonical_cycle(tuple(cycle)))
 
 
 @memoized

@@ -95,6 +95,8 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     is free, and the child for the least such edge forbids no edge of Y.
     Nodes are expanded level by level, in order of |X|, and a node holding a
     candidate already found is dropped, so every candidate found is minimal.
+    A node tests only the candidates holding its last edge: any other one
+    inside it lies in its parent, which was kept and branched, so held none.
     """
     edge_ids = sorted(g.edges)
     if len(edge_ids) > MAX_CUT_SEARCH_EDGES:
@@ -103,14 +105,14 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     for c in nc.members:
         for e in c.edges.ids():
             through[e].append(c.edges.bits)
-    found: list[int] = []
+    found: dict[int, list[int]] = {e: [] for e in edge_ids}  # edge -> candidates holding it
     out: list[EdgeSet] = []
     level = [(1 << e, (1 << e) - 1, (e,)) for e in edge_ids]  # (X, forbidden, X's edges)
     while level:
         candidates = []
         next_level = []
         for x, forbidden, members in level:
-            if any(f & x == f for f in found):
+            if any(f & x == f for f in found[members[-1]]):
                 continue
             blocked = x | forbidden
             free = None
@@ -128,8 +130,10 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
                 next_level.append((x | low, forbidden, members + (low.bit_length() - 1,)))
                 forbidden |= low
                 free ^= low
-        found.extend(candidates)
-        out.extend(sorted((EdgeSet(x, g.universe) for x in candidates), key=EdgeSet.ids))
+        for x in sorted((EdgeSet(x, g.universe) for x in candidates), key=EdgeSet.ids):
+            out.append(x)
+            for e in x.ids():
+                found[e].append(x.bits)
         level = next_level
     return out
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .errors import (
     IsTopK4,
     NotACircuit,
-    NotAThread,
     NotEven,
     NotInNcOfReduced,
     NotTop3Connected,
@@ -64,6 +63,7 @@ from .circuits import (
     _is_separating_edges,
     _separates,
     _validate_circuit,
+    _vertex_bits,
     non_separating_circuits,
     split_on_path_chord,
 )
@@ -191,9 +191,10 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     allowed = h.vertices.difference(avoid)
     to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
     bound = _distances_to(h, weight, to_y, allowed)
+    free = sum(map(_vertex_bits(h)[0].__getitem__, allowed))
     limit = [math.inf]  # on the length of the x-y path
     best = None
-    for path, bits, last in _induced_paths(h, x, allowed, to_y, weight, bound, limit):
+    for path, bits, last in _induced_paths(h, x, free, to_y, weight, bound, limit):
         bits |= 1 << to_y[last] | 1 << ht
         if not _separates(h, {*path, last, y}, bits):
             c = _branch_cycle_circuit(g, bits)

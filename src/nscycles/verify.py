@@ -34,7 +34,6 @@ from .cycle_space import (
     express_in_span,
     fundamental_basis,
     gf2_rank,
-    is_cycle_space_member,
 )
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,

@@ -356,6 +356,34 @@ def theta_by_catalog(g, t, catalog) -> tuple:
     return first, second
 
 
+def induced_paths_by_enumeration(h, start, allowed, ends) -> list[tuple]:
+    """Every induced path of the simple graph ``h`` that leaves ``start``
+    through vertices of ``allowed`` and whose last vertex, and no other
+    after ``start``, is in ``ends``, as (its vertices but the last, its edge
+    bitmask, its last vertex): every such simple path is listed, and kept
+    when no two of its vertices that are not consecutive on it are
+    adjacent."""
+    edge_of = {v: {} for v in h.vertices}
+    for e, (u, v) in h.psi.items():
+        edge_of[u][v] = edge_of[v][u] = e
+    paths = []
+    stack = [[start]]
+    while stack:
+        path = stack.pop()
+        for w in edge_of[path[-1]]:
+            if w in allowed and w not in path:
+                (paths if w in ends else stack).append(path + [w])
+    out = []
+    for p in paths:
+        if any(p[j] in edge_of[p[i]] for i in range(len(p)) for j in range(i + 2, len(p))):
+            continue
+        bits = 0
+        for a, b in zip(p, p[1:]):
+            bits |= 1 << edge_of[a][b]
+        out.append((tuple(p[:-1]), bits, p[-1]))
+    return out
+
+
 def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:
     """Sorted edge ids of every inclusion-minimal nonempty edge set that no
     member of ``nc`` meets in exactly one edge, by size, then by edge ids:

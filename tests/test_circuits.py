@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from nscycles import (
@@ -22,7 +24,15 @@ from nscycles import (
     sym_diff,
     thread_from_edges,
 )
-from nscycles.circuits import DEFAULT_CIRCUIT_CAP, _chordless_cycles
+from nscycles.circuits import (
+    DEFAULT_CIRCUIT_CAP,
+    _branch_cycle_circuit,
+    _chordless_cycles,
+    _induced_paths,
+    _vertex_bits,
+)
+from nscycles.decomposition import _distances_to, _reduction
+from nscycles.graph_core import _branch_graph, _threads, is_top_k4
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -31,6 +41,7 @@ from nscycles.errors import (
 )
 
 import oracles
+from conftest import CORPUS_NAMES
 
 K4_CIRCUITS = [
     (0, 1, 3), (0, 1, 4, 5), (0, 2, 3, 5), (0, 2, 4),
@@ -261,3 +272,82 @@ def test_even_subgraph_peeling_replays(corpus):
             total = total ^ c.edges
             seen += len(c.edges)
         assert total == x and seen == len(x), label
+
+
+def _mask(h, vertices) -> int:
+    bit = _vertex_bits(h)[0]
+    return sum(bit[v] for v in vertices)
+
+
+def _levels(g) -> list:
+    """g and every graph below it down its ear sequence."""
+    out = [g]
+    while not is_top_k4(out[-1]):
+        out.append(_reduction(out[-1])[1])
+    return out
+
+
+def _paths(found) -> Counter:
+    return Counter((tuple(path), bits, last) for path, bits, last in found)
+
+
+def _oracle_hosts() -> list:
+    return [gen_corpus(name) for name in CORPUS_NAMES] + \
+        [gen_corpus(f"random3c-{n}", seed) for n in range(8, 15) for seed in range(3)]
+
+
+def test_induced_paths_match_enumeration_oracle():
+    # unbounded, from each vertex's larger neighbors through larger
+    # vertices to its neighbors, as the chordless-cycle search asks
+    for g in _oracle_hosts():
+        h = _branch_graph(g)
+        for s in sorted(h.vertices):
+            above = {v for v in h.vertices if v > s}
+            to_s = {w: e for e, w in h.adjacency[s] if w > s}
+            for first in to_s:
+                assert _paths(_induced_paths(h, first, _mask(h, above), to_s)) == \
+                    _paths(oracles.induced_paths_by_enumeration(h, first, above, to_s)), \
+                    (fingerprint(g), s, first)
+
+
+def test_bounded_induced_paths_match_enumeration_oracle():
+    # bounded as the theta search asks, with a fixed limit, on every graph
+    # down the ear sequence, where threads have various lengths: every path
+    # from x to a neighbor of y off the thread's ends within the limit
+    for g in _oracle_hosts():
+        for lg in _levels(g):
+            h = _branch_graph(lg)
+            weight = [len(t.edges) for t in _threads(lg)]
+            for t in _threads(lg):
+                x, y = t.endpoints
+                allowed = h.vertices - {x, y}
+                to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
+                expected = oracles.induced_paths_by_enumeration(h, x, allowed, to_y)
+                lengths = [sum(weight[e] for e in range(len(weight)) if bits >> e & 1)
+                           + weight[to_y[last]] for _, bits, last in expected]
+                limit = sorted(lengths)[len(lengths) // 2]
+                bound = _distances_to(h, weight, to_y, allowed)
+                got = _induced_paths(h, x, _mask(h, allowed), to_y, weight, bound, [limit])
+                assert _paths(got) == _paths(p for p, n in zip(expected, lengths) if n <= limit), \
+                    (fingerprint(lg), t)
+
+
+def test_catalog_circuits_are_rebuilt_from_their_edges():
+    named = [gen_corpus(name) for name in CORPUS_NAMES]
+    hosts = named + [subdivide_every_edge(g) for g in named]
+    hosts += [gen_corpus(f"random3c-{n}", 0) for n in range(8, 21)]
+    hosts += _levels(subdivide_every_edge(gen_corpus("random3c-10", 0)))
+    for g in hosts:
+        for c in non_separating_circuits(g):
+            assert c == circuit_from_edges(g, c.edges.ids()), fingerprint(g)
+
+
+def test_branch_cycle_circuit_rejects_a_path_and_two_cycles(prism):
+    g = subdivide_every_edge(prism)
+    cycles = [bits for _, bits in _chordless_cycles(_branch_graph(g), DEFAULT_CIRCUIT_CAP)]
+    with pytest.raises(NotACircuit, match="degree 2"):
+        _branch_cycle_circuit(g, cycles[0] & (cycles[0] - 1))  # one edge dropped
+    on = {bits: set(_branch_cycle_circuit(g, bits).vertex_cycle) for bits in cycles}
+    two = next(a | b for a in cycles for b in cycles if not on[a] & on[b])
+    with pytest.raises(NotACircuit, match="more than one cycle"):
+        _branch_cycle_circuit(g, two)

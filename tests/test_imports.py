@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and each
+module uses every name it imports or re-exports it in ``__all__``."""
 
 import ast
 import sys
@@ -20,3 +21,28 @@ def test_imports_are_relative_or_standard_library(path):
             continue
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _exported_names(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(_imported_names(tree)) - used - _exported_names(tree)
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
