@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full verification battery across the named corpus.
 
-Prints one line per graph and exits nonzero if any check fails.  With
---out DIR, the per-graph JSON reports are also written to disk.
+Prints one line per graph, naming the checks that failed or skipped, and
+exits nonzero if any check fails.  With --out DIR, the per-graph JSON
+reports are also written to disk.
 
     python3 scripts/run_corpus_verification.py
     python3 scripts/run_corpus_verification.py --sizes 8 9 --seeds 0 1 --out reports/
@@ -19,22 +20,30 @@ from nscycles import gen_corpus, verify_graph
 
 NAMED = ["k4", "k5", "k6", "k33", "wheel-4", "wheel-5", "wheel-6", "wheel-7",
          "prism", "petersen"]
+SIZES = [8, 9, 10, 11, 12]
+SEEDS = [0, 1, 2, 3, 4]
 
 
-def main() -> int:
+def corpus(sizes=SIZES, seeds=SEEDS) -> list:
+    """(name, graph) for the named graphs, then random3c-N for each size
+    and seed."""
+    jobs = [(name, gen_corpus(name)) for name in NAMED]
+    for n in sizes:
+        for seed in seeds:
+            jobs.append((f"random3c-{n}-s{seed}", gen_corpus(f"random3c-{n}", seed)))
+    return jobs
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="*", default=[8, 9, 10, 11, 12],
+    parser.add_argument("--sizes", type=int, nargs="*", default=SIZES,
                         help="random3c sizes to include")
-    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2, 3, 4],
+    parser.add_argument("--seeds", type=int, nargs="*", default=SEEDS,
                         help="seeds per random3c size")
     parser.add_argument("--out", metavar="DIR", help="write per-graph JSON reports here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    jobs = [(name, gen_corpus(name)) for name in NAMED]
-    for n in args.sizes:
-        for seed in args.seeds:
-            jobs.append((f"random3c-{n}-s{seed}", gen_corpus(f"random3c-{n}", seed)))
-
+    jobs = corpus(args.sizes, args.seeds)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -43,7 +52,10 @@ def main() -> int:
     for name, g in jobs:
         report = verify_graph(g, name)
         failed = [c.name for c in report.checks if not c.passed]
-        status = "ok" if not failed else f"FAIL ({', '.join(failed)})"
+        skipped = [c.name for c in report.checks if c.details.startswith("skipped:")]
+        status = f"FAIL ({', '.join(failed)})" if failed else "ok"
+        if skipped:
+            status += f" (skipped: {', '.join(skipped)})"
         print(f"{name:18s} |V|={len(g.vertices):2d} |E|={len(g.edges):2d} "
               f"{report.elapsed_ms:6d} ms  {status}")
         any_failed = any_failed or bool(failed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Disconnected, EmptyX, TooLarge, UniverseMismatch
-from .graph_core import EdgeSet, Graph, bfs_tree, delete_edges, fingerprint, is_connected
+from .graph_core import EdgeSet, Graph, bfs_tree, delete_edges, fingerprint, is_connected, memoized
 from .circuits import Circuit, NcCatalog, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
@@ -43,6 +43,11 @@ class CounterexampleReport:
 
 def bonds(g: Graph) -> list[Bond]:
     """All bonds, by exhausting vertex bipartitions with connected sides."""
+    return list(_bonds(g))
+
+
+@memoized
+def _bonds(g: Graph) -> tuple[Bond, ...]:
     if not is_connected(g):
         raise Disconnected("bond enumeration requires a connected graph")
     if len(g.vertices) > MAX_BOND_VERTICES:
@@ -67,7 +72,7 @@ def bonds(g: Graph) -> list[Bond]:
             ]
             out.append(Bond(EdgeSet.from_ids(cut, g.universe), side))
     out.sort(key=lambda b: b.edges.ids())
-    return out
+    return tuple(out)
 
 
 def is_cut_candidate(x: EdgeSet, nc: NcCatalog) -> bool:

@@ -2,9 +2,10 @@
 
 Everything here recomputes from first principles (subset enumeration,
 union-find, BFS) and deliberately avoids the library's own algorithms;
-only the Graph/EdgeSet data accessors are shared.  The one exception,
-:func:`decompose_by_peeling`, runs the library's own induction steps in
-another order of evaluation.
+only the Graph/EdgeSet data accessors are shared.  The two exceptions run
+library steps another way: :func:`decompose_by_peeling` evaluates the
+induction in another order, and :func:`lifting_pairs_by_enumeration`
+finds the lifting step's split pairs among every circuit, not the catalog.
 """
 
 from __future__ import annotations
@@ -479,3 +480,22 @@ def decompose_by_peeling(g, x) -> list[tuple]:
 
     parts = cancel(q for piece in even_subgraph_to_circuits(g, x) for q in decompose(0, piece))
     return sorted((c.edges.ids(), c.vertex_cycle) for c in parts)
+
+
+def lifting_pairs_by_enumeration(g) -> list[tuple]:
+    """(thread edges, circuit edge ids) for each path-chord split of the
+    induction down the ear sequence of ``g``: at each step (g_i, t, g_i - t),
+    every circuit of g_i - t, all of them enumerated, that is non-separating
+    there and that t path-chords in g_i."""
+    from nscycles import (ear_sequence, enumerate_circuits, is_path_chord, is_separating,
+                          thread_delete)
+
+    pairs = []
+    current = g
+    for _, t in ear_sequence(g).steps:
+        reduced = thread_delete(current, t)
+        for c in enumerate_circuits(reduced):
+            if not is_separating(reduced, c) and is_path_chord(current, c, t):
+                pairs.append((t.edges, c.edges.ids()))
+        current = reduced
+    return pairs
