@@ -186,15 +186,11 @@ def _vertex_bits(g: Graph) -> tuple[dict, list]:
     return bit, nbrs
 
 
-def _separates(g: Graph, on_cycle, cycle_bits: int) -> bool:
-    """True iff the cycle with vertices ``on_cycle`` and edge bitmask
-    ``cycle_bits`` has two or more bridges.  O(m) bitmask operations."""
-    adjacency = g.adjacency
+def _separates(g: Graph, on_cycle, bridges: int) -> bool:
+    """True iff the cycle with vertices ``on_cycle``, which has ``bridges``
+    chords, has two or more bridges.  O(m) bitmask operations."""
     bit, nbrs = _vertex_bits(g)
     on = sum(map(bit.__getitem__, on_cycle))  # on_cycle holds each vertex once
-    # chords, each counted at its smaller end
-    bridges = sum(1 for v in on_cycle for e, w in adjacency[v]
-                  if v < w and on & bit[w] and not cycle_bits >> e & 1)
     rest = ((1 << len(nbrs)) - 1) & ~on
     while rest and bridges < 2:
         # flood one component of G - V(C), collecting its neighbors
@@ -215,7 +211,13 @@ def _separates(g: Graph, on_cycle, cycle_bits: int) -> bool:
 
 @memoized
 def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
-    return _separates(g, {v for e in edges for v in g.psi[e]}, edges.bits)
+    bits = edges.bits
+    on_cycle = {v for e in edges for v in g.psi[e]}
+    # chords, each counted at its smaller end; the branch-graph callers of
+    # _separates pass chordless cycles only
+    chords = sum(1 for v in on_cycle for e, w in g.adjacency[v]
+                 if v < w and w in on_cycle and not bits >> e & 1)
+    return _separates(g, on_cycle, chords)
 
 
 def is_separating(g: Graph, c: Circuit) -> bool:
@@ -319,7 +321,7 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         h = _branch_graph(g)
         members = sorted(
             (_branch_cycle_circuit(g, bits) for on_cycle, bits in _chordless_cycles(h, cap)
-             if not _separates(h, on_cycle, bits)),
+             if not _separates(h, on_cycle, 0)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

@@ -7,8 +7,9 @@ import random
 from .errors import GenerationFailed, InputTooLarge, UnknownName
 from .graph_core import Graph, build_graph, is_k_connected
 
-# The largest N of wheel-N and random3c-N; random3c lists all O(N^2)
-# non-adjacent pairs for each edge it adds.
+# The largest N of wheel-N and random3c-N; random3c counts the non-adjacent
+# pairs at every vertex, O(N + |E|), for each edge it adds, and runs an
+# O(N (N + |E|)) 3-connectivity test on the result.
 MAX_GEN_N = 1024
 
 
@@ -51,19 +52,20 @@ def _random_3connected(n_target: int, rng: random.Random) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
 
-    def nonadjacent_pairs() -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if v not in adj[u]
-        ]
-
     def add_random_edge() -> bool:
-        pairs = nonadjacent_pairs()
-        if not pairs:
+        # The k-th nonadjacent pair (u, v), u < v, in sorted order, found
+        # from each u's count of such pairs: rng.choice(range(total)) makes
+        # the draw that rng.choice makes on the list of those pairs.
+        total = n * (n - 1) // 2 - sum(map(len, adj.values())) // 2
+        if not total:
             return False
-        u, v = rng.choice(pairs)
+        k = rng.choice(range(total))
+        for u in range(n):
+            free = n - 1 - u - sum(w > u for w in adj[u])
+            if k < free:
+                break
+            k -= free
+        v = [v for v in range(u + 1, n) if v not in adj[u]][k]
         adj[u].add(v)
         adj[v].add(u)
         return True

@@ -3,8 +3,13 @@
 The decomposition runs the induction on threads in one pass down the ear
 sequence, toggling the target with a theta circuit wherever it holds the
 removed thread, and one pass back up, lifting the parts and splitting them
-along path-chords; nothing recurses.  Every intermediate claim is
-re-verified, so a returned certificate is sound by construction.
+along path-chords; nothing recurses.  Both passes run on edge bitmasks and
+check no intermediate part.  The output is certified instead (McConnell,
+Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011): each
+final part is checked once to be a circuit of the host and non-separating
+there, and the parts must sum to the target, so a returned certificate is
+sound whatever the passes did.  The public :func:`lift_circuit` keeps its
+checks on every call.
 
 The theta search runs on the branch graph H alone, one edge per thread,
 and builds no circuit list.  One search returns the shortest
@@ -46,8 +51,10 @@ from .graph_core import (
     Thread,
     _branch_graph,
     _ear_step,
+    _incidence,
     _threads,
     _validate_thread,
+    _walk,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -64,6 +71,7 @@ from .circuits import (
     _separates,
     _validate_circuit,
     _vertex_bits,
+    circuit_from_edges,
     non_separating_circuits,
     split_on_path_chord,
 )
@@ -196,7 +204,7 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     best = None
     for path, bits, last in _induced_paths(h, x, free, to_y, weight, bound, limit):
         bits |= 1 << to_y[last] | 1 << ht
-        if not _separates(h, {*path, last, y}, bits):
+        if not _separates(h, {*path, last, y}, 0):
             c = _branch_cycle_circuit(g, bits)
             if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
                 best, limit[0] = c, len(c) - weight[ht]
@@ -262,37 +270,82 @@ def _catalog_matrix(g: Graph) -> Gf2Matrix:
     return Gf2Matrix.from_rows(non_separating_circuits(g).edge_sets(), g.universe)
 
 
-def _decompose(g: Graph, x: EdgeSet) -> frozenset[Circuit]:
-    """Non-separating circuits of ``g`` summing to the even set x.
+@memoized
+def _chain(g: Graph) -> tuple[tuple, Graph, dict]:
+    """The ear steps of ``g`` as (t, t's edge bitmask, g_i - t), g_i the
+    graph t is removed from (g_0 = g), the K4 terminal, and each vertex of
+    g mapped to the bitmask of its edges in g."""
+    at = {v: sum(1 << e for e, _ in pairs) for v, pairs in g.adjacency.items()}
+    steps = []
+    while not is_top_k4(g):
+        t, reduced = _reduction(g)
+        steps.append((t, sum(1 << e for e in t.edges), reduced))
+        g = reduced
+    return tuple(steps), g, at
+
+
+def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
+    """The lift of q, the edge bitmask of a circuit of g_i - t, to g_i, read
+    on the host ``g`` and its vertex -> edge bitmask ``at``: q passes both
+    ends of t exactly when t path-chords it, and then splits into its two
+    walks between them, each closed by t (``tbits``); else q is kept."""
+    x, y = t.endpoints
+    if not (q & at[x] and q & at[y]):
+        return (q,)
+    inc = _incidence(g.psi, EdgeSet(q, g.universe).ids())
+    return tuple(sum(1 << f for f in _walk(inc, x, e, w, (y,))[0]) | tbits for e, w in inc[x])
+
+
+def _decompose(g: Graph, x: EdgeSet) -> set[int]:
+    """Edge bitmasks of non-separating circuits of ``g`` summing to the
+    even set x, each still to be certified (see ``_part``).
 
     Down the ear sequence, an x holding the removed thread t is toggled
     with p, the shortest non-separating circuit through t (the first of
     t's theta pair, found by one search); at the K4 terminal, x is
     expressed in the catalog; back up, the parts are p plus the lifts of
-    the parts below, mod 2.  This is linear in x: the catalog expression
-    reduces against fixed pivots, lifts are summed part by part, p is fixed
-    by (g, t), and an even set holds t iff it holds t's first edge.  So any
-    split of x, such as a peel into circuits, gives these same parts.
+    the parts below, mod 2.  Both passes run on edge bitmasks and check no
+    intermediate part: the lemma makes each lift non-separating, and the
+    final parts are checked once.  This is linear in x: the catalog
+    expression reduces against fixed pivots, lifts are summed part by
+    part, p is fixed by (g, t), and an even set holds t iff it holds t's
+    first edge.  So any split of x, such as a peel into circuits, gives
+    these same parts.
     """
-    steps = []
-    while not is_top_k4(g):
-        t, reduced = _reduction(g)
-        tbits = g.edge_set(t.edges)
-        used = set()  # p, if x holds t
-        if not x.isdisjoint(tbits):
-            if not tbits.issubset(x):
+    steps, terminal, at = _chain(g)
+    used = []  # p's bitmask at each step, if x holds t
+    bits, level = x.bits, g
+    for t, tbits, reduced in steps:
+        lifted = set()
+        if bits & tbits:
+            if bits & tbits != tbits:
                 raise VerificationFailed("edge set meets the thread in a proper nonempty subset")
-            p = _theta(g, t, t.endpoints)
-            used, x = {p}, x ^ p.edges
-        steps.append((g, t, used))
-        g = reduced
-    members = non_separating_circuits(g).members
-    parts = frozenset(members[i] for i in express_in_span(x, _catalog_matrix(g)).coefficients)
-    for g, t, lifted in reversed(steps):
+            p = _theta(level, t, t.endpoints).edges.bits
+            lifted.add(p)
+            bits ^= p
+        used.append(lifted)
+        level = reduced
+    members = non_separating_circuits(terminal).members
+    coefficients = express_in_span(EdgeSet(bits, g.universe), _catalog_matrix(terminal)).coefficients
+    parts = {members[i].edges.bits for i in coefficients}
+    for (t, tbits, _), lifted in zip(reversed(steps), reversed(used)):
         for q in parts:
-            lifted.symmetric_difference_update(lift_circuit(g, t, q))
-        parts = frozenset(lifted)
+            lifted.symmetric_difference_update(_lift_bits(g, at, t, tbits, q))
+        parts = lifted
     return parts
+
+
+@memoized
+def _part(g: Graph, bits: int) -> Circuit:
+    """The circuit of ``g`` with edge bitmask ``bits``, certified: it must be
+    a circuit of g and non-separating there; VerificationFailed otherwise."""
+    try:
+        c = circuit_from_edges(g, EdgeSet(bits, g.universe).ids())
+    except NotACircuit as exc:
+        raise VerificationFailed(f"decomposition part is not a circuit: {exc}") from exc
+    if _is_separating_edges(g, c.edges):
+        raise VerificationFailed("decomposition part is separating in the host")
+    return c
 
 
 def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
@@ -303,11 +356,13 @@ def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
 
 def decompose_cs_element(g: Graph, x: EdgeSet) -> DecompositionCertificate:
     """Express any cycle-space member as a GF(2) sum of non-separating
-    circuits, sorted by edge ids (see ``_decompose``)."""
+    circuits, sorted by edge ids (see ``_decompose``).  Each part is checked
+    once to be a non-separating circuit of g, and the parts to sum to x;
+    VerificationFailed otherwise."""
     _require_top3(g)
     if not is_cycle_space_member(g, x):
         raise NotEven("edge set has a vertex of odd degree")
-    parts = tuple(sorted(_decompose(g, x), key=Circuit.sort_key))
+    parts = tuple(sorted((_part(g, q) for q in _decompose(g, x)), key=Circuit.sort_key))
     cert = DecompositionCertificate(x, parts, fingerprint(g))
     if cert.replay() != x:
         raise VerificationFailed("certificate replay does not reproduce the target")

@@ -4,11 +4,12 @@ Edge ids are assigned once and never renumbered: deletion and contraction
 return new graphs over the same edge universe, so edge sets stay comparable
 across a graph and its minors.
 
-Derived results (connectivity tests, threads, circuit catalogs, reductions,
-decompositions) are memoized on the ``Graph`` that owns them, through
-:func:`memoized`: they live and die with that graph.  A graph may be handed
-results at birth: the g - t that :func:`_ear_step` keeps gets the threads it
-derives from g's, and no reference to g.
+Derived results (fingerprints, connectivity tests, threads, circuit
+catalogs, reductions, decomposition parts) are memoized on the ``Graph``
+that owns them, through :func:`memoized`: they live and die with that
+graph.  A graph may be handed results at birth: the g - t that
+:func:`_ear_step` keeps gets the threads it derives from g's, and no
+reference to g.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends are all traced by one walk, :func:`_walk`.
@@ -212,6 +213,7 @@ def _remember(g: Graph, fn, value, *args) -> None:
     g._memo[(fn.__wrapped__, *args)] = value
 
 
+@memoized
 def fingerprint(g: Graph) -> str:
     """Stable 16-hex-digit digest of the graph's labeled structure."""
     return hashlib.sha256(repr(g._key).encode()).hexdigest()[:16]

@@ -6,6 +6,8 @@ only the Graph/EdgeSet data accessors are shared.  The two exceptions run
 library steps another way: :func:`decompose_by_peeling` evaluates the
 induction in another order, and :func:`lifting_pairs_by_enumeration`
 finds the lifting step's split pairs among every circuit, not the catalog.
+:func:`random_3connected_by_pair_list` keeps the random3c generator's
+earlier form, which lists every nonadjacent pair for each edge it adds.
 """
 
 from __future__ import annotations
@@ -499,3 +501,55 @@ def lifting_pairs_by_enumeration(g) -> list[tuple]:
                 pairs.append((t.edges, c.edges.ids()))
         current = reduced
     return pairs
+
+
+def random_3connected_by_pair_list(n_target, rng) -> list[tuple[int, int]]:
+    """The sorted edge pairs of random3c-``n_target`` drawn from ``rng``,
+    by the generator's moves with each added edge chosen from the list of
+    every nonadjacent pair (u, v), u < v, in sorted order."""
+    base = n_target - 1 if n_target <= 5 else rng.randint(4, min(6, n_target - 1))
+    n = base + 1
+    adj = {v: set() for v in range(n)}
+    for i in range(1, base + 1):
+        for u, v in ((i, i % base + 1), (0, i)):
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def add_random_edge() -> bool:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]]
+        if not pairs:
+            return False
+        u, v = rng.choice(pairs)
+        adj[u].add(v)
+        adj[v].add(u)
+        return True
+
+    def split_random_vertex() -> bool:
+        nonlocal n
+        candidates = sorted(v for v in adj if len(adj[v]) >= 4)
+        if not candidates:
+            return False
+        v = rng.choice(candidates)
+        neighbors = sorted(adj[v])
+        rng.shuffle(neighbors)
+        moved = neighbors[rng.randint(2, len(neighbors) - 2):]
+        new = n
+        n += 1
+        adj[new] = set()
+        for w in moved:
+            adj[v].discard(w)
+            adj[w].discard(v)
+            adj[new].add(w)
+            adj[w].add(new)
+        adj[v].add(new)
+        adj[new].add(v)
+        return True
+
+    while n < n_target:
+        if rng.random() < 0.25 and add_random_edge():
+            continue
+        if not split_random_vertex() and not add_random_edge():
+            raise RuntimeError("no applicable extension move")
+    for _ in range(rng.randint(0, 2)):
+        add_random_edge()
+    return sorted((u, v) for u in adj for v in adj[u] if u < v)

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from nscycles import gen_corpus, graph_core, is_k_connected
+import oracles
+from nscycles import build_graph, fingerprint, gen_corpus, graph_core, is_k_connected
 from nscycles.cli import _COMMANDS, MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
 from nscycles.corpus import MAX_GEN_N
 from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
@@ -102,6 +104,16 @@ def test_gen_corpus_random_is_deterministic_and_3_connected():
         assert is_k_connected(g, 3)
         assert g == gen_corpus("random3c-9", seed)
     assert gen_corpus("random3c-9", 0) != gen_corpus("random3c-9", 1)
+
+
+def test_random3c_draws_the_graphs_of_the_pair_list_generator():
+    # the k-th nonadjacent pair from per-vertex counts is the pair
+    # rng.choice draws from the list of them
+    for n in range(4, 201, 7):
+        for seed in range(3):
+            name = f"random3c-{n}"
+            pairs = oracles.random_3connected_by_pair_list(n, random.Random(f"{name}:{seed}"))
+            assert fingerprint(gen_corpus(name, seed)) == fingerprint(build_graph(n, pairs)), (n, seed)
 
 
 def test_cli_info(capsys):

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import operator
 import random
 import sys
 
@@ -29,8 +31,9 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
+from nscycles import decomposition
 from nscycles.decomposition import _reduction
-from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected
+from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected, VerificationFailed
 
 import oracles
 from conftest import CORPUS_NAMES
@@ -328,6 +331,38 @@ def test_decomposition_matches_peeling_oracle():
         for x in targets:
             parts = [(c.edges.ids(), c.vertex_cycle) for c in decompose_cs_element(g, x).parts]
             assert parts == oracles.decompose_by_peeling(g, x), (fingerprint(g), x.ids())
+
+
+def test_decomposition_matches_peeling_oracle_on_long_ear_sequences():
+    # the oracle lifts through lift_circuit, with every per-level check
+    for n in range(60, 121, 20):
+        g = gen_corpus(f"random3c-{n}", 0)
+        x = functools.reduce(operator.xor, fundamental_basis(g))
+        parts = [(c.edges.ids(), c.vertex_cycle) for c in decompose_cs_element(g, x).parts]
+        assert parts == oracles.decompose_by_peeling(g, x), n
+
+
+@pytest.mark.parametrize("fault,message", [("unsplit", "separating"), ("merged", "not a circuit")])
+def test_decompose_certifies_each_final_part(monkeypatch, fault, message):
+    # a lift at the host's own ear step that keeps a part the thread
+    # path-chords, or joins its two halves with the thread, is caught only
+    # by the final check of each part
+    g = gen_corpus("prism")
+    top = ear_sequence(g).steps[0][1]
+    lift = decomposition._lift_bits
+    faults = []
+
+    def faulty(host, at, t, tbits, q):
+        halves = lift(host, at, t, tbits, q)
+        if t != top or len(halves) == 1:
+            return halves
+        faults.append(q)
+        return (q,) if fault == "unsplit" else (q | tbits,)
+
+    monkeypatch.setattr(decomposition, "_lift_bits", faulty)
+    with pytest.raises(VerificationFailed, match=message):
+        decompose_cs_element(g, g.edge_set([0, 1, 3, 4, 6, 8]))
+    assert faults
 
 
 def test_decompose_requires_top_3_connected():

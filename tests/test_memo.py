@@ -1,5 +1,7 @@
+import functools
 import gc
 import inspect
+import operator
 
 import pytest
 
@@ -9,6 +11,7 @@ from nscycles import (
     decompose_cs_element,
     ear_sequence,
     find_reducible_thread,
+    fingerprint,
     fundamental_basis,
     gen_corpus,
     is_top_k4,
@@ -20,7 +23,7 @@ from nscycles import (
     thread_delete,
     threads,
 )
-from nscycles.decomposition import _reduction, _theta
+from nscycles.decomposition import _lift, _part, _reduction, _theta
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -101,6 +104,22 @@ def test_decompose_runs_only_the_first_theta_search():
     pair = theta_pair(g, t)
     keys = {key[1:] for key in g._memo if key[0] is _theta.__wrapped__}
     assert keys == {(t, t.endpoints), (t, pair.first.vertex_cycle)}
+
+
+def test_decompose_checks_only_its_final_parts():
+    # the lifts down the ear sequence run no per-level checks; each final
+    # part is certified once, in the host
+    g = subdivide_every_edge(gen_corpus("random3c-12"))
+    cert = decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
+    current = g
+    while True:
+        assert not any(key[0] is _lift.__wrapped__ for key in current._memo)
+        if is_top_k4(current):
+            break
+        current = _reduction(current)[1]
+    certified = {key[1] for key in g._memo if key[0] is _part.__wrapped__}
+    assert certified == {p.edges.bits for p in cert.parts}
+    assert fingerprint(g) is cert.host_fingerprint
 
 
 def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
