@@ -27,8 +27,11 @@ built only for the K4 terminal of the induction.
 A thread t = xy is removable when g - t stays top-3-connected, decided on
 g's branch graph H: as H is 3-connected, every cut of at most two vertices
 of H - xy, x and y suppressed, separates x from y, so only the inner
-vertices of one x-y path are tested, each by one low-point search.  The
-full test of every vertex runs only on the host and on the K4 terminal.
+vertices of one x-y path are tested, each by one low-point search.  One
+ear sequence runs all its removal tests on one set of index lists for H,
+built from the host's threads: each removal hands g - t the lists of its
+own branch graph.  The full test of every vertex runs only on the host
+and on the K4 terminal.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def ear_sequence(g: Graph) -> EarSequence:
     """Iterate thread removals until a subdivision of K4 remains.
 
     Each graph of the sequence is top-3-connected, so each removal is
-    tested on its branch graph, as in :func:`find_reducible_thread`; g - t
+    tested on its branch graph, as in :func:`find_reducible_thread`, read
+    from index lists that each removal hands down to the next graph; g - t
     is built only for the thread removed, and only the host and the
     terminal get the full test.
     """

@@ -8,7 +8,8 @@ Derived results (fingerprints, connectivity tests, threads, circuit
 catalogs, reductions, decomposition parts) are memoized on the ``Graph``
 that owns them, through :func:`memoized`: they live and die with that
 graph.  A graph may be handed results at birth: the g - t that
-:func:`_ear_step` keeps gets the threads it derives from g's, and no
+:func:`_ear_step` keeps gets the threads it derives from g's and the
+branch-graph index lists its removal test derives from g's, and no
 reference to g.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
@@ -123,14 +124,17 @@ class Graph:
                  "_key_tuple", "_adj", "_deg", "_memo")
 
     def __init__(self, vertices, edges, psi, universe: int):
+        edges = frozenset(edges)
+        psi = {e: (min(p), max(p)) for e, p in psi.items() if e in edges}
+        self._fill(vertices, edges, psi, universe, _is_simple(psi))
+
+    def _fill(self, vertices, edges: frozenset, psi: dict, universe: int,
+              simple: bool) -> None:
         self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
-        self.psi = {e: (min(p), max(p)) for e, p in psi.items() if e in self.edges}
+        self.edges = edges
+        self.psi = psi
         self.universe = universe
-        pairs = list(self.psi.values())
-        self.simple = (
-            all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
-        )
+        self.simple = simple
         self._key_tuple = None
         self._adj = None
         self._deg = None
@@ -187,6 +191,22 @@ class Graph:
 
     def full_edge_set(self) -> EdgeSet:
         return EdgeSet.from_ids(self.edges, self.universe)
+
+
+def _is_simple(psi: dict) -> bool:
+    """No loop and no two edges on one pair, for a normalized ``psi``."""
+    pairs = list(psi.values())
+    return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+
+
+def _subgraph(g: Graph, vertices, edges: frozenset) -> Graph:
+    """The graph on ``vertices`` and ``edges`` of ``g``, whose psi is
+    filtered in g's order and not normalized again: g's is already.  A
+    subgraph of a simple graph is simple."""
+    psi = {e: p for e, p in g.psi.items() if e in edges}
+    sub = Graph.__new__(Graph)
+    sub._fill(vertices, edges, psi, g.universe, g.simple or _is_simple(psi))
+    return sub
 
 
 _MISSING = object()
@@ -247,8 +267,7 @@ def _check_universe(g: Graph, z: EdgeSet) -> None:
 def delete_edges(g: Graph, z: EdgeSet) -> Graph:
     """Remove the edges of ``z``; every vertex is retained."""
     _check_universe(g, z)
-    keep = [e for e in g.edges if e not in z]
-    return Graph(g.vertices, keep, g.psi, g.universe)
+    return _subgraph(g, g.vertices, frozenset(e for e in g.edges if e not in z))
 
 
 def find_root(parent: dict, v):
@@ -391,10 +410,9 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
                 low[parent] = low[v]
 
 
-def bfs_tree(adjacency: dict, start, skip=(), until=()) -> dict:
+def bfs_tree(adjacency: dict, start, skip=()) -> dict:
     """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
-    pairs) from ``start``, never entering a vertex of ``skip``, and
-    stopping as soon as it reaches a vertex of ``until``.
+    pairs) from ``start``, never entering a vertex of ``skip``.
 
     Returns each reached vertex's (parent, edge) in visiting order; the
     start maps to (None, None).
@@ -406,8 +424,6 @@ def bfs_tree(adjacency: dict, start, skip=(), until=()) -> dict:
         for e, w in adjacency[v]:
             if w not in tree and w not in skip:
                 tree[w] = (v, e)
-                if w in until:
-                    return tree
                 queue.append(w)
     return tree
 
@@ -433,13 +449,21 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    return _k_connected_without(_index_neighbors(g)[1], (), k)
+    return _k_connected_without(_index_lists(g.vertices, g.psi.values())[1], (), k)
 
 
-def _index_neighbors(g: Graph) -> tuple[dict, list]:
-    """Vertex -> index, and index -> neighbor indices, for the low-point DFS."""
-    index = {v: i for i, v in enumerate(g.adjacency)}
-    return index, [[index[w] for _, w in pairs] for pairs in g.adjacency.values()]
+def _index_lists(vertices, pairs) -> tuple[dict, list]:
+    """Vertex -> index, in the order of ``vertices``, and index -> neighbor
+    indices over the edges ``pairs``, for the low-point DFS; a loop appears
+    once at its vertex."""
+    index = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[] for _ in index]
+    for u, v in pairs:
+        i, j = index[u], index[v]
+        nbrs[i].append(j)
+        if i != j:
+            nbrs[j].append(i)
+    return index, nbrs
 
 
 def _k_connected_without(nbrs: list, removed: tuple, k: int) -> bool:
@@ -583,9 +607,8 @@ def _validate_thread(g: Graph, t: Thread) -> None:
 def thread_delete(g: Graph, t: Thread) -> Graph:
     """Remove a thread: all of its edges and all of its inner vertices."""
     _validate_thread(g, t)
-    keep_edges = g.edges - set(t.edges)
-    keep_vertices = g.vertices - set(t.inner_vertices())
-    return Graph(keep_vertices, keep_edges, g.psi, g.universe)
+    return _subgraph(g, g.vertices.difference(t.inner_vertices()),
+                     g.edges.difference(t.edges))
 
 
 def thread_from_edges(g: Graph, edge_ids) -> Thread:
@@ -630,11 +653,12 @@ def _branch_graph(g: Graph) -> Graph:
 
 
 def _suppress(g: Graph) -> Graph:
-    # Not memoized: the host and the terminal get the full 3-connectivity
-    # test, and :func:`_ear_step` decides every removal on the branch
-    # graph of the graph it reduces; holding a branch graph for each graph
-    # of an ear sequence raised the peak memory of ear sequences on
-    # random3c-40..60 by 15%.
+    # Not memoized: within an ear sequence it runs on a subdivided host
+    # and on the K4 terminal only, for the full 3-connectivity test;
+    # :func:`_ear_step` decides every removal on the index lists of
+    # :func:`_lists` instead, carried down the chain.  Holding a branch
+    # graph for each graph of an ear sequence raised the peak memory of
+    # ear sequences on random3c-40..60 by 15%.
     ts = _threads(g)
     branch = [v for v in g.vertices if g.degree(v) != 2]
     return Graph(branch, range(len(ts)), {i: t.endpoints for i, t in enumerate(ts)}, len(ts))
@@ -642,9 +666,15 @@ def _suppress(g: Graph) -> Graph:
 
 @memoized
 def is_top_3_connected(g: Graph) -> bool:
-    """True iff the graph is a subdivision of a simple 3-connected graph."""
+    """True iff the graph is a subdivision of a simple 3-connected graph.
+
+    A graph with no degree-2 vertex is its own branch graph and is tested
+    as it is, so a host already tested 3-connected is not tested again.
+    """
     if not g.edges or not is_connected(g):
         return False
+    if all(g.degree(v) != 2 for v in g.vertices):
+        return g.simple and is_k_connected(g, 3)
     try:
         suppressed = _suppress(g)
     except AllDegreesTwo:
@@ -652,59 +682,90 @@ def is_top_3_connected(g: Graph) -> bool:
     return suppressed.simple and is_k_connected(suppressed, 3)
 
 
-def _removable(h: Graph, index: dict, nbrs: list, x, y) -> bool:
-    """Whether g - t is top-3-connected, where g is top-3-connected with
-    branch graph ``h``, ``index`` and ``nbrs`` are h's low-point index
-    lists, and t is a thread of g with ends ``x`` and ``y``.
+@memoized
+def _lists(g: Graph) -> tuple[dict, list, tuple]:
+    """The branch graph of top-3-connected ``g`` as the removal test reads
+    it: branch vertex -> index, index -> neighbor indices (one per thread
+    end), and the indices suppressed, none here.  Built from g's threads
+    for a host; :func:`_ear_step` hands each g - t the lists its removal
+    test derived, which keep the host's indices."""
+    ts = _threads(g)
+    branch = [v for v in g.vertices if g.degree(v) != 2]
+    index, nbrs = _index_lists(branch, (t.endpoints for t in ts))
+    return index, nbrs, ()
 
-    g - t's branch graph H' is h - xy with x and y suppressed where they
+
+def _removable(lists: tuple, i: int, j: int) -> tuple | None:
+    """The lists of g - t (see :func:`_lists`) if g - t is
+    top-3-connected, else None, where g is top-3-connected with branch
+    graph H given by ``lists``, and t is a thread of g whose ends x and y
+    have indices ``i`` and ``j``.
+
+    g - t's branch graph H' is H - xy with x and y suppressed where they
     are left with degree 2.  It must be simple, and then has more than 3
-    vertices: it keeps |E(h)| - 1 - s edges on |V(h)| - s vertices, s <= 2
-    the ends suppressed, and h has minimum degree 3.  A cut S of at most
-    two vertices of H' cuts h - xy but not h, so xy is a bridge of h - S:
+    vertices: it keeps |E(H)| - 1 - s edges on |V(H)| - s vertices, s <= 2
+    the ends suppressed, and H has minimum degree 3.  A cut S of at most
+    two vertices of H' cuts H - xy but not H, so xy is a bridge of H - S:
     S holds neither x nor y, separates them, and so holds an inner vertex
-    of every x-y path of h - xy.  It therefore suffices to check that
+    of every x-y path of H - xy.  It therefore suffices to check that
     removing each inner vertex of one such path leaves H' 2-connected,
-    instead of removing every vertex.
+    instead of removing every vertex.  The path is found by breadth-first
+    search from x, stopping at the first neighbor of y reached.
     """
-    i, j = index[x], index[y]
+    index, nbrs, suppressed = lists
+    ends = set(nbrs[j]) - {i}
+    parent = {i: i, j: j}  # y is never entered
+    queue = deque([i])
+    w = i
+    while w not in ends:
+        v = queue.popleft()
+        for w in nbrs[v]:
+            if w not in parent:
+                parent[w] = v
+                if w in ends:
+                    break
+                queue.append(w)
     nbrs = list(nbrs)
-    for v, w in ((i, j), (j, i)):
+    for v, u in ((i, j), (j, i)):
         nbrs[v] = list(nbrs[v])
-        nbrs[v].remove(w)
-    removed = ()
+        nbrs[v].remove(u)
     for v in (i, j):
         if len(nbrs[v]) == 2:
-            # v, now inside an edge ab, stays in a's and b's lists: removed
-            # vertices are never entered
+            # v is suppressed into an edge ab: a's and b's lists name each
+            # other in its place, so no list names a suppressed index
             a, b = nbrs[v]
             if b in nbrs[a]:
-                return False
-            nbrs[a] = nbrs[a] + [b]
-            nbrs[b] = nbrs[b] + [a]
-            removed += (v,)
-    tree = bfs_tree(h.adjacency, x, skip=(y,), until={w for _, w in h.adjacency[y]})
-    w = next(reversed(tree))  # the first neighbor of y reached, x aside
-    while w != x:
-        if not _biconnected_without(nbrs, removed + (index[w],)):
-            return False
-        w = tree[w][0]
-    return True
+                return None
+            nbrs[a] = [b if u == v else u for u in nbrs[a]]
+            nbrs[b] = [a if u == v else u for u in nbrs[b]]
+            suppressed += (v,)
+    while w != i:
+        if not _biconnected_without(nbrs, suppressed + (w,)):
+            return None
+        w = parent[w]
+    return index, nbrs, suppressed
 
 
 def _ear_step(g: Graph) -> tuple[Thread, Graph] | None:
     """The first thread t of top-3-connected ``g`` whose removal leaves it
-    top-3-connected, and g - t, handed its connectivity and its threads
-    derived from g's; None if there is none.  Removals are decided on g's
-    branch graph, so g - t is built only for the thread removed."""
+    top-3-connected, and g - t; None if there is none.  Removals are
+    decided on g's branch-graph lists, so g - t is built only for the
+    thread removed.  g - t is handed its connectivity, its threads derived
+    from g's, the lists its removal test derived, and, while more than
+    four branch vertices are left, that it is no subdivision of K4."""
     ts = _threads(g)
-    h = _suppress(g)
-    index, nbrs = _index_neighbors(h)
+    lists = _lists(g)
+    index = lists[0]
     for t in ts:
-        if _removable(h, index, nbrs, *t.endpoints):
+        x, y = t.endpoints
+        reduced_lists = _removable(lists, index[x], index[y])
+        if reduced_lists is not None:
             reduced = thread_delete(g, t)
             _remember(reduced, is_connected, True)
             _remember(reduced, _threads, _threads_after_delete(g, t, ts))
+            _remember(reduced, _lists, reduced_lists)
+            if len(index) - len(reduced_lists[2]) > 4:
+                _remember(reduced, is_top_k4, False)
             return t, reduced
     return None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 
 
 def reachable(adj: dict, start) -> set:
@@ -408,10 +409,10 @@ def minimal_cut_candidates_by_subsets(g, nc) -> list[tuple[int, ...]]:
     return out
 
 
-def top_k4_by_suppression(g) -> bool:
-    """Suppressing every degree-2 vertex of ``g`` leaves K4: ``g`` is
-    connected, every maximal degree-2 run joins two distinct branch
-    vertices, and the runs join 4 branch vertices pairwise, once each."""
+def _runs(g):
+    """The branch vertices of ``g`` (degree other than 2) and the end pair
+    of each maximal degree-2 run between them, listed once from either
+    end; None if ``g`` has no edge or is disconnected."""
     inc = {v: [] for v in g.vertices}
     for e in g.edges:
         u, v = g.psi[e]
@@ -419,16 +420,43 @@ def top_k4_by_suppression(g) -> bool:
         inc[v].append((e, u))
     adj = adjacency_from_pairs(g.vertices, [g.psi[e] for e in g.edges])
     if not g.edges or len(reachable(adj, next(iter(g.vertices)))) != len(g.vertices):
-        return False
+        return None
     branch = {v for v, pairs in inc.items() if len(pairs) != 2}
-    ends = []  # each run twice, once from either end
+    ends = []
     for v in branch:
         for e, w in inc[v]:
             while w not in branch:
                 e, w = next(p for p in inc[w] if p[0] != e)
             ends.append(frozenset((v, w)))
+    return branch, ends
+
+
+def top_k4_by_suppression(g) -> bool:
+    """Suppressing every degree-2 vertex of ``g`` leaves K4: ``g`` is
+    connected, every maximal degree-2 run joins two distinct branch
+    vertices, and the runs join 4 branch vertices pairwise, once each."""
+    runs = _runs(g)
+    if runs is None:
+        return False
+    branch, ends = runs
     return (len(branch) == 4 and len(ends) == 12 and len(set(ends)) == 6
             and all(len(pair) == 2 for pair in ends))
+
+
+def top_3_connected_by_suppression(g) -> bool:
+    """Suppressing every degree-2 vertex of ``g`` leaves a simple
+    3-connected graph: ``g`` is connected, every maximal degree-2 run joins
+    two distinct branch vertices, no two runs join the same pair, and no
+    two branch vertices disconnect the graph of the runs."""
+    runs = _runs(g)
+    if runs is None:
+        return False
+    branch, ends = runs
+    pairs = [tuple(pair) for pair in set(ends)]
+    if 2 * len(pairs) != len(ends) or any(len(pair) != 2 for pair in pairs):
+        return False
+    h = SimpleNamespace(vertices=branch, edges=range(len(pairs)), psi=pairs)
+    return k_connected_by_removal(h, 3)
 
 
 def decompose_by_peeling(g, x) -> list[tuple]:

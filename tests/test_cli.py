@@ -286,12 +286,23 @@ def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
     real = graph_core._removable
     accepted = []
 
-    def accept_one_bad(h, index, nbrs, x, y):
-        ok = real(h, index, nbrs, x, y)
-        if not ok and not accepted:
-            accepted.append((x, y))
-            return True
-        return ok
+    def accept_one_bad(lists, i, j):
+        reduced = real(lists, i, j)
+        if reduced is None and not accepted:
+            accepted.append((i, j))
+            # the lists of the wrong g - t: H - xy, ends of degree 2 suppressed
+            index, nbrs, suppressed = lists
+            nbrs = [list(ns) for ns in nbrs]
+            nbrs[i].remove(j)
+            nbrs[j].remove(i)
+            for v in (i, j):
+                if len(nbrs[v]) == 2:
+                    a, b = nbrs[v]
+                    nbrs[a][nbrs[a].index(v)] = b
+                    nbrs[b][nbrs[b].index(v)] = a
+                    suppressed += (v,)
+            return index, nbrs, suppressed
+        return reduced
 
     monkeypatch.setattr(graph_core, "_removable", accept_one_bad)
     code, payload = run_json(["verify-all", "--gen", "k5"], capsys)

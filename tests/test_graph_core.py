@@ -23,9 +23,8 @@ from nscycles import (
 from nscycles.graph_core import (
     Graph,
     Thread,
-    _index_neighbors,
+    _lists,
     _removable,
-    _suppress,
     _threads,
     _threads_after_delete,
 )
@@ -325,11 +324,50 @@ def test_top_k4_matches_suppression_oracle(corpus):
     assert outcomes == {False, True}
 
 
+def _top3_cases(g):
+    """``g``, its subdivision, each of them minus each thread and each of
+    them with a parallel edge and with a loop; ``g`` with a pendant vertex,
+    with an isolated vertex and beside a copy of itself, each also
+    subdivided."""
+    n = len(g.vertices)
+    pairs = [g.psi[e] for e in sorted(g.edges)]
+    s = subdivide_every_edge(g)
+    cases = [g, s] + [thread_delete(f, t) for f in (g, s) for t in threads(f)]
+    for f in (g, s):
+        m = len(f.edges)
+        for extra in (f.psi[0], (0, 0)):
+            cases.append(Graph(f.vertices, range(m + 1), {**f.psi, m: extra}, m + 1))
+    for f in (build_graph(n + 1, pairs + [(0, n)]),
+              build_graph(n + 1, pairs),
+              build_graph(2 * n, pairs + [(u + n, v + n) for u, v in pairs])):
+        cases += [f, subdivide_every_edge(f)]
+    return cases
+
+
+def test_top_3_connected_matches_suppression_oracle(corpus):
+    # a graph with no degree-2 vertex is tested as it is, any other on its
+    # branch graph; both paths must agree with suppressing by hand, on
+    # simple and non-simple graphs, with a degree-1 vertex or disconnected
+    answers, kinds = set(), set()
+    for label, host in corpus:
+        for f in _top3_cases(host):
+            fresh = Graph(f.vertices, f.edges, f.psi, f.universe)
+            got = is_top_3_connected(fresh)
+            assert got == oracles.top_3_connected_by_suppression(f), (label, f)
+            no_two = all(f.degree(v) != 2 for v in f.vertices)
+            answers.add((no_two, got))
+            kinds.add((no_two, f.simple))
+    both = {(a, b) for a in (False, True) for b in (False, True)}
+    assert answers == kinds == both
+
+
 def _removal_verdict(g, t) -> bool:
     """The ear step's verdict on removing ``t`` from top-3-connected ``g``,
-    decided on g's branch graph."""
-    h = _suppress(g)
-    return _removable(h, *_index_neighbors(h), *t.endpoints)
+    decided on g's branch-graph lists, those the ear sequence carried down
+    to g when it has."""
+    lists = _lists(g)
+    x, y = t.endpoints
+    return _removable(lists, lists[0][x], lists[0][y]) is not None
 
 
 def test_removal_test_matches_full_test(corpus):

@@ -23,6 +23,7 @@ from nscycles import (
     thread_delete,
     threads,
 )
+from nscycles import graph_core
 from nscycles.decomposition import _lift, _part, _reduction, _theta
 from nscycles.errors import NotInNcOfReduced
 
@@ -76,6 +77,32 @@ def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
         current = thread_delete(current, t)
     assert current is seq.terminal
     assert not any(key[0] is thread_delete.__wrapped__ for key in current._memo)
+
+
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(
+        monkeypatch, subdivided):
+    # every removal is decided on index lists carried down the chain; only
+    # a host with degree-2 vertices and the K4 terminal get a branch graph,
+    # for the full 3-connectivity test
+    g = subdivide_every_edge(gen_corpus("random3c-12")) if subdivided \
+        else gen_corpus("random3c-40")
+    g = Graph(g.vertices, g.edges, g.psi, g.universe)
+    built = []
+    real = graph_core._suppress
+
+    def counting(h):
+        built.append(h)
+        return real(h)
+
+    monkeypatch.setattr(graph_core, "_suppress", counting)
+    seq = ear_sequence(g)
+    assert len(seq.steps) > 5
+    assert built == ([g] if subdivided else []) + [seq.terminal]
+    current = g
+    for _, t in seq.steps:
+        current = thread_delete(current, t)
+        assert (graph_core._lists.__wrapped__,) in current._memo
 
 
 def test_decompose_runs_only_the_first_theta_search():

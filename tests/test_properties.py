@@ -35,7 +35,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.graph_core import Graph, _index_neighbors, _removable, _suppress
+from nscycles.graph_core import Graph, _lists, _removable, _suppress
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -301,16 +301,34 @@ def test_removal_test_matches_full_test_down_the_ear_sequence(g):
         walk.append(thread_delete(walk[-1], t))
     outcomes = set()
     for h in walk:
-        branch = _suppress(h)
-        index, nbrs = _index_neighbors(branch)
+        lists = _lists(h)
         for t in threads(h):
-            got = _removable(branch, index, nbrs, *t.endpoints)
+            x, y = t.endpoints
+            got = _removable(lists, lists[0][x], lists[0][y]) is not None
             r = thread_delete(h, t)
             fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
             assert got == is_top_3_connected(fresh)
             assert threads(r) == threads(fresh)
             outcomes.add(got)
     assert outcomes == {False, True}
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_3_connected_hosts(max_n=20))
+def test_carried_lists_match_branch_graph_down_the_ear_sequence(g):
+    # each g - t holds the lists its removal test derived; they must name
+    # the live branch vertices of g - t and their neighbours exactly as the
+    # branch graph of a memo-free copy does
+    current = g
+    for _, t in ear_sequence(g).steps:
+        current = thread_delete(current, t)
+        assert (_lists.__wrapped__,) in current._memo
+        index, nbrs, suppressed = _lists(current)
+        vertex = {i: v for v, i in index.items()}
+        carried = {vertex[i]: sorted(vertex[w] for w in nbrs[i])
+                   for i in vertex if i not in suppressed}
+        h = _suppress(Graph(current.vertices, current.edges, current.psi, current.universe))
+        assert carried == {v: sorted(w for _, w in pairs) for v, pairs in h.adjacency.items()}
 
 
 @settings(max_examples=25, deadline=None)
