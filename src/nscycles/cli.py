@@ -13,6 +13,7 @@ is only emitted by verify-all, the one subcommand that takes --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -301,7 +302,9 @@ def _cap(text: str) -> int:
     return cap
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser per process; each parse_args fills a fresh namespace
     common = argparse.ArgumentParser(add_help=False)
     source = common.add_mutually_exclusive_group()
     source.add_argument("--gen", metavar="NAME", help="generate a named corpus graph")

@@ -28,10 +28,11 @@ A thread t = xy is removable when g - t stays top-3-connected, decided on
 g's branch graph H: as H is 3-connected, every cut of at most two vertices
 of H - xy, x and y suppressed, separates x from y, so only the inner
 vertices of one x-y path are tested, each by one low-point search.  One
-ear sequence runs all its removal tests on one set of index lists for H,
-built from the host's threads: each removal hands g - t the lists of its
-own branch graph.  The full test of every vertex runs only on the host
-and on the K4 terminal.
+ear sequence runs all its removal tests on one set of index lists for H:
+the host's are its branch graph's index lists, as its 3-connectivity test
+reads them, and each removal hands g - t those of its own branch graph.
+The full test of every vertex runs only on the host and on the K4
+terminal.
 """
 
 from __future__ import annotations
@@ -157,16 +158,12 @@ def ear_sequence(g: Graph) -> EarSequence:
     tested on its branch graph, as in :func:`find_reducible_thread`, read
     from index lists that each removal hands down to the next graph; g - t
     is built only for the thread removed, and only the host and the
-    terminal get the full test.
+    terminal get the full test.  It reads the walk of :func:`_chain`.
     """
     _require_top3(g)
-    steps = []
-    current = g
-    while not is_top_k4(current):
-        t, reduced = _reduction(current)
-        steps.append((fingerprint(current), t))
-        current = reduced
-    return EarSequence(tuple(steps), current)
+    steps, terminal, _ = _chain(g)
+    before = (g, *(reduced for *_, reduced in steps[:-1]))  # the g_i each t leaves
+    return EarSequence(tuple((fingerprint(h), t) for h, (t, *_) in zip(before, steps)), terminal)
 
 
 def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:

@@ -10,7 +10,9 @@ that owns them, through :func:`memoized`: they live and die with that
 graph.  A graph may be handed results at birth: the g - t that
 :func:`_ear_step` keeps gets the threads it derives from g's and the
 branch-graph index lists its removal test derives from g's, and no
-reference to g.
+reference to g.  The branch graph has one builder, :func:`_branch_graph`,
+and the index lists of the low-point DFS one, :func:`_index_lists`, read
+by the 3-connectivity test and by an ear sequence's removal tests alike.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends are all traced by one walk, :func:`_walk`.
@@ -229,7 +231,9 @@ def memoized(fn):
 
 def _remember(g: Graph, fn, value, *args) -> None:
     """Record ``value`` as the result of the memoized ``fn(g, *args)``,
-    under the key :func:`memoized` uses."""
+    under the key :func:`memoized` uses.  ``fn`` must be this module's own
+    memoized name: a rebound wrapper, such as a tracer's on a name imported
+    elsewhere, stores it under a key that :func:`memoized` never reads."""
     g._memo[(fn.__wrapped__, *args)] = value
 
 
@@ -267,7 +271,7 @@ def _check_universe(g: Graph, z: EdgeSet) -> None:
 def delete_edges(g: Graph, z: EdgeSet) -> Graph:
     """Remove the edges of ``z``; every vertex is retained."""
     _check_universe(g, z)
-    return _subgraph(g, g.vertices, frozenset(e for e in g.edges if e not in z))
+    return _subgraph(g, g.vertices, g.edges.difference(z))
 
 
 def find_root(parent: dict, v):
@@ -449,16 +453,16 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    return _k_connected_without(_index_lists(g.vertices, g.psi.values())[1], (), k)
+    return _k_connected_without(_index_lists(g)[1], (), k)
 
 
-def _index_lists(vertices, pairs) -> tuple[dict, list]:
-    """Vertex -> index, in the order of ``vertices``, and index -> neighbor
-    indices over the edges ``pairs``, for the low-point DFS; a loop appears
-    once at its vertex."""
-    index = {v: i for i, v in enumerate(vertices)}
+def _index_lists(g: Graph) -> tuple[dict, list]:
+    """Vertex -> index, in the order of ``g.vertices``, and index ->
+    neighbor indices, for the low-point DFS; a loop appears once at its
+    vertex."""
+    index = {v: i for i, v in enumerate(g.vertices)}
     nbrs = [[] for _ in index]
-    for u, v in pairs:
+    for u, v in g.psi.values():
         i, j = index[u], index[v]
         nbrs[i].append(j)
         if i != j:
@@ -647,52 +651,44 @@ def suppress_degree_two(g: Graph) -> tuple[Graph, dict]:
 
 @memoized
 def _branch_graph(g: Graph) -> Graph:
-    """The branch graph of ``g``, one per graph, so that the theta searches
-    of all its threads and its catalog share one graph and its memo table."""
-    return _suppress(g)
-
-
-def _suppress(g: Graph) -> Graph:
-    # Not memoized: within an ear sequence it runs on a subdivided host
-    # and on the K4 terminal only, for the full 3-connectivity test;
-    # :func:`_ear_step` decides every removal on the index lists of
-    # :func:`_lists` instead, carried down the chain.  Holding a branch
-    # graph for each graph of an ear sequence raised the peak memory of
-    # ear sequences on random3c-40..60 by 15%.
+    """The branch graph of ``g``: edge i joins the ends of thread i.  Built
+    once per graph, so the theta searches of its threads, its catalog and
+    its 3-connectivity test share one graph and its memo table."""
     ts = _threads(g)
     branch = [v for v in g.vertices if g.degree(v) != 2]
     return Graph(branch, range(len(ts)), {i: t.endpoints for i, t in enumerate(ts)}, len(ts))
 
 
+def _branch(g: Graph) -> Graph:
+    """``g`` itself when it has no degree-2 vertex, else its branch graph:
+    a graph with none is its own branch graph up to edge ids."""
+    if all(g.degree(v) != 2 for v in g.vertices):
+        return g
+    return _branch_graph(g)
+
+
 @memoized
 def is_top_3_connected(g: Graph) -> bool:
-    """True iff the graph is a subdivision of a simple 3-connected graph.
-
-    A graph with no degree-2 vertex is its own branch graph and is tested
-    as it is, so a host already tested 3-connected is not tested again.
-    """
+    """True iff the graph is a subdivision of a simple 3-connected graph,
+    tested on :func:`_branch`, so a host already tested 3-connected is not
+    tested again."""
     if not g.edges or not is_connected(g):
         return False
-    if all(g.degree(v) != 2 for v in g.vertices):
-        return g.simple and is_k_connected(g, 3)
     try:
-        suppressed = _suppress(g)
+        h = _branch(g)
     except AllDegreesTwo:
         return False
-    return suppressed.simple and is_k_connected(suppressed, 3)
+    return h.simple and is_k_connected(h, 3)
 
 
 @memoized
 def _lists(g: Graph) -> tuple[dict, list, tuple]:
     """The branch graph of top-3-connected ``g`` as the removal test reads
     it: branch vertex -> index, index -> neighbor indices (one per thread
-    end), and the indices suppressed, none here.  Built from g's threads
-    for a host; :func:`_ear_step` hands each g - t the lists its removal
-    test derived, which keep the host's indices."""
-    ts = _threads(g)
-    branch = [v for v in g.vertices if g.degree(v) != 2]
-    index, nbrs = _index_lists(branch, (t.endpoints for t in ts))
-    return index, nbrs, ()
+    end), and the indices suppressed, none here.  Read off the branch
+    graph for a host; :func:`_ear_step` hands each g - t the lists its
+    removal test derived, which keep the host's indices."""
+    return (*_index_lists(_branch(g)), ())
 
 
 def _removable(lists: tuple, i: int, j: int) -> tuple | None:

@@ -262,7 +262,7 @@ def _check_orthogonality(g: Graph) -> tuple[bool, str]:
     except TooLarge as exc:
         return _skip(str(exc))
     basis = fundamental_basis(g)
-    if any(len(b.edges & c) % 2 for b in all_bonds for c in basis):
+    if any((b.edges.bits & c.bits).bit_count() & 1 for b in all_bonds for c in basis):
         return False, "odd bond-circuit intersection"
     return True, f"{len(all_bonds)} bonds x {len(basis)} basis circuits all even"
 

@@ -9,8 +9,6 @@ import json
 import random
 from itertools import combinations
 
-import pytest
-
 from nscycles import (
     CounterexampleReport,
     EdgeSet,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 
@@ -318,6 +319,27 @@ def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
 def test_cli_quiet(capsys):
     assert run_command(["info", "--gen", "k4", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch, capsys):
+    # the parser is cached, and each parse fills a fresh namespace, so a
+    # flag of one run does not reach the next
+    parsed = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert run_command(["info", "--gen", "k4", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_json(["info", "--gen", "k4"], capsys)[0] == 0
+    assert run_command(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: nscycles")
+    assert run_command(["info", "--gen", "k4", "--no-such-flag"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert len(parsed) == 4 and all(p is parsed[0] for p in parsed)
 
 
 def test_cli_determinism(capsys):

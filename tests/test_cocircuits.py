@@ -1,7 +1,6 @@
 import pytest
 
 from nscycles import (
-    CounterexampleReport,
     EdgeSet,
     bonds,
     build_graph,

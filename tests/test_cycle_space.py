@@ -7,7 +7,6 @@ from nscycles import (
     cyclomatic_number,
     express_in_span,
     fundamental_basis,
-    gen_corpus,
     gf2_rank,
     is_cycle_space_member,
     sym_diff,

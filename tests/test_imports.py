@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, and each
-module uses every name it imports or re-exports it in ``__all__``."""
+module of the library, its tests and its scripts uses every name it
+imports or re-exports it in ``__all__``."""
 
 import ast
 import sys
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nscycles").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "nscycles").glob("*.py"))
+ALL_MODULES = SOURCES + [path for folder in ("tests", "scripts")
+                         for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -40,7 +44,7 @@ def _exported_names(tree) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used_or_exported(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

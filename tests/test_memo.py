@@ -14,6 +14,7 @@ from nscycles import (
     fingerprint,
     fundamental_basis,
     gen_corpus,
+    is_top_3_connected,
     is_top_k4,
     lift_circuit,
     non_separating_circuits,
@@ -24,7 +25,7 @@ from nscycles import (
     threads,
 )
 from nscycles import graph_core
-from nscycles.decomposition import _lift, _part, _reduction, _theta
+from nscycles.decomposition import _chain, _lift, _part, _reduction, _theta
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -53,7 +54,8 @@ def test_derived_results_die_with_their_graph():
 
 
 def test_ear_terminal_does_not_keep_its_host_alive():
-    # g - t is handed threads derived from g's, never g itself
+    # g - t is handed threads derived from g's, never g itself; what
+    # survives the host is the terminal and the branch graph in its memo
     before = _graph_count()
     g = subdivide_every_edge(gen_corpus("random3c-12"))
     terminal = ear_sequence(g).terminal
@@ -61,8 +63,10 @@ def test_ear_terminal_does_not_keep_its_host_alive():
     for obj in gc.get_objects():
         if isinstance(obj, Graph):
             assert all(inspect.isfunction(key[0]) for key in obj._memo)
+    branch = terminal._memo[(graph_core._branch_graph.__wrapped__,)]
+    assert branch is not terminal
     del g
-    assert _graph_count() == before + 1
+    assert _graph_count() == before + 2
 
 
 def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
@@ -80,29 +84,51 @@ def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
 
 
 @pytest.mark.parametrize("subdivided", [False, True])
-def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(
-        monkeypatch, subdivided):
+def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(subdivided):
     # every removal is decided on index lists carried down the chain; only
-    # a host with degree-2 vertices and the K4 terminal get a branch graph,
-    # for the full 3-connectivity test
+    # a host with degree-2 vertices and the K4 terminal build a branch
+    # graph, for the full 3-connectivity test
     g = subdivide_every_edge(gen_corpus("random3c-12")) if subdivided \
         else gen_corpus("random3c-40")
     g = Graph(g.vertices, g.edges, g.psi, g.universe)
-    built = []
-    real = graph_core._suppress
-
-    def counting(h):
-        built.append(h)
-        return real(h)
-
-    monkeypatch.setattr(graph_core, "_suppress", counting)
     seq = ear_sequence(g)
     assert len(seq.steps) > 5
-    assert built == ([g] if subdivided else []) + [seq.terminal]
-    current = g
+    walk = [g]
     for _, t in seq.steps:
-        current = thread_delete(current, t)
-        assert (graph_core._lists.__wrapped__,) in current._memo
+        walk.append(thread_delete(walk[-1], t))
+        assert (graph_core._lists.__wrapped__,) in walk[-1]._memo
+    assert walk[-1] is seq.terminal
+    built = [h for h in walk if (graph_core._branch_graph.__wrapped__,) in h._memo]
+    assert built == ([g] if subdivided else []) + [seq.terminal]
+
+
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
+    for label, host in corpus:
+        g = subdivide_every_edge(host) if subdivided else host
+        if not is_top_3_connected(g):
+            continue
+        h = graph_core._branch(g)
+        assert (h is g) is not subdivided, label
+        assert graph_core._lists(g) == (*graph_core._index_lists(h), ()), label
+
+
+def test_ear_sequence_reads_the_chain_the_decomposition_walked():
+    g = subdivide_every_edge(gen_corpus("random3c-16"))
+    decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
+    steps, terminal, _ = _chain(g)
+    walk = [g, *(reduced for _, _, reduced in steps)]
+
+    def reductions():
+        return sum(key[0] is _reduction.__wrapped__ for h in walk for key in h._memo)
+
+    walked = reductions()
+    assert walked == len(steps) > 5
+    seq = ear_sequence(g)
+    assert reductions() == walked
+    assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
+    assert [fp for fp, _ in seq.steps] == [fingerprint(h) for h in walk[:-1]]
+    assert seq.terminal is terminal
 
 
 def test_decompose_runs_only_the_first_theta_search():

@@ -35,7 +35,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles.graph_core import Graph, _lists, _removable, _suppress
+from nscycles.graph_core import Graph, _branch_graph, _lists, _removable
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -327,7 +327,7 @@ def test_carried_lists_match_branch_graph_down_the_ear_sequence(g):
         vertex = {i: v for v, i in index.items()}
         carried = {vertex[i]: sorted(vertex[w] for w in nbrs[i])
                    for i in vertex if i not in suppressed}
-        h = _suppress(Graph(current.vertices, current.edges, current.psi, current.universe))
+        h = _branch_graph(Graph(current.vertices, current.edges, current.psi, current.universe))
         assert carried == {v: sorted(w for _, w in pairs) for v, pairs in h.adjacency.items()}
 
 
