@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the full verification battery across the named corpus.
 
-Prints one line per graph, naming the checks that failed or skipped, and
-exits nonzero if any check fails.  With --out DIR, the per-graph JSON
+Prints one line per graph, with its time, its slowest check and the names
+of the checks that failed or skipped, and exits nonzero if any check fails.  With --out DIR, the per-graph JSON
 reports are also written to disk.
 
     python3 scripts/run_corpus_verification.py
@@ -56,8 +56,10 @@ def main(argv=None) -> int:
         status = f"FAIL ({', '.join(failed)})" if failed else "ok"
         if skipped:
             status += f" (skipped: {', '.join(skipped)})"
+        slowest = max(report.checks, key=lambda c: c.elapsed_ms)
         print(f"{name:18s} |V|={len(g.vertices):2d} |E|={len(g.edges):2d} "
-              f"{report.elapsed_ms:6d} ms  {status}")
+              f"{report.elapsed_ms:6d} ms  slowest {slowest.name} {slowest.elapsed_ms} ms  "
+              f"{status}")
         any_failed = any_failed or bool(failed)
         if out_dir:
             path = out_dir / f"{name}.json"

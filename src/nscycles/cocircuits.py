@@ -4,20 +4,20 @@ identity between the two.
 A *cut candidate* is a nonempty edge set that no cataloged non-separating
 circuit crosses in exactly one edge.  Every bond is one; the inclusion-
 minimal candidates of a 3-connected graph are exactly its bonds, which is
-what :func:`verify_cocircuit_identity` checks.  The minimal candidates are
-found by a branching search that grows each set one edge at a time, level
-by level; one guard, ``MAX_CUT_SEARCH_EDGES``, bounds the graphs it and the
-identity check accept.
+what :func:`verify_cocircuit_identity` checks.  Bonds are grown as
+connected vertex sets on vertex bitmasks, and the minimal candidates by a
+branching search over edge sets on masks of circuit indices; two guards,
+``MAX_BOND_VERTICES`` and ``MAX_CUT_SEARCH_EDGES``, bound the graphs they
+and the identity check accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import Disconnected, EmptyX, TooLarge, UniverseMismatch
-from .graph_core import EdgeSet, Graph, bfs_tree, delete_edges, fingerprint, is_connected, memoized
-from .circuits import Circuit, NcCatalog, non_separating_circuits
+from .graph_core import EdgeSet, Graph, fingerprint, is_connected, memoized
+from .circuits import Circuit, NcCatalog, _vertex_bits, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
 MAX_CUT_SEARCH_EDGES = 21
@@ -42,35 +42,51 @@ class CounterexampleReport:
 
 
 def bonds(g: Graph) -> list[Bond]:
-    """All bonds, by exhausting vertex bipartitions with connected sides."""
+    """All bonds, sorted by edge ids: the cuts of the connected sides
+    holding the least vertex whose complements are connected too."""
     return list(_bonds(g))
 
 
 @memoized
 def _bonds(g: Graph) -> tuple[Bond, ...]:
+    """Each connected side S holding the least vertex is grown once, as in
+    Wernicke's ESU: a node extends S by each vertex of its extension in
+    turn, barring those it took before, and a child's extension gains only
+    the new vertex's neighbors outside the barred closed neighborhood of S.
+    S's cut is the XOR of its vertices' non-loop edge masks."""
     if not is_connected(g):
         raise Disconnected("bond enumeration requires a connected graph")
     if len(g.vertices) > MAX_BOND_VERTICES:
         raise TooLarge(f"bond enumeration is capped at {MAX_BOND_VERTICES} vertices")
     if len(g.vertices) < 2:
-        return []
-    verts = sorted(g.vertices)
-    anchor, rest = verts[0], verts[1:]
+        return ()
+    bit, nbrs = _vertex_bits(g)
+    full = (1 << len(bit)) - 1
+    # index -> mask of its non-loop edges
+    incident = [sum(1 << e for e, w in pairs if w != v) for v, pairs in g.adjacency.items()]
+    root = bit[min(g.vertices)]
     out = []
-    for size in range(len(rest)):
-        for extra in combinations(rest, size):
-            side = frozenset((anchor,) + extra)
-            other = g.vertices - side
-            if len(bfs_tree(g.adjacency, anchor, other)) != len(side):
-                continue
-            if len(bfs_tree(g.adjacency, min(other), side)) != len(other):
-                continue
-            cut = [
-                e
-                for e, (u, v) in g.psi.items()
-                if (u in side) != (v in side)
-            ]
-            out.append(Bond(EdgeSet.from_ids(cut, g.universe), side))
+    # (side, cut, extension, barred), from the empty side, whose one extension is the root
+    stack = [(0, 0, root, root)]
+    while stack:
+        side, cut, ext, barred = stack.pop()
+        rest = full & ~side
+        if side and rest:
+            reach = frontier = rest & -rest
+            while frontier:  # flood the complement
+                low = frontier & -frontier
+                frontier ^= low
+                new = nbrs[low.bit_length() - 1] & rest & ~reach
+                reach |= new
+                frontier |= new
+            if reach == rest:
+                members = frozenset(v for v, b in bit.items() if side & b)
+                out.append(Bond(EdgeSet(cut, g.universe), members))
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            j = low.bit_length() - 1
+            stack.append((side | low, cut ^ incident[j], ext | nbrs[j] & ~barred, barred | nbrs[j]))
     out.sort(key=lambda b: b.edges.ids())
     return tuple(out)
 
@@ -81,7 +97,7 @@ def is_cut_candidate(x: EdgeSet, nc: NcCatalog) -> bool:
     if not x:
         return False
     for c in nc.members:
-        if len(c.edges & x) == 1:
+        if (c.edges.bits & x.bits).bit_count() == 1:
             return False
     return True
 
@@ -96,51 +112,72 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     the i-th child adds the i-th free edge in ascending order to X and
     forbids the ones before it.  A node no circuit meets exactly once is a
     candidate.  Every minimal candidate Y is reached: a node inside Y has a
-    child inside Y, since the chosen circuit meets Y in a second edge, which
-    is free, and the child for the least such edge forbids no edge of Y.
-    Nodes are expanded level by level, in order of |X|, and a node holding a
-    candidate already found is dropped, so every candidate found is minimal.
-    A node tests only the candidates holding its last edge: any other one
-    inside it lies in its parent, which was kept and branched, so held none.
+    child inside Y, since the chosen circuit, whichever it is, meets Y in a
+    second edge, which is free, and the child for the least such edge
+    forbids no edge of Y.  Nodes are expanded level by level, in order of
+    |X|, and a node holding a candidate already found is dropped, so every
+    candidate found is minimal.  A node tests only the candidates holding
+    its last edge: any other one inside it lies in its parent, which was
+    kept and branched, so held none.  A node holds the masks of the circuit
+    indices missing X and meeting it once; a child updates them from the
+    mask of the circuits through the edge it adds.
     """
     edge_ids = sorted(g.edges)
     if len(edge_ids) > MAX_CUT_SEARCH_EDGES:
         raise TooLarge(f"the cut-candidate search is capped at {MAX_CUT_SEARCH_EDGES} edges")
-    through: dict[int, list[int]] = {e: [] for e in edge_ids}
-    for c in nc.members:
-        for e in c.edges.ids():
-            through[e].append(c.edges.bits)
+    members = [c.edges.bits for c in nc.members]
+    # edge -> mask of the indices of the circuits through it
+    through = {e: sum(1 << i for i, c in enumerate(members) if c >> e & 1) for e in edge_ids}
+    every = (1 << len(members)) - 1
     found: dict[int, list[int]] = {e: [] for e in edge_ids}  # edge -> candidates holding it
     out: list[EdgeSet] = []
-    level = [(1 << e, (1 << e) - 1, (e,)) for e in edge_ids]  # (X, forbidden, X's edges)
+    # (X, forbidden, X's last edge, circuits missing X, circuits meeting X once)
+    level = [(1 << e, (1 << e) - 1, e, every & ~through[e], through[e]) for e in edge_ids]
     while level:
         candidates = []
         next_level = []
-        for x, forbidden, members in level:
-            if any(f & x == f for f in found[members[-1]]):
-                continue
-            blocked = x | forbidden
-            free = None
-            for e in members:
-                for c in through[e]:
-                    if (c & x).bit_count() == 1:
-                        bits = c & ~blocked
-                        if free is None or bits.bit_count() < free.bit_count():
-                            free = bits
-            if free is None:
-                candidates.append(x)
-                continue
-            while free:
-                low = free & -free
-                next_level.append((x | low, forbidden, members + (low.bit_length() - 1,)))
-                forbidden |= low
-                free ^= low
+        for x, forbidden, last, miss, once in level:
+            for f in found[last]:
+                if f & x == f:
+                    break
+            else:
+                if not once:
+                    candidates.append(x)
+                    continue
+                blocked = x | forbidden
+                free = None
+                rest = once
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    bits = members[low.bit_length() - 1] & ~blocked
+                    if free is None or bits.bit_count() < free.bit_count():
+                        free = bits
+                while free:
+                    low = free & -free
+                    e = low.bit_length() - 1
+                    t = through[e]
+                    next_level.append((x | low, forbidden, e, miss & ~t, once & ~t | miss & t))
+                    forbidden |= low
+                    free ^= low
         for x in sorted((EdgeSet(x, g.universe) for x in candidates), key=EdgeSet.ids):
             out.append(x)
             for e in x.ids():
                 found[e].append(x.bits)
         level = next_level
     return out
+
+
+def _connected_without(g: Graph, x: EdgeSet) -> bool:
+    """True iff g - x is connected: one traversal that skips x's edges."""
+    stack = [next(iter(g.adjacency))] if g.vertices else []
+    seen = set(stack)
+    while stack:
+        for e, w in g.adjacency[stack.pop()]:
+            if w not in seen and not x.bits >> e & 1:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
 
 
 def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
@@ -156,11 +193,11 @@ def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
         )
     if not x:
         raise EmptyX("the edge set must be nonempty")
-    if not is_connected(delete_edges(g, x)):
+    if not _connected_without(g, x):
         raise Disconnected("deleting the edge set disconnects the graph")
     witnesses = []
     for c in nc.members:
-        if len(c.edges & x) == 1:
+        if (c.edges.bits & x.bits).bit_count() == 1:
             witnesses.append(c)
             if len(witnesses) == 2:
                 return witnesses[0], witnesses[1]
@@ -169,8 +206,7 @@ def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
 
 def families_match(found_bonds: list[Bond], candidates: list[EdgeSet]) -> bool:
     """True iff the bonds and the minimal cut candidates are the same edge sets."""
-    return (sorted(b.edges.ids() for b in found_bonds)
-            == sorted(x.ids() for x in candidates))
+    return sorted(b.edges.bits for b in found_bonds) == sorted(x.bits for x in candidates)
 
 
 def verify_cocircuit_identity(g: Graph) -> bool:

@@ -161,9 +161,9 @@ def ear_sequence(g: Graph) -> EarSequence:
     terminal get the full test.  It reads the walk of :func:`_chain`.
     """
     _require_top3(g)
-    steps, terminal, _ = _chain(g)
-    before = (g, *(reduced for *_, reduced in steps[:-1]))  # the g_i each t leaves
-    return EarSequence(tuple((fingerprint(h), t) for h, (t, *_) in zip(before, steps)), terminal)
+    steps, terminal = _chain(g)
+    before = (g, *(reduced for _, reduced in steps[:-1]))  # the g_i each t leaves
+    return EarSequence(tuple((fingerprint(h), t) for h, (t, _) in zip(before, steps)), terminal)
 
 
 def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
@@ -272,17 +272,25 @@ def _catalog_matrix(g: Graph) -> Gf2Matrix:
 
 
 @memoized
-def _chain(g: Graph) -> tuple[tuple, Graph, dict]:
-    """The ear steps of ``g`` as (t, t's edge bitmask, g_i - t), g_i the
-    graph t is removed from (g_0 = g), the K4 terminal, and each vertex of
-    g mapped to the bitmask of its edges in g."""
-    at = {v: sum(1 << e for e, _ in pairs) for v, pairs in g.adjacency.items()}
+def _chain(g: Graph) -> tuple[tuple, Graph]:
+    """The ear steps of ``g`` as (t, g_i - t), g_i the graph t is removed
+    from (g_0 = g), and the K4 terminal."""
     steps = []
     while not is_top_k4(g):
         t, reduced = _reduction(g)
-        steps.append((t, sum(1 << e for e in t.edges), reduced))
+        steps.append((t, reduced))
         g = reduced
-    return tuple(steps), g, at
+    return tuple(steps), g
+
+
+@memoized
+def _chain_bits(g: Graph) -> tuple[tuple, Graph, dict]:
+    """The steps of :func:`_chain` as (t, t's edge bitmask, g_i - t), the
+    K4 terminal, and each vertex of g mapped to the bitmask of its edges in
+    g: what the lifts read, built on the first decomposition."""
+    steps, terminal = _chain(g)
+    at = {v: sum(1 << e for e, _ in pairs) for v, pairs in g.adjacency.items()}
+    return tuple((t, sum(1 << e for e in t.edges), reduced) for t, reduced in steps), terminal, at
 
 
 def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
@@ -313,7 +321,7 @@ def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     first edge.  So any split of x, such as a peel into circuits, gives
     these same parts.
     """
-    steps, terminal, at = _chain(g)
+    steps, terminal, at = _chain_bits(g)
     used = []  # p's bitmask at each step, if x holds t
     bits, level = x.bits, g
     for t, tbits, reduced in steps:

@@ -61,6 +61,7 @@ class CheckResult:
     name: str
     passed: bool
     details: str
+    elapsed_ms: int
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,8 @@ class VerificationReport:
         }
         if include_timing:
             payload["elapsed_ms"] = self.elapsed_ms
+            for entry, c in zip(payload["checks"], self.checks):
+                entry["elapsed_ms"] = c.elapsed_ms
         return payload
 
 
@@ -171,13 +174,15 @@ def _check_decomposition_replay(g: Graph, cap: int, rng: random.Random) -> tuple
                     if rng.random() < 0.5:
                         x = x ^ row
             targets.append(x)
+    seen = set()  # parts already tested
     for target in targets:
         cert = decompose_cs_element(g, target)
         if cert.replay() != target:
             return False, "replay mismatch"
         for part in cert.parts:
-            if is_separating(g, part):
+            if part not in seen and is_separating(g, part):
                 return False, "certificate part is separating"
+        seen.update(cert.parts)
     return True, f"{len(targets)} targets decomposed and replayed"
 
 
@@ -290,6 +295,7 @@ def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> Verific
     ]
     results = []
     for check_name, hypothesis, run in battery:
+        check_started = time.monotonic()
         try:
             if hypothesis is not None and not hypothesis[0](g):
                 passed, details = _skip(hypothesis[1])
@@ -297,6 +303,7 @@ def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> Verific
                 passed, details = run()
         except GraphError as exc:
             passed, details = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(check_name, passed, details))
+        check_ms = int((time.monotonic() - check_started) * 1000)
+        results.append(CheckResult(check_name, passed, details, check_ms))
     elapsed_ms = int((time.monotonic() - started) * 1000)
     return VerificationReport(name, tuple(results), elapsed_ms)

@@ -7,7 +7,9 @@ library steps another way: :func:`decompose_by_peeling` evaluates the
 induction in another order, and :func:`lifting_pairs_by_enumeration`
 finds the lifting step's split pairs among every circuit, not the catalog.
 :func:`random_3connected_by_pair_list` keeps the random3c generator's
-earlier form, which lists every nonadjacent pair for each edge it adds.
+earlier form, which lists every nonadjacent pair for each edge it adds, and
+:func:`bonds_by_bipartition` the bond enumeration's, which tries every
+vertex bipartition.
 """
 
 from __future__ import annotations
@@ -190,6 +192,27 @@ def is_minimal_edge_cut(g, edge_ids) -> bool:
         if not connected_without(ids - {e}):
             return False
     return True
+
+
+def bonds_by_bipartition(g) -> list[tuple[tuple[int, ...], frozenset]]:
+    """(sorted edge ids, side) of every bond of the connected graph ``g``,
+    sorted by edge ids: each of the 2^(n-1) sides holding the least vertex
+    is kept when it and its complement are both connected."""
+    verts = sorted(g.vertices)
+    anchor, rest = verts[0], verts[1:]
+    out = []
+    for size in range(len(rest)):
+        for extra in combinations(rest, size):
+            side = frozenset((anchor,) + extra)
+            other = g.vertices - side
+            halves = [(side, anchor), (other, min(other))]
+            if all(len(reachable(adjacency_from_pairs(part, [
+                    (u, v) for u, v in g.psi.values() if u in part and v in part]), start))
+                   == len(part) for part, start in halves):
+                cut = tuple(sorted(e for e, (u, v) in g.psi.items() if (u in side) != (v in side)))
+                out.append((cut, side))
+    out.sort(key=lambda bond: bond[0])
+    return out
 
 
 def theta_pairs_by_search(nc_members, thread_edges, thread_vertices) -> list:

@@ -191,6 +191,12 @@ def test_cli_verify_all_timing_flag(capsys):
     code, payload = run_json(["verify-all", "--gen", "k4", "--timing"], capsys)
     assert code == 0
     assert "elapsed_ms" in payload
+    assert len(payload["checks"]) == 12
+    assert all(type(check["elapsed_ms"]) is int for check in payload["checks"])
+    assert sum(check["elapsed_ms"] for check in payload["checks"]) <= payload["elapsed_ms"]
+    code, payload = run_json(["verify-all", "--gen", "k4"], capsys)
+    assert code == 0
+    assert not any("elapsed_ms" in check for check in payload["checks"])
 
 
 def test_cli_input_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from nscycles import (
@@ -5,18 +7,21 @@ from nscycles import (
     bonds,
     build_graph,
     circuits_meeting_once,
+    contract_edges,
     delete_edges,
     enumerate_circuits,
     gen_corpus,
     is_cut_candidate,
     minimal_cut_candidates,
     non_separating_circuits,
+    subdivide_every_edge,
     verify_cocircuit_identity,
     verify_graph,
 )
-from nscycles.cocircuits import MAX_CUT_SEARCH_EDGES
+from nscycles.cocircuits import MAX_BOND_VERTICES, MAX_CUT_SEARCH_EDGES
 from nscycles.errors import Disconnected, EmptyX, TooLarge
 
+from conftest import CORPUS_NAMES
 import oracles
 
 
@@ -55,6 +60,23 @@ def test_bonds_are_minimal_cuts(prism, w4):
             if oracles.is_minimal_edge_cut(g, combo)
         }
         assert {frozenset(b.edges.ids()) for b in bonds(g)} == cuts
+
+
+def test_bonds_match_bipartition_oracle():
+    graphs = [(name, gen_corpus(name)) for name in CORPUS_NAMES]
+    graphs += [(f"random3c-{n}#{seed}", gen_corpus(f"random3c-{n}", seed))
+               for n in range(4, 17) for seed in range(3)]
+    graphs += [(label + "+subdivided", subdivide_every_edge(g)) for label, g in graphs
+               if len(g.vertices) + len(g.edges) <= MAX_BOND_VERTICES]
+    graphs.append(("path", build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])))
+    multi, _ = contract_edges(gen_corpus("prism"), EdgeSet.from_ids([0, 1, 6], 9))
+    pairs = list(multi.psi.values())
+    assert any(u == v for u, v in pairs) and len(set(pairs)) < len(pairs)  # a loop, parallels
+    graphs.append(("prism/{0,1,6}", multi))
+    assert len(graphs) > 60
+    for label, g in graphs:
+        found = [(b.edges.ids(), b.side) for b in bonds(g)]
+        assert found == oracles.bonds_by_bipartition(g), label
 
 
 def test_bond_size_guard():
@@ -129,6 +151,28 @@ def test_circuits_meeting_once_preconditions(k4):
     assert not is_connected(delete_edges(k4, star))
     with pytest.raises(Disconnected):
         circuits_meeting_once(k4, star, nc)
+
+
+def test_circuits_meeting_once_matches_oracles(corpus):
+    # every edge pair, every bond and every bond less one edge: Disconnected
+    # exactly when the oracle finds g - x disconnected, else the first two
+    # catalog circuits meeting x once
+    for label, g in corpus:
+        nc = non_separating_circuits(g)
+        ids = sorted(g.edges)
+        cuts = [b.edges.ids() for b in bonds(g)]
+        pool = list(combinations(ids, 2)) + cuts + [cut[1:] for cut in cuts if len(cut) > 1]
+        for combo in pool:
+            x = g.edge_set(combo)
+            pairs = [g.psi[e] for e in ids if e not in combo]
+            adj = oracles.adjacency_from_pairs(g.vertices, pairs)
+            once = [c for c in nc.members if len(set(c.edges.ids()) & set(combo)) == 1]
+            assert is_cut_candidate(x, nc) == (not once), (label, combo)
+            if len(oracles.reachable(adj, min(g.vertices))) < len(g.vertices):
+                with pytest.raises(Disconnected):
+                    circuits_meeting_once(g, x, nc)
+            else:
+                assert circuits_meeting_once(g, x, nc) == tuple(once[:2]), (label, combo)
 
 
 def test_cocircuit_identity(k4, w4):

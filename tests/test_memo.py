@@ -25,7 +25,7 @@ from nscycles import (
     threads,
 )
 from nscycles import graph_core
-from nscycles.decomposition import _chain, _lift, _part, _reduction, _theta
+from nscycles.decomposition import _chain, _chain_bits, _lift, _part, _reduction, _theta
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -116,8 +116,8 @@ def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
 def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     g = subdivide_every_edge(gen_corpus("random3c-16"))
     decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
-    steps, terminal, _ = _chain(g)
-    walk = [g, *(reduced for _, _, reduced in steps)]
+    steps, terminal = _chain(g)
+    walk = [g, *(reduced for _, reduced in steps)]
 
     def reductions():
         return sum(key[0] is _reduction.__wrapped__ for h in walk for key in h._memo)
@@ -126,9 +126,23 @@ def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     assert walked == len(steps) > 5
     seq = ear_sequence(g)
     assert reductions() == walked
-    assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
+    assert [t for _, t in seq.steps] == [t for t, _ in steps]
     assert [fp for fp, _ in seq.steps] == [fingerprint(h) for h in walk[:-1]]
     assert seq.terminal is terminal
+
+
+def test_only_the_decomposition_builds_the_chain_bitmasks():
+    # ear_sequence reads the walk of _chain alone; the thread and vertex
+    # bitmasks of the lifts are built on the first decomposition
+    g = subdivide_every_edge(gen_corpus("random3c-12"))
+    seq = ear_sequence(g)
+    assert (_chain_bits.__wrapped__,) not in g._memo
+    decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
+    steps, terminal, at = g._memo[(_chain_bits.__wrapped__,)]
+    assert [(t, tbits) for t, tbits, _ in steps] == [(t, g.edge_set(t.edges).bits)
+                                                     for _, t in seq.steps]
+    assert terminal is seq.terminal
+    assert at == {v: g.edge_set(e for e, _ in g.adjacency[v]).bits for v in g.vertices}
 
 
 def test_decompose_runs_only_the_first_theta_search():

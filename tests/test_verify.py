@@ -1,9 +1,20 @@
 """The ``verify-all`` battery: what its checks run on, and that they run."""
 
 import importlib.util
+import random
 from pathlib import Path
 
-from nscycles import gen_corpus, verify_graph
+from nscycles import (
+    circuit_from_edges,
+    decompose_cs_element,
+    gen_corpus,
+    is_separating,
+    subdivide_every_edge,
+    verify,
+    verify_graph,
+)
+from nscycles.circuits import DEFAULT_CIRCUIT_CAP
+from nscycles.decomposition import DecompositionCertificate
 
 from conftest import CORPUS_NAMES
 import oracles
@@ -57,3 +68,58 @@ def test_runner_prints_its_skips(capsys):
     assert lines[-1].startswith("random3c-17-s0 ")
     assert lines[-1].endswith(" ok (skipped: cocircuit_recovery, cut_cycle_orthogonality)")
     assert all(line.endswith(" ok") for line in lines[:-1])
+
+
+def test_runner_names_each_graphs_slowest_check(capsys):
+    names = {c.name for c in verify_graph(gen_corpus("k4"), "k4").checks}
+    assert runner.main(["--sizes", "8", "--seeds", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(runner.NAMED) + 1
+    for line in lines:
+        slowest = line.split("  slowest ", 1)[1].split()
+        assert slowest[0] in names and slowest[1].isdigit() and slowest[2] == "ms", line
+
+
+def _replay_check(g, label):
+    return next(c for c in verify_graph(g, label).checks if c.name == "decomposition_replay")
+
+
+def test_replay_tests_each_distinct_part_once(monkeypatch):
+    certified, tested = [], []
+
+    def decompose(g, target):
+        cert = decompose_cs_element(g, target)
+        certified.extend(cert.parts)
+        return cert
+
+    def separating(g, c):
+        tested.append(c)
+        return is_separating(g, c)
+
+    monkeypatch.setattr(verify, "decompose_cs_element", decompose)
+    monkeypatch.setattr(verify, "is_separating", separating)
+    for label, g in [("random3c-10", gen_corpus("random3c-10")),
+                     ("random3c-14+subdivided", subdivide_every_edge(gen_corpus("random3c-14")))]:
+        certified.clear()
+        tested.clear()
+        passed, _ = verify._check_decomposition_replay(g, DEFAULT_CIRCUIT_CAP, random.Random(0))
+        assert passed, label
+        assert len(tested) == len(set(tested)) == len(set(certified)) < len(certified), label
+
+
+def test_replay_fails_on_a_separating_part_or_a_mismatch(monkeypatch):
+    g = gen_corpus("k5")
+
+    def whole(g, target):  # each target circuit as its own one part
+        return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
+
+    monkeypatch.setattr(verify, "decompose_cs_element", whole)
+    check = _replay_check(g, "k5")
+    assert (check.passed, check.details) == (False, "certificate part is separating")
+
+    def empty(g, target):  # parts that sum to nothing
+        return DecompositionCertificate(target, (), "")
+
+    monkeypatch.setattr(verify, "decompose_cs_element", empty)
+    check = _replay_check(g, "k5")
+    assert (check.passed, check.details) == (False, "replay mismatch")
