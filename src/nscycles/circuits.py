@@ -361,16 +361,17 @@ def split_on_path_chord(g: Graph, c: Circuit, t: Thread) -> tuple[Circuit, Circu
     """
     if not is_path_chord(g, c, t):
         raise NotAPathChord("thread is not a path-chord of the circuit")
-    x, y = t.endpoints
-    inc = _incidence(g.psi, c.edges.ids())
-    halves = [
-        circuit_from_edges(g, _walk(inc, x, e, w, (y,))[0] + list(t.edges))
-        for e, w in inc[x]
-    ]
-    lowest = c.edges.ids()[0]
-    if lowest in halves[0].edges:
-        return halves[0], halves[1]
-    return halves[1], halves[0]
+    return tuple(circuit_from_edges(g, EdgeSet(h, g.universe).ids())
+                 for h in _halves(g, c.edges.bits, *t.endpoints, g.edge_set(t.edges).bits))
+
+
+def _halves(g: Graph, q: int, x, y, tbits: int) -> tuple[int, int]:
+    """The edge bitmasks of the two walks of the circuit with edge bitmask
+    ``q`` from x to y, each closed by the thread with edge bitmask
+    ``tbits``, the one holding q's lowest edge id first."""
+    inc = _incidence(g.psi, EdgeSet(q, g.universe).ids())
+    r, s = (sum(1 << f for f in _walk(inc, x, e, w, (y,))[0]) | tbits for e, w in inc[x])
+    return (r, s) if r & q & -q else (s, r)
 
 
 def even_subgraph_to_circuits(g: Graph, x: EdgeSet) -> list[Circuit]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Disconnected, EmptyX, TooLarge, UniverseMismatch
-from .graph_core import EdgeSet, Graph, fingerprint, is_connected, memoized
+from .errors import Disconnected, EmptyX, TooLarge
+from .graph_core import EdgeSet, Graph, _check_universe, fingerprint, is_connected, memoized
 from .circuits import Circuit, NcCatalog, _vertex_bits, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
@@ -187,10 +187,7 @@ def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
     For a 3-connected host whose deletion of ``x`` stays connected, such a
     pair always exists; a CounterexampleReport return would refute that.
     """
-    if x.universe != g.universe:
-        raise UniverseMismatch(
-            f"edge set universe {x.universe} does not match graph universe {g.universe}"
-        )
+    _check_universe(g, x)
     if not x:
         raise EmptyX("the edge set must be nonempty")
     if not _connected_without(g, x):

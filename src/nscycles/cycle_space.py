@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Disconnected, NotInSpan, UniverseMismatch, VerificationFailed
-from .graph_core import EdgeSet, Graph, _incidence, bfs_tree, find_root, is_connected
+from .graph_core import (EdgeSet, Graph, _check_universe, _incidence, bfs_tree, find_root,
+                         is_connected)
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,7 @@ def sym_diff(x: EdgeSet, y: EdgeSet) -> EdgeSet:
 
 
 def _require_in_graph(g: Graph, x: EdgeSet) -> None:
-    if x.universe != g.universe:
-        raise UniverseMismatch(
-            f"edge set universe {x.universe} does not match graph universe {g.universe}"
-        )
+    _check_universe(g, x)
     missing = [e for e in x if e not in g.edges]
     if missing:
         raise UniverseMismatch(f"edge ids {missing} are not edges of the graph")

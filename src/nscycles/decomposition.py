@@ -8,8 +8,8 @@ check no intermediate part.  The output is certified instead (McConnell,
 Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011): each
 final part is checked once to be a circuit of the host and non-separating
 there, and the parts must sum to the target, so a returned certificate is
-sound whatever the passes did.  The public :func:`lift_circuit` keeps its
-checks on every call.
+sound whatever the passes did.  The public :func:`lift_circuit` takes the
+same split, ``circuits._halves``, and keeps its checks on every call.
 
 The theta search runs on the branch graph H alone, one edge per thread,
 and builds no circuit list.  One search returns the shortest
@@ -55,10 +55,8 @@ from .graph_core import (
     Thread,
     _branch_graph,
     _ear_step,
-    _incidence,
     _threads,
     _validate_thread,
-    _walk,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -70,6 +68,7 @@ from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
     _branch_cycle_circuit,
+    _halves,
     _induced_paths,
     _is_separating_edges,
     _separates,
@@ -77,7 +76,6 @@ from .circuits import (
     _vertex_bits,
     circuit_from_edges,
     non_separating_circuits,
-    split_on_path_chord,
 )
 
 
@@ -127,16 +125,6 @@ def count_threads(g: Graph) -> int:
     return len(threads(g))
 
 
-@memoized
-def _reduction(g: Graph) -> tuple[Thread, Graph]:
-    step = _ear_step(g)
-    if step is None:
-        raise VerificationFailed(
-            "no removable thread found; impossible for a subdivision of a 3-connected graph"
-        )
-    return step
-
-
 def find_reducible_thread(g: Graph) -> Thread:
     """Lexicographically first thread whose removal keeps the graph a
     subdivision of a 3-connected graph.
@@ -148,7 +136,7 @@ def find_reducible_thread(g: Graph) -> Thread:
     _require_top3(g)
     if is_top_k4(g):
         raise IsTopK4("already a subdivision of K4; nothing to reduce")
-    return _reduction(g)[0]
+    return _ear_step(g)[0]
 
 
 def ear_sequence(g: Graph) -> EarSequence:
@@ -241,15 +229,11 @@ def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
     """Lift a non-separating circuit of the thread-deleted graph back to ``g``.
 
     If the thread is not a path-chord of the circuit, the circuit survives
-    unchanged; otherwise it splits into the two cycles of its union with
-    the thread.  Either way the returned circuits are non-separating in
-    ``g`` and their GF(2) sum equals the input circuit.
+    unchanged; otherwise it splits, as :func:`_lift_bits` splits it, into
+    the two cycles of its union with the thread, the one holding the
+    circuit's smallest edge id first.  Either way the returned circuits are
+    non-separating in ``g`` and their GF(2) sum equals the input circuit.
     """
-    return list(_lift(g, t, q))
-
-
-@memoized
-def _lift(g: Graph, t: Thread, q: Circuit) -> tuple[Circuit, ...]:
     _validate_thread(g, t)
     reduced = thread_delete(g, t)
     try:
@@ -258,8 +242,9 @@ def _lift(g: Graph, t: Thread, q: Circuit) -> tuple[Circuit, ...]:
         raise NotInNcOfReduced(f"not a circuit of the reduced graph: {exc}") from exc
     if _is_separating_edges(reduced, q.edges):
         raise NotInNcOfReduced("circuit is separating in the reduced graph")
-    # q is a circuit of g - t, so t path-chords it iff q passes both of t's ends
-    lifted = split_on_path_chord(g, q, t) if set(t.endpoints) <= set(q.vertex_cycle) else (q,)
+    at = {v: sum(1 << e for e, _ in g.adjacency[v]) for v in t.endpoints}
+    lifted = [circuit_from_edges(g, EdgeSet(h, g.universe).ids())
+              for h in _lift_bits(g, at, t, g.edge_set(t.edges).bits, q.edges.bits)]
     for c in lifted:
         if _is_separating_edges(g, c.edges):
             raise VerificationFailed("lifted circuit is separating in the host")
@@ -277,7 +262,7 @@ def _chain(g: Graph) -> tuple[tuple, Graph]:
     from (g_0 = g), and the K4 terminal."""
     steps = []
     while not is_top_k4(g):
-        t, reduced = _reduction(g)
+        t, reduced = _ear_step(g)
         steps.append((t, reduced))
         g = reduced
     return tuple(steps), g
@@ -301,8 +286,7 @@ def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, 
     x, y = t.endpoints
     if not (q & at[x] and q & at[y]):
         return (q,)
-    inc = _incidence(g.psi, EdgeSet(q, g.universe).ids())
-    return tuple(sum(1 << f for f in _walk(inc, x, e, w, (y,))[0]) | tbits for e, w in inc[x])
+    return _halves(g, q, x, y, tbits)
 
 
 def _decompose(g: Graph, x: EdgeSet) -> set[int]:

@@ -7,15 +7,16 @@ across a graph and its minors.
 Derived results (fingerprints, connectivity tests, threads, circuit
 catalogs, reductions, decomposition parts) are memoized on the ``Graph``
 that owns them, through :func:`memoized`: they live and die with that
-graph.  A graph may be handed results at birth: the g - t that
-:func:`_ear_step` keeps gets the threads it derives from g's and the
-branch-graph index lists its removal test derives from g's, and no
+graph.  A graph may be handed results at birth: the g - t that the
+memoized :func:`_ear_step` keeps gets the threads it derives from g's and
+the branch-graph index lists its removal test derives from g's, and no
 reference to g.  The branch graph has one builder, :func:`_branch_graph`,
 and the index lists of the low-point DFS one, :func:`_index_lists`, read
 by the 3-connectivity test and by an ear sequence's removal tests alike.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
-a path-chord's ends are all traced by one walk, :func:`_walk`.
+a path-chord's ends (``circuits._halves``) are all traced by one walk,
+:func:`_walk`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     LoopRejected,
     NotAThread,
     UniverseMismatch,
+    VerificationFailed,
 )
 
 
@@ -742,13 +744,14 @@ def _removable(lists: tuple, i: int, j: int) -> tuple | None:
     return index, nbrs, suppressed
 
 
-def _ear_step(g: Graph) -> tuple[Thread, Graph] | None:
+@memoized
+def _ear_step(g: Graph) -> tuple[Thread, Graph]:
     """The first thread t of top-3-connected ``g`` whose removal leaves it
-    top-3-connected, and g - t; None if there is none.  Removals are
-    decided on g's branch-graph lists, so g - t is built only for the
-    thread removed.  g - t is handed its connectivity, its threads derived
-    from g's, the lists its removal test derived, and, while more than
-    four branch vertices are left, that it is no subdivision of K4."""
+    top-3-connected, and g - t; VerificationFailed if there is none.
+    Removals are decided on g's branch-graph lists, so g - t is built only
+    for the thread removed.  g - t is handed its connectivity, its threads
+    derived from g's, the lists its removal test derived, and, while more
+    than four branch vertices are left, that it is no subdivision of K4."""
     ts = _threads(g)
     lists = _lists(g)
     index = lists[0]
@@ -763,7 +766,9 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph] | None:
             if len(index) - len(reduced_lists[2]) > 4:
                 _remember(reduced, is_top_k4, False)
             return t, reduced
-    return None
+    raise VerificationFailed(
+        "no removable thread found; impossible for a subdivision of a 3-connected graph"
+    )
 
 
 @memoized

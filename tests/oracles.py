@@ -231,21 +231,25 @@ def theta_pairs_by_search(nc_members, thread_edges, thread_vertices) -> list:
 
 
 def circuits_by_cycle_space(g) -> set[frozenset]:
-    """All circuits of a connected graph: the members of its cycle space
-    (XORs of the fundamental cycles of a BFS tree) that are connected and
-    2-regular.  Costs 2^(m - n + 1) cycle-space members."""
-    root = min(g.vertices)
-    parent = {root: (None, None)}  # vertex -> (parent, tree edge)
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e in sorted(g.edges):
-            a, b = g.psi[e]
-            if v in (a, b):
-                w = b if v == a else a
-                if w not in parent:
-                    parent[w] = (v, e)
-                    queue.append(w)
+    """All circuits of a graph: the members of its cycle space (XORs of the
+    fundamental cycles of a BFS forest, one tree per component from its
+    least vertex) that are connected and 2-regular.  Costs 2^(m - n + c)
+    cycle-space members, c the number of components."""
+    parent: dict = {}  # vertex -> (parent, tree edge)
+    for root in sorted(g.vertices):
+        if root in parent:
+            continue
+        parent[root] = (None, None)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for e in sorted(g.edges):
+                a, b = g.psi[e]
+                if v in (a, b):
+                    w = b if v == a else a
+                    if w not in parent:
+                        parent[w] = (v, e)
+                        queue.append(w)
     tree = {e for _, e in parent.values() if e is not None}
 
     def root_path(v) -> int:
@@ -269,6 +273,17 @@ def circuits_by_cycle_space(g) -> set[frozenset]:
             if is_circuit_edge_set(g, ids):
                 out.add(frozenset(ids))
     return out
+
+
+def split_by_enumeration(g, q_ids, t_edges) -> set[frozenset]:
+    """The circuits of ``g`` inside the edges of the circuit q and the
+    thread t, other than q, as edge-id sets: every circuit of that
+    subgraph, by :func:`circuits_by_cycle_space`.  When t is a path-chord
+    of q these are the two halves of its split; else there are none."""
+    ids = set(q_ids) | set(t_edges)
+    psi = {e: g.psi[e] for e in ids}
+    sub = SimpleNamespace(vertices={v for p in psi.values() for v in p}, edges=ids, psi=psi)
+    return circuits_by_cycle_space(sub) - {frozenset(q_ids)}
 
 
 def block_count_by_removal(vertices, pairs) -> int:
@@ -496,11 +511,12 @@ def decompose_by_peeling(g, x) -> list[tuple]:
     only the order of evaluation differs from the library's."""
     from nscycles import (Gf2Matrix, even_subgraph_to_circuits, express_in_span,
                           is_top_k4, lift_circuit, non_separating_circuits)
-    from nscycles.decomposition import _reduction, _theta
+    from nscycles.decomposition import _theta
+    from nscycles.graph_core import _ear_step
 
     levels = [g]  # the graphs of the ear sequence, host first
     while not is_top_k4(levels[-1]):
-        levels.append(_reduction(levels[-1])[1])
+        levels.append(_ear_step(levels[-1])[1])
     terminal = levels[-1]
     catalog = non_separating_circuits(terminal).members
     matrix = Gf2Matrix.from_rows([c.edges for c in catalog], terminal.universe)
@@ -519,7 +535,7 @@ def decompose_by_peeling(g, x) -> list[tuple]:
         if h is terminal:
             out = [catalog[i] for i in express_in_span(circ.edges, matrix).coefficients]
         else:
-            t = _reduction(h)[0]
+            t = _ear_step(h)[0]
             parts, rest = [], circ.edges
             if set(t.edges) <= set(circ.edges.ids()):
                 p = _theta(h, t, t.endpoints)

@@ -31,8 +31,8 @@ from nscycles.circuits import (
     _induced_paths,
     _vertex_bits,
 )
-from nscycles.decomposition import _distances_to, _reduction
-from nscycles.graph_core import _branch_graph, _threads, is_top_k4
+from nscycles.decomposition import _distances_to
+from nscycles.graph_core import _branch_graph, _ear_step, _threads, is_top_k4
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -283,7 +283,7 @@ def _levels(g) -> list:
     """g and every graph below it down its ear sequence."""
     out = [g]
     while not is_top_k4(out[-1]):
-        out.append(_reduction(out[-1])[1])
+        out.append(_ear_step(out[-1])[1])
     return out
 
 

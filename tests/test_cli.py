@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from nscycles import build_graph, fingerprint, gen_corpus, graph_core, is_k_connected
+from nscycles import build_graph, decomposition, fingerprint, gen_corpus, graph_core, is_k_connected
 from nscycles.cli import _COMMANDS, MAX_EDGE_LIST_VERTICES, parse_edge_list, run_command
 from nscycles.corpus import MAX_GEN_N
 from nscycles.errors import LoopRejected, ParseError, TooLarge, UnknownName
@@ -319,6 +319,26 @@ def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
         "name": "ear_assembly_reduction",
         "pass": False,
         "details": "intermediate graph fails the reduction invariant",
+    }
+
+
+def test_cli_verify_all_catches_a_wrong_split(monkeypatch, capsys):
+    # the path-chord split returns the circuit itself as both halves: each
+    # has the thread as a chord, so lift_circuit's check in the host fails
+    split = []
+
+    def unsplit(g, q, x, y, tbits):
+        split.append(q)
+        return q, q
+
+    monkeypatch.setattr(decomposition, "_halves", unsplit)
+    code, payload = run_json(["verify-all", "--gen", "k5"], capsys)
+    assert split and code == 1
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["path_chord_split_lifting"] == {
+        "name": "path_chord_split_lifting",
+        "pass": False,
+        "details": "VerificationFailed: lifted circuit is separating in the host",
     }
 
 

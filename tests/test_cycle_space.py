@@ -36,6 +36,18 @@ def test_membership(k4):
         is_cycle_space_member(k4, EdgeSet.from_ids([0], 5))
 
 
+def test_graph_universe_checks_share_one_message(k4):
+    # the membership test and the unit-overlap search both reject an edge
+    # set over another universe with the graph's own universe check
+    from nscycles import circuits_meeting_once, non_separating_circuits
+    message = "edge set universe 5 does not match graph universe 6"
+    foreign = EdgeSet.from_ids([0], 5)
+    with pytest.raises(UniverseMismatch, match=f"^{message}$"):
+        is_cycle_space_member(k4, foreign)
+    with pytest.raises(UniverseMismatch, match=f"^{message}$"):
+        circuits_meeting_once(k4, foreign, non_separating_circuits(k4))
+
+
 def test_membership_closed_under_sym_diff(k4):
     circuits = [k4.edge_set(ids) for ids in K4_TRIANGLES]
     for x in circuits:

@@ -32,7 +32,6 @@ from nscycles import (
     threads,
 )
 from nscycles import decomposition
-from nscycles.decomposition import _reduction
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected, VerificationFailed
 
 import oracles
@@ -230,14 +229,26 @@ def test_lift_rejects_circuits_outside_reduced_nc(k5):
     (f"random3c-{n}", seed) for n in range(8, 15) for seed in range(3)])
 def test_lift_splits_exactly_the_circuits_through_both_thread_ends(name, seed):
     # a circuit q of g - t meets t at most in its ends, so t path-chords q
-    # iff q passes both of them
-    g = gen_corpus(name, seed)
-    while not is_top_k4(g):
-        t, reduced = _reduction(g)
+    # iff q passes both of them; the split, as split_on_path_chord, the
+    # decomposition's lift and lift_circuit take it, is the two circuits of
+    # q + t other than q, found by the brute-force oracle
+    host = gen_corpus(name, seed)
+    steps, _, at = decomposition._chain_bits(host)
+    g = host
+    for t, tbits, reduced in steps:
         for q in non_separating_circuits(reduced).members:
+            halves = oracles.split_by_enumeration(g, q.edges.ids(), t.edges)
             chord = set(t.endpoints) <= set(q.vertex_cycle)
-            assert chord == is_path_chord(g, q, t)
-            expected = list(split_on_path_chord(g, q, t)) if chord else [q]
+            assert chord == is_path_chord(g, q, t) == bool(halves)
+            lifted = decomposition._lift_bits(host, at, t, tbits, q.edges.bits)
+            assert len(lifted) == (2 if chord else 1)
+            assert {frozenset(EdgeSet(b, g.universe).ids()) for b in lifted} == \
+                (halves or {frozenset(q.edges.ids())})
+            expected = [q]
+            if chord:
+                expected = list(split_on_path_chord(g, q, t))
+                assert {frozenset(c.edges.ids()) for c in expected} == halves
+                assert q.edges.ids()[0] in expected[0].edges
             assert lift_circuit(g, t, q) == expected
         g = reduced
 

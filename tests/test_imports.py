@@ -1,9 +1,11 @@
-"""The runtime imports nothing outside the standard library, and each
-module of the library, its tests and its scripts uses every name it
-imports or re-exports it in ``__all__``."""
+"""The runtime imports nothing outside the standard library, each module
+of the library, its tests and its scripts uses every name it imports or
+re-exports it in ``__all__``, and every private top-level definition of
+the library is named somewhere else in it."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,24 @@ def test_every_imported_name_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used - _exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def _references(tree) -> list:
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_definition_has_a_caller():
+    # a private top-level function or class that nothing else in the
+    # library names is a layer that lost its last caller
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    named = Counter(name for tree in trees.values() for name in _references(tree))
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own = _references(node).count(node.name)  # recursion
+                if named[node.name] == own:
+                    orphans.append(f"{module}:{node.name}")
+    assert not orphans, f"private definitions nothing else names: {orphans}"

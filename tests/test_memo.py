@@ -25,7 +25,9 @@ from nscycles import (
     threads,
 )
 from nscycles import graph_core
-from nscycles.decomposition import _chain, _chain_bits, _lift, _part, _reduction, _theta
+from nscycles.circuits import _is_separating_edges
+from nscycles.decomposition import _chain, _chain_bits, _part, _theta
+from nscycles.graph_core import _ear_step
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -120,7 +122,7 @@ def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     walk = [g, *(reduced for _, reduced in steps)]
 
     def reductions():
-        return sum(key[0] is _reduction.__wrapped__ for h in walk for key in h._memo)
+        return sum(key[0] is _ear_step.__wrapped__ for h in walk for key in h._memo)
 
     walked = reductions()
     assert walked == len(steps) > 5
@@ -160,7 +162,7 @@ def test_decompose_runs_only_the_first_theta_search():
             decompose_cs_element(g, total)
             current = g
             while not is_top_k4(current):
-                t, reduced = _reduction(current)
+                t, reduced = _ear_step(current)
                 keys = [key for key in current._memo if key[0] is _theta.__wrapped__]
                 assert all(key[1:] == (t, t.endpoints) for key in keys), keys
                 searched += len(keys)
@@ -174,16 +176,17 @@ def test_decompose_runs_only_the_first_theta_search():
 
 
 def test_decompose_checks_only_its_final_parts():
-    # the lifts down the ear sequence run no per-level checks; each final
-    # part is certified once, in the host
+    # the lifts down the ear sequence run no per-level checks: below the
+    # host, a graph's only separation test is of its own theta circuit;
+    # each final part is certified once, in the host
     g = subdivide_every_edge(gen_corpus("random3c-12"))
     cert = decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
-    current = g
-    while True:
-        assert not any(key[0] is _lift.__wrapped__ for key in current._memo)
-        if is_top_k4(current):
-            break
-        current = _reduction(current)[1]
+    steps, _ = _chain(g)
+    assert len(steps) > 5
+    for _, level in steps:
+        thetas = {c.edges for key, c in level._memo.items() if key[0] is _theta.__wrapped__}
+        tested = {key[1] for key in level._memo if key[0] is _is_separating_edges.__wrapped__}
+        assert tested <= thetas, fingerprint(level)
     certified = {key[1] for key in g._memo if key[0] is _part.__wrapped__}
     assert certified == {p.edges.bits for p in cert.parts}
     assert fingerprint(g) is cert.host_fingerprint
@@ -197,7 +200,8 @@ def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
     assert theta_pair(g, threads(g)[0]).first
     h, _ = suppress_degree_two(g)
     assert suppress_degree_two(g)[0] is h
-    assert {"_lift", "_theta", "_branch_graph"} <= {key[0].__name__ for key in g._memo}
+    assert {"thread_delete", "_is_separating_edges", "_theta", "_branch_graph"} <= {
+        key[0].__name__ for key in g._memo}
     del g, t, q, h
     assert _graph_count() == before
 
