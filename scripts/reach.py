@@ -14,6 +14,11 @@ trial is recorded.  BUDGET_S is fixed so that every committed
 result file is comparable with every other; it covers the whole invocation, interpreter
 start and graph generation included.
 
+Bisection tests only a few N, so a slow N between two fast ones goes
+unseen.  theta and decompose are therefore also run at every N of a fixed
+sweep, N = 100, 110, ..., 1000, at the same budget: the file records each
+sweep's worst passing time and every N that failed, beside each trial.
+
 theta takes the graph's first thread; decompose takes the XOR of its
 fundamental basis as the target.  The result file also records the git
 SHA (suffixed -dirty for an uncommitted tree), the sha256 of the
@@ -99,6 +104,18 @@ def reach(command: str) -> dict:
     return {"largest_n": best, "trials": trials}
 
 
+def sweep(command: str) -> dict:
+    trials = []
+    for n in range(100, 1001, 10):
+        trials.append(trial(command, n))
+        print(f"{command} sweep N={n}: {trials[-1]['status']} {trials[-1]['seconds']}",
+              file=sys.stderr)
+    passed = [t["seconds"] for t in trials if t["status"] == "ok"]
+    return {"worst_seconds": max(passed, default=None),
+            "failing_n": [t["n"] for t in trials if t["status"] != "ok"],
+            "trials": trials}
+
+
 def _git_sha() -> str | None:
     try:
         done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -139,10 +156,13 @@ def main() -> int:
         "budget_s": BUDGET_S,
         "seed": 0,
         "commands": {command: reach(command) for command in COMMANDS},
+        "sweeps": {command: sweep(command) for command in ("theta", "decompose")},
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for command, row in result["commands"].items():
         print(f"{command}: largest N = {row['largest_n']}")
+    for command, row in result["sweeps"].items():
+        print(f"{command} sweep: worst {row['worst_seconds']} s, failing N = {row['failing_n']}")
     return 0
 
 

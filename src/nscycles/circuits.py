@@ -230,7 +230,25 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None, limit=None):
+class _NearestFirst(dict):
+    """Vertex -> its (edge, neighbor) steps in ``h`` to the vertices of
+    ``bound``, by ascending length plus bound (see :func:`_induced_paths`):
+    a tip's steps are sorted on their first lookup and kept, so a search
+    sorts only the tips it reaches."""
+
+    def __init__(self, h: Graph, weight: list, bound: dict):
+        super().__init__()
+        self.adjacency, self.weight, self.bound = h.adjacency, weight, bound
+
+    def __missing__(self, v):
+        weight, bound = self.weight, self.bound
+        steps = self[v] = sorted((p for p in self.adjacency[v] if p[1] in bound),
+                                 key=lambda p: weight[p[0]] + bound[p[1]])
+        return steps
+
+
+def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None, limit=None,
+                   order=None):
     """Each induced path of the simple graph ``h`` that leaves ``start``
     through the vertices whose bits are in ``allowed`` and stops at the
     first one in ``ends``, as its vertices but the last (a list the search
@@ -247,13 +265,13 @@ def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None,
     search runs), the search is bounded: the tip's edges are tried nearest
     first, and a step is dropped when its length plus its bound is
     strictly greater than ``limit[0]``, so every path within the limit is
-    still yielded.  It stays exponential in the worst case.
+    still yielded.  It stays exponential in the worst case.  ``order``, the
+    tip's steps nearest first (a :class:`_NearestFirst`), may be given by a
+    caller that searches under several limits, so each tip is sorted once.
     """
     bit, nbrs = _vertex_bits(h)
-    # the tip's steps: nearest first when bounded
-    order = h.adjacency if limit is None else {
-        v: sorted((p for p in pairs if p[1] in bound), key=lambda p: weight[p[0]] + bound[p[1]])
-        for v, pairs in h.adjacency.items()}
+    if order is None:
+        order = h.adjacency if limit is None else _NearestFirst(h, weight, bound)
     path = [start]
     # DFS frames: (free vertices, edge bitmask and length of the path,
     # iterator over its tip's edges)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyX, TooLarge
-from .graph_core import EdgeSet, Graph, _check_universe, fingerprint, is_connected, memoized
+from .graph_core import (EdgeSet, Graph, _check_universe, _incident_bits, fingerprint,
+                         is_connected, memoized)
 from .circuits import Circuit, NcCatalog, _vertex_bits, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
@@ -62,8 +63,7 @@ def _bonds(g: Graph) -> tuple[Bond, ...]:
         return ()
     bit, nbrs = _vertex_bits(g)
     full = (1 << len(bit)) - 1
-    # index -> mask of its non-loop edges
-    incident = [sum(1 << e for e, w in pairs if w != v) for v, pairs in g.adjacency.items()]
+    incident = list(_incident_bits(g).values())  # index -> mask of its non-loop edges
     root = bit[min(g.vertices)]
     out = []
     # (side, cut, extension, barred), from the empty side, whose one extension is the root

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Disconnected, NotInSpan, UniverseMismatch, VerificationFailed
-from .graph_core import (EdgeSet, Graph, _check_universe, _incidence, bfs_tree, find_root,
+from .graph_core import (EdgeSet, Graph, _check_universe, _incident_bits, bfs_tree, find_root,
                          is_connected)
 
 
@@ -77,9 +77,18 @@ def _require_in_graph(g: Graph, x: EdgeSet) -> None:
 
 
 def is_cycle_space_member(g: Graph, x: EdgeSet) -> bool:
-    """True iff every vertex has even degree in the subgraph on ``x``."""
-    _require_in_graph(g, x)
-    return all(len(lst) % 2 == 0 for lst in _incidence(g.psi, x).values())
+    """True iff every vertex has even degree in the subgraph on ``x``, read
+    as the parity of x's bits in each vertex's edge mask.  Bits of x on no
+    such mask, loops or no edge of g, are checked to be g's edges."""
+    _check_universe(g, x)
+    bits, seen, odd = x.bits, 0, 0
+    for mask in _incident_bits(g).values():
+        common = bits & mask
+        seen |= common
+        odd |= common.bit_count() & 1
+    if seen != bits:
+        _require_in_graph(g, x)
+    return not odd
 
 
 def fundamental_basis(g: Graph) -> list[EdgeSet]:

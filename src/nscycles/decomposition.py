@@ -2,9 +2,12 @@
 
 The decomposition runs the induction on threads in one pass down the ear
 sequence, toggling the target with a theta circuit wherever it holds the
-removed thread, and one pass back up, lifting the parts and splitting them
-along path-chords; nothing recurses.  Both passes run on edge bitmasks and
-check no intermediate part.  The output is certified instead (McConnell,
+removed thread; nothing recurses.  The parts are the lifts to the host of
+those theta circuits and of the K4 terminal's catalog members used, kept
+or split along path-chords step by step, mod 2.  Each such lift is built
+once per host and source and kept in the host's memo, so later targets on
+one host only sum them.  Everything runs on edge bitmasks, and no
+intermediate part is checked.  The output is certified instead (McConnell,
 Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011): each
 final part is checked once to be a circuit of the host and non-separating
 there, and the parts must sum to the target, so a returned certificate is
@@ -20,8 +23,10 @@ that exactly in the thread (alpha = |E| - |C|); the decomposition needs
 only the first.  Non-separating circuits are chordless in H (Tutte 1963),
 so each is the thread plus an induced path between its ends there, grown
 by a depth-first search that drops a path once its length plus its
-Dijkstra distance to the far end exceeds the best circuit found so far;
-it stays exponential in the worst case.  The non-separating catalog is
+Dijkstra distance to the far end exceeds a limit.  The limit starts at the
+least such bound and rises by 1 until a circuit is found, then drops to
+the best circuit found so far, so no path longer than the answer is
+grown; it stays exponential in the worst case.  The non-separating catalog is
 built only for the K4 terminal of the induction.
 
 A thread t = xy is removable when g - t stays top-3-connected, decided on
@@ -55,6 +60,7 @@ from .graph_core import (
     Thread,
     _branch_graph,
     _ear_step,
+    _incident_bits,
     _threads,
     _validate_thread,
     fingerprint,
@@ -67,6 +73,7 @@ from .graph_core import (
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
+    _NearestFirst,
     _branch_cycle_circuit,
     _halves,
     _induced_paths,
@@ -109,10 +116,11 @@ class DecompositionCertificate:
     host_fingerprint: str
 
     def replay(self) -> EdgeSet:
-        total = EdgeSet.empty(self.target.universe)
+        total = 0
         for part in self.parts:
-            total = total ^ part.edges
-        return total
+            self.target._check(part.edges)
+            total ^= part.edges.bits
+        return EdgeSet(total, self.target.universe)
 
 
 def _require_top3(g: Graph) -> None:
@@ -162,11 +170,12 @@ def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
     dist = {w: weight[e] for w, e in ends.items()}
     heap = [(d, w) for w, d in dist.items()]
     heapq.heapify(heap)
+    adjacency = h.adjacency
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for e, w in h.adjacency[v]:
+        for e, w in adjacency[v]:
             if w in allowed and w not in ends and d + weight[e] < dist.get(w, math.inf):
                 dist[w] = d + weight[e]
                 heapq.heappush(heap, (dist[w], w))
@@ -180,7 +189,10 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     on ties: t plus an induced x-y path of h - t's edge off ``avoid``, as
     non-separating circuits are chordless in the branch graph h.  The path
     stops at the first neighbor of y, as an edge from a path vertex to y
-    would be a chord.  VerificationFailed if there is none."""
+    would be a chord.  The search is deepened: every path within a limit
+    is yielded, and the limit rises by 1 from the least bound, so the
+    first limit at which a circuit appears is the shortest one's length.
+    VerificationFailed if there is none."""
     h = _branch_graph(g)
     x, y = t.endpoints
     ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
@@ -189,14 +201,19 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
     bound = _distances_to(h, weight, to_y, allowed)
     free = sum(map(_vertex_bits(h)[0].__getitem__, allowed))
-    limit = [math.inf]  # on the length of the x-y path
-    best = None
-    for path, bits, last in _induced_paths(h, x, free, to_y, weight, bound, limit):
-        bits |= 1 << to_y[last] | 1 << ht
-        if not _separates(h, {*path, last, y}, 0):
-            c = _branch_cycle_circuit(g, bits)
-            if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
-                best, limit[0] = c, len(c) - weight[ht]
+    order = _NearestFirst(h, weight, bound)
+    # on the length of the x-y path, which is shorter than all threads
+    # together: past that, the search was exhaustive
+    limit = [min((weight[e] + bound[w] for e, w in order[x]), default=math.inf)]
+    best, total = None, sum(weight)
+    while best is None and limit[0] < total:
+        for path, bits, last in _induced_paths(h, x, free, to_y, weight, bound, limit, order):
+            bits |= 1 << to_y[last] | 1 << ht
+            if not _separates(h, {*path, last, y}, 0):
+                c = _branch_cycle_circuit(g, bits)
+                if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
+                    best, limit[0] = c, len(c) - weight[ht]
+        limit[0] += 1
     if best is None or _is_separating_edges(g, best.edges):
         raise VerificationFailed("the shortest non-separating theta pair is separating")
     return best
@@ -215,8 +232,8 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     ``first`` is chordless in the branch graph H, H has minimum degree 3,
     and H - V(first) is connected, so the thread's ends each have a
     neighbor in it and are joined through it.  Both circuits are grown as
-    induced paths of H by a search bounded by the best circuit found so
-    far, exponential in the worst case.  Outputs are verified
+    induced paths of H by a search bounded by a limit raised from below,
+    exponential in the worst case.  Outputs are verified
     non-separating before returning; VerificationFailed otherwise.
     """
     _require_top3(g)
@@ -242,9 +259,9 @@ def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:
         raise NotInNcOfReduced(f"not a circuit of the reduced graph: {exc}") from exc
     if _is_separating_edges(reduced, q.edges):
         raise NotInNcOfReduced("circuit is separating in the reduced graph")
-    at = {v: sum(1 << e for e, _ in g.adjacency[v]) for v in t.endpoints}
+    tbits = g.edge_set(t.edges).bits
     lifted = [circuit_from_edges(g, EdgeSet(h, g.universe).ids())
-              for h in _lift_bits(g, at, t, g.edge_set(t.edges).bits, q.edges.bits)]
+              for h in _lift_bits(g, _incident_bits(g), t, tbits, q.edges.bits)]
     for c in lifted:
         if _is_separating_edges(g, c.edges):
             raise VerificationFailed("lifted circuit is separating in the host")
@@ -272,10 +289,11 @@ def _chain(g: Graph) -> tuple[tuple, Graph]:
 def _chain_bits(g: Graph) -> tuple[tuple, Graph, dict]:
     """The steps of :func:`_chain` as (t, t's edge bitmask, g_i - t), the
     K4 terminal, and each vertex of g mapped to the bitmask of its edges in
-    g: what the lifts read, built on the first decomposition."""
+    g (:func:`_incident_bits`): what the lifts read, built on the first
+    decomposition."""
     steps, terminal = _chain(g)
-    at = {v: sum(1 << e for e, _ in pairs) for v, pairs in g.adjacency.items()}
-    return tuple((t, sum(1 << e for e in t.edges), reduced) for t, reduced in steps), terminal, at
+    return (tuple((t, sum(1 << e for e in t.edges), reduced) for t, reduced in steps), terminal,
+            _incident_bits(g))
 
 
 def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
@@ -289,6 +307,24 @@ def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, 
     return _halves(g, q, x, y, tbits)
 
 
+@memoized
+def _lifted(g: Graph, i: int, q: int) -> frozenset:
+    """The edge bitmasks of host circuits that q, the edge bitmask of a
+    non-separating circuit of g_i (the K4 terminal for i = the number of
+    steps), becomes when lifted up steps i - 1, ..., 0 of
+    :func:`_chain_bits`, mod 2: each lift keeps a part or splits it, and
+    the lemma keeps every part non-separating.  Built once per host and
+    source, a p or a terminal member, and kept in the host's memo."""
+    steps, _, at = _chain_bits(g)
+    parts = {q}
+    for t, tbits, _ in reversed(steps[:i]):
+        lifted = set()
+        for r in parts:
+            lifted.symmetric_difference_update(_lift_bits(g, at, t, tbits, r))
+        parts = lifted
+    return frozenset(parts)
+
+
 def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     """Edge bitmasks of non-separating circuits of ``g`` summing to the
     even set x, each still to be certified (see ``_part``).
@@ -296,49 +332,48 @@ def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     Down the ear sequence, an x holding the removed thread t is toggled
     with p, the shortest non-separating circuit through t (the first of
     t's theta pair, found by one search); at the K4 terminal, x is
-    expressed in the catalog; back up, the parts are p plus the lifts of
-    the parts below, mod 2.  Both passes run on edge bitmasks and check no
-    intermediate part: the lemma makes each lift non-separating, and the
-    final parts are checked once.  This is linear in x: the catalog
-    expression reduces against fixed pivots, lifts are summed part by
-    part, p is fixed by (g, t), and an even set holds t iff it holds t's
-    first edge.  So any split of x, such as a peel into circuits, gives
-    these same parts.
+    expressed in the catalog.  The parts are the lifts to g of each p and
+    of each catalog member used, mod 2: lifting is linear, so this is the
+    pass back up that lifts the parts below and adds p at each step.  The
+    lifts are built once per host and source (:func:`_lifted`), so a
+    repeated target on one host lifts nothing.  Everything runs on edge
+    bitmasks and no intermediate part is checked: the lemma makes each
+    lift non-separating, and the final parts are checked once.  This is
+    linear in x: the catalog expression reduces against fixed pivots, p
+    is fixed by (g, t), and an even set holds t iff it holds t's first
+    edge.  So any split of x, such as a peel into circuits, gives these
+    same parts.
     """
-    steps, terminal, at = _chain_bits(g)
-    used = []  # p's bitmask at each step, if x holds t
+    steps, terminal, _ = _chain_bits(g)
+    parts: set[int] = set()
     bits, level = x.bits, g
-    for t, tbits, reduced in steps:
-        lifted = set()
+    for i, (t, tbits, reduced) in enumerate(steps):
         if bits & tbits:
             if bits & tbits != tbits:
                 raise VerificationFailed("edge set meets the thread in a proper nonempty subset")
             p = _theta(level, t, t.endpoints).edges.bits
-            lifted.add(p)
+            parts ^= _lifted(g, i, p)
             bits ^= p
-        used.append(lifted)
         level = reduced
     members = non_separating_circuits(terminal).members
     coefficients = express_in_span(EdgeSet(bits, g.universe), _catalog_matrix(terminal)).coefficients
-    parts = {members[i].edges.bits for i in coefficients}
-    for (t, tbits, _), lifted in zip(reversed(steps), reversed(used)):
-        for q in parts:
-            lifted.symmetric_difference_update(_lift_bits(g, at, t, tbits, q))
-        parts = lifted
+    for j in coefficients:
+        parts ^= _lifted(g, len(steps), members[j].edges.bits)
     return parts
 
 
 @memoized
-def _part(g: Graph, bits: int) -> Circuit:
-    """The circuit of ``g`` with edge bitmask ``bits``, certified: it must be
-    a circuit of g and non-separating there; VerificationFailed otherwise."""
+def _part(g: Graph, bits: int) -> tuple[tuple[int, ...], Circuit]:
+    """The circuit of ``g`` with edge bitmask ``bits``, certified, after its
+    sort key: it must be a circuit of g and non-separating there;
+    VerificationFailed otherwise."""
     try:
         c = circuit_from_edges(g, EdgeSet(bits, g.universe).ids())
     except NotACircuit as exc:
         raise VerificationFailed(f"decomposition part is not a circuit: {exc}") from exc
     if _is_separating_edges(g, c.edges):
         raise VerificationFailed("decomposition part is separating in the host")
-    return c
+    return c.sort_key(), c
 
 
 def decompose_circuit(g: Graph, a: Circuit) -> DecompositionCertificate:
@@ -355,7 +390,7 @@ def decompose_cs_element(g: Graph, x: EdgeSet) -> DecompositionCertificate:
     _require_top3(g)
     if not is_cycle_space_member(g, x):
         raise NotEven("edge set has a vertex of odd degree")
-    parts = tuple(sorted((_part(g, q) for q in _decompose(g, x)), key=Circuit.sort_key))
+    parts = tuple(c for _, c in sorted(_part(g, q) for q in _decompose(g, x)))
     cert = DecompositionCertificate(x, parts, fingerprint(g))
     if cert.replay() != x:
         raise VerificationFailed("certificate replay does not reproduce the target")

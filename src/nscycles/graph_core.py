@@ -245,6 +245,14 @@ def fingerprint(g: Graph) -> str:
     return hashlib.sha256(repr(g._key).encode()).hexdigest()[:16]
 
 
+@memoized
+def _incident_bits(g: Graph) -> dict:
+    """Vertex -> the bitmask of its non-loop edges, in ``g.adjacency``
+    order: a vertex's degree parity in an edge set is that of its mask's
+    bits there, as a loop adds 2."""
+    return {v: sum(1 << e for e, w in pairs if w != v) for v, pairs in g.adjacency.items()}
+
+
 def build_graph(vertex_count: int, edge_pairs) -> Graph:
     """Build a simple graph with edge ids 0..m-1 in input order."""
     vertices = range(vertex_count)

@@ -1,13 +1,19 @@
+import random
+import re
+
 import pytest
 
 from nscycles import (
     EdgeSet,
     Gf2Matrix,
     build_graph,
+    contract_edges,
     cyclomatic_number,
     express_in_span,
+    fingerprint,
     fundamental_basis,
     gf2_rank,
+    is_connected,
     is_cycle_space_member,
     sym_diff,
 )
@@ -46,6 +52,49 @@ def test_graph_universe_checks_share_one_message(k4):
         is_cycle_space_member(k4, foreign)
     with pytest.raises(UniverseMismatch, match=f"^{message}$"):
         circuits_meeting_once(k4, foreign, non_separating_circuits(k4))
+
+
+def _minors(g) -> list:
+    """g contracted along seeded random edge sets: multigraphs with loops
+    and parallel edges, over g's universe."""
+    rng = random.Random(fingerprint(g))
+    ids = sorted(g.edges)
+    return [contract_edges(g, g.edge_set(rng.sample(ids, k)))[0]
+            for k in (1, 2, len(ids) // 3, len(ids) // 2)]
+
+
+def test_membership_matches_incidence_parity_on_multigraphs(corpus):
+    # each vertex's parity is read off its non-loop edge mask; a loop adds
+    # 2 to its vertex's degree, so it never changes the answer
+    loops = parallel = 0
+    for label, host in corpus:
+        for g in [host, *_minors(host)]:
+            loops += sum(u == v for u, v in g.psi.values())
+            parallel += not g.simple
+            rng = random.Random(label)
+            ids = sorted(g.edges)
+            for _ in range(24):
+                x = g.edge_set(e for e in ids if rng.random() < 0.5)
+                assert is_cycle_space_member(g, x) == oracles.even_degrees(g, x.ids()), \
+                    (label, x.ids())
+            for row in fundamental_basis(g) if is_connected(g) else ():
+                assert is_cycle_space_member(g, row)
+    assert loops > 100 and parallel > 100
+
+
+def test_membership_rejects_non_edges_and_foreign_universes(k4):
+    # on a minor, the contracted edges are ids of the universe but no edges
+    # of the graph; each is named, whatever the parity of the rest
+    g, _ = contract_edges(k4, k4.edge_set([0, 2, 5]))
+    assert any(u == v for u, v in g.psi.values())
+    for ids in ([0, 1], [0, 2, 3], [1, 3, 5]):
+        gone = [e for e in ids if e not in g.edges]
+        with pytest.raises(UniverseMismatch, match=re.escape(
+                f"edge ids {gone} are not edges of the graph")):
+            is_cycle_space_member(g, g.edge_set(ids))
+    with pytest.raises(UniverseMismatch,
+                       match="^edge set universe 7 does not match graph universe 6$"):
+        is_cycle_space_member(g, EdgeSet.from_ids([1, 3], 7))
 
 
 def test_membership_closed_under_sym_diff(k4):

@@ -8,6 +8,7 @@ import pytest
 
 from nscycles import (
     EdgeSet,
+    Graph,
     circuit_from_edges,
     count_threads,
     decompose_circuit,
@@ -351,6 +352,90 @@ def test_decomposition_matches_peeling_oracle_on_long_ear_sequences():
         x = functools.reduce(operator.xor, fundamental_basis(g))
         parts = [(c.edges.ids(), c.vertex_cycle) for c in decompose_cs_element(g, x).parts]
         assert parts == oracles.decompose_by_peeling(g, x), n
+
+
+def _targets(g, count: int) -> list:
+    """Up to ``count`` distinct nonempty cycle-space members of ``g``: its
+    fundamental rows and their XOR, then seeded random XORs of the rows."""
+    basis = fundamental_basis(g)
+    targets = list(dict.fromkeys(basis + [functools.reduce(operator.xor, basis)]))[:count]
+    rng = random.Random(fingerprint(g))
+    for _ in range(4 * count):
+        if len(targets) == count:
+            break
+        x = EdgeSet.empty(g.universe)
+        for row in basis:
+            if rng.random() < 0.5:
+                x = x ^ row
+        if x and x not in targets:
+            targets.append(x)
+    return targets
+
+
+def test_warm_decomposition_equals_cold():
+    # the lifts a host keeps for later targets give the parts that a fresh
+    # copy of the host, with an empty memo table, gives each target alone
+    hosts = [gen_corpus(name) for name in CORPUS_NAMES]
+    hosts += [gen_corpus(f"random3c-{n}", seed) for n in range(8, 21) for seed in range(3)]
+    checked = 0
+    for host in hosts:
+        for g in (host, subdivide_every_edge(host)):
+            for x in _targets(g, 24):
+                warm = decompose_cs_element(g, x)
+                cold = decompose_cs_element(Graph(g.vertices, g.edges, g.psi, g.universe), x)
+                assert warm == cold, (fingerprint(g), x.ids())
+                checked += 1
+    assert checked > 2000
+
+
+def test_a_repeated_target_lifts_nothing(monkeypatch):
+    # each p and terminal member is lifted to the host once; a target seen
+    # before only sums the lifts kept in the host's memo table
+    g = subdivide_every_edge(gen_corpus("random3c-16"))
+    lift = decomposition._lift_bits
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(decomposition, "_lift_bits", counting)
+    x = functools.reduce(operator.xor, fundamental_basis(g))
+    first = decompose_cs_element(g, x)
+    assert calls
+    calls.clear()
+    assert decompose_cs_element(g, x) == first
+    assert calls == []
+    steps, _, _ = decomposition._chain_bits(g)
+    for y in _targets(g, 24):
+        decompose_cs_element(g, y)
+    kept = [value for key, value in g._memo.items() if key[0] is decomposition._lifted.__wrapped__]
+    assert len(kept) <= len(steps) + 4
+    assert all(isinstance(part, int) for parts in kept for part in parts)
+
+
+def test_theta_tail_step_of_random3c_150_tests_few_paths(monkeypatch):
+    # the search deepens its limit from the least bound, so it tests no
+    # path much longer than the one it returns: at ear step 35 the search
+    # that started at no limit tested 63,658 paths before it was done
+    g = gen_corpus("random3c-150")
+    steps, _ = decomposition._chain(g)
+    separates = decomposition._separates
+    tested = []
+
+    def counting(*args):
+        tested.append(args)
+        return separates(*args)
+
+    monkeypatch.setattr(decomposition, "_separates", counting)
+    level, counts = g, []
+    for t, reduced in steps:
+        tested.clear()
+        decomposition._theta(level, t, t.endpoints)
+        counts.append(len(tested))
+        level = reduced
+    assert len(counts) == 75
+    assert max(counts) <= 16
 
 
 @pytest.mark.parametrize("fault,message", [("unsplit", "separating"), ("merged", "not a circuit")])
