@@ -9,12 +9,17 @@ Subdivisions of simple 3-connected graphs read their non-separating catalog
 off the chordless cycles of the branch graph; other hosts test every circuit.
 
 The induced-path search and the separation test work on vertex bitmasks
-(:func:`_vertex_bits`); catalog circuits are walked on the branch graph.
+(:func:`_vertex_bits`).  The search yields each chordless cycle of the
+branch graph as its cyclic vertex order, and the circuit of g along it is
+built in that one pass (:func:`_branch_cycle_circuit`): each consecutive
+pair of branch vertices gives its thread's edge bitmask and vertex run
+from one per-graph table, so no circuit is walked a second time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 from .errors import (
     CircuitExplosion,
@@ -295,42 +300,72 @@ def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None,
 
 
 def _chordless_cycles(h: Graph, cap: int):
-    """Each chordless cycle of the simple graph ``h`` once, as its vertex
-    set and edge bitmask.
+    """Each chordless cycle of the simple graph ``h`` once, as its cyclic
+    vertex order and edge bitmask: the order starts at the cycle's least
+    vertex s, and its second vertex is smaller than its last.
 
-    From each vertex s and each larger neighbor p1, grows the induced paths
-    p1, ... through vertices larger than s, closing at a neighbor of s.
-    Each cycle is found in both directions and kept when p1 is smaller than
-    its last vertex.  Raises CircuitExplosion past ``cap`` cycles.
+    From each vertex s and each larger neighbor p1 but the largest, grows
+    the induced paths p1, ... through vertices larger than s, closing at a
+    neighbor of s.  Each cycle is found in both directions and kept when
+    p1 is smaller than its last vertex, so a path from s's largest
+    neighbor is never kept.  Raises CircuitExplosion past ``cap`` cycles.
     """
     found = 0
     for s in sorted(h.vertices):
         to_s = {w: e for e, w in h.adjacency[s] if w > s}
         above = sum(b for v, b in _vertex_bits(h)[0].items() if v > s)
+        top = max(to_s, default=None)  # its paths close at smaller neighbors only
         for first, e1 in to_s.items():
+            if first == top:
+                continue
             for path, bits, last in _induced_paths(h, first, above, to_s):
                 if first < last:
                     found += 1
                     if found > cap:
                         raise CircuitExplosion(f"more than {cap} chordless cycles")
-                    yield {s, last, *path}, bits | 1 << e1 | 1 << to_s[last]
+                    yield [s, *path, last], bits | 1 << e1 | 1 << to_s[last]
 
 
-def _branch_cycle_circuit(g: Graph, bits: int) -> Circuit:
-    """The circuit of ``g`` walked along the cycle of its branch graph with
-    edge bitmask ``bits``, each edge's thread laid out in the walk's direction."""
-    ts = _threads(g)
-    h_edges, h_verts = _cycle_walk(_branch_graph(g).psi, EdgeSet(bits, len(ts)).ids())
-    cycle, edges = [], []
-    for i, v in zip(h_edges, h_verts):
-        t = ts[i]
-        cycle += t.vertices[:-1] if t.vertices[0] == v else t.vertices[:0:-1]
-        edges += t.edges
-    return Circuit(g.edge_set(edges), _canonical_cycle(tuple(cycle)))
+@memoized
+def _thread_runs(g: Graph) -> dict:
+    """Each ordered pair (u, v) of branch vertices joined by a thread of
+    ``g`` mapped to that thread's edge bitmask and its vertices from u up
+    to v, v left out.  A branch graph that is simple has one thread per
+    pair."""
+    runs = {}
+    for t in _threads(g):
+        x, y = t.endpoints
+        bits = sum(1 << e for e in t.edges)
+        runs[x, y], runs[y, x] = (bits, t.vertices[:-1]), (bits, t.vertices[:0:-1])
+    return runs
+
+
+def _branch_cycle_circuit(g: Graph, order) -> Circuit:
+    """The circuit of ``g`` along the cycle of its simple branch graph that
+    visits the branch vertices ``order`` in turn, each thread laid out in
+    that direction; NotACircuit when two consecutive vertices (the last
+    and the first included) are not adjacent there, or a vertex repeats."""
+    if len(set(order)) < max(len(order), 3):
+        raise NotACircuit("branch vertices repeat, or are fewer than three")
+    runs = _thread_runs(g)
+    bits, cycle = 0, []
+    for pair in pairwise(chain(order, order[:1])):
+        try:
+            mask, run = runs[pair]
+        except KeyError:
+            raise NotACircuit("branch vertices {} and {} are not adjacent".format(*pair)) from None
+        bits |= mask
+        cycle += run
+    return Circuit(EdgeSet(bits, g.universe), _canonical_cycle(tuple(cycle)))
 
 
 @memoized
 def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
+    """The catalog of :func:`non_separating_circuits`.  On a top-3-connected
+    g, each chordless cycle of the branch graph without a second bridge
+    there is built from its vertex order (:func:`_branch_cycle_circuit`);
+    elsewhere every circuit is enumerated and tested in g.  Either way the
+    members are sorted by their sorted edge ids."""
     if not is_top_3_connected(g):
         members = [c for c in _enumerate(g, cap) if not _is_separating_edges(g, c.edges)]
     else:
@@ -338,8 +373,8 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         # per edge, and has as many bridges in g as that cycle has in h.
         h = _branch_graph(g)
         members = sorted(
-            (_branch_cycle_circuit(g, bits) for on_cycle, bits in _chordless_cycles(h, cap)
-             if not _separates(h, on_cycle, 0)),
+            (_branch_cycle_circuit(g, order) for order, _ in _chordless_cycles(h, cap)
+             if not _separates(h, order, 0)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

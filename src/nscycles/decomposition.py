@@ -15,19 +15,20 @@ sound whatever the passes did.  The public :func:`lift_circuit` takes the
 same split, ``circuits._halves``, and keeps its checks on every call.
 
 The theta search runs on the branch graph H alone, one edge per thread,
-and builds no circuit list.  One search returns the shortest
-non-separating circuit through the thread meeting a vertex set only in
-the thread's ends, ties going to the smallest sorted edge ids: a theta
-pair is the shortest one through the thread, then the shortest meeting
-that exactly in the thread (alpha = |E| - |C|); the decomposition needs
-only the first.  Non-separating circuits are chordless in H (Tutte 1963),
-so each is the thread plus an induced path between its ends there, grown
-by a depth-first search that drops a path once its length plus its
-Dijkstra distance to the far end exceeds a limit.  The limit starts at the
-least such bound and rises by 1 until a circuit is found, then drops to
-the best circuit found so far, so no path longer than the answer is
-grown; it stays exponential in the worst case.  The non-separating catalog is
-built only for the K4 terminal of the induction.
+compares candidates as edge bitmasks and builds only its winner.  One
+search returns the shortest non-separating circuit through the thread
+meeting a vertex set only in the thread's ends, ties going to the
+smallest sorted edge ids: a theta pair is the shortest one through the
+thread, then the shortest meeting that exactly in the thread (alpha =
+|E| - |C|); the decomposition needs only the first.  Non-separating
+circuits are chordless in H (Tutte 1963), so each is the thread plus an
+induced path between its ends there, grown by a depth-first search that
+drops a path once its length plus its Dijkstra distance to the far end
+exceeds a limit.  The limit starts at the least such bound and rises by
+1 until a circuit is found, then drops to the best circuit found so far,
+so no path longer than the answer is grown; it stays exponential in the
+worst case.  The non-separating catalog is built only for the K4
+terminal of the induction.
 
 A thread t = xy is removable when g - t stays top-3-connected, decided on
 g's branch graph H: as H is 3-connected, every cut of at most two vertices
@@ -45,6 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 from .errors import (
     IsTopK4,
@@ -79,6 +81,7 @@ from .circuits import (
     _induced_paths,
     _is_separating_edges,
     _separates,
+    _thread_runs,
     _validate_circuit,
     _vertex_bits,
     circuit_from_edges,
@@ -182,6 +185,16 @@ def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
     return dist
 
 
+def _precedes(a: int, b: int) -> bool:
+    """True iff the edge set with bitmask ``a`` comes before the other one
+    ``b``, by size and then by sorted edge ids, as ``(len(c), c.sort_key())``
+    orders circuits: of two sets of one size, a's ids come first iff the
+    lowest edge in just one of them is a's."""
+    if a.bit_count() != b.bit_count():
+        return a.bit_count() < b.bit_count()
+    return bool((a ^ b) & -(a ^ b) & a)
+
+
 @memoized
 def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     """The shortest non-separating circuit through the thread that meets
@@ -192,31 +205,36 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     would be a chord.  The search is deepened: every path within a limit
     is yielded, and the limit rises by 1 from the least bound, so the
     first limit at which a circuit appears is the shortest one's length.
-    VerificationFailed if there is none."""
+    Candidates are compared on their edge bitmasks (:func:`_precedes`),
+    only one that would be the new best is tested for bridges in h, and
+    only the winner is built, from its vertex order in h.  The winner is
+    not tested again in g: a circuit has as many bridges in g as its cycle
+    in h, and the callers certify what they return.  VerificationFailed if
+    there is none."""
     h = _branch_graph(g)
     x, y = t.endpoints
-    ht = next(e for e, w in h.adjacency[x] if w == y)  # t's edge in h
     weight = [len(s.edges) for s in _threads(g)]  # thread length of each h-edge
     allowed = h.vertices.difference(avoid)
     to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
     bound = _distances_to(h, weight, to_y, allowed)
     free = sum(map(_vertex_bits(h)[0].__getitem__, allowed))
     order = _NearestFirst(h, weight, bound)
+    runs = _thread_runs(g)
     # on the length of the x-y path, which is shorter than all threads
     # together: past that, the search was exhaustive
     limit = [min((weight[e] + bound[w] for e, w in order[x]), default=math.inf)]
-    best, total = None, sum(weight)
+    best, best_bits, total = None, 0, sum(weight)
     while best is None and limit[0] < total:
-        for path, bits, last in _induced_paths(h, x, free, to_y, weight, bound, limit, order):
-            bits |= 1 << to_y[last] | 1 << ht
-            if not _separates(h, {*path, last, y}, 0):
-                c = _branch_cycle_circuit(g, bits)
-                if best is None or (len(c), c.sort_key()) < (len(best), best.sort_key()):
-                    best, limit[0] = c, len(c) - weight[ht]
+        for path, _, last in _induced_paths(h, x, free, to_y, weight, bound, limit, order):
+            bits = sum(runs[pair][0] for pair in pairwise(chain(path, (last, y, x))))
+            if best is None or _precedes(bits, best_bits):
+                if not _separates(h, chain(path, (last, y)), 0):
+                    best, best_bits = [*path, last, y], bits
+                    limit[0] = bits.bit_count() - len(t.edges)
         limit[0] += 1
-    if best is None or _is_separating_edges(g, best.edges):
+    if best is None:
         raise VerificationFailed("the shortest non-separating theta pair is separating")
-    return best
+    return _branch_cycle_circuit(g, best)
 
 
 def theta_pair(g: Graph, t: Thread) -> ThetaPair:
@@ -233,13 +251,16 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     and H - V(first) is connected, so the thread's ends each have a
     neighbor in it and are joined through it.  Both circuits are grown as
     induced paths of H by a search bounded by a limit raised from below,
-    exponential in the worst case.  Outputs are verified
-    non-separating before returning; VerificationFailed otherwise.
+    exponential in the worst case.  Both circuits are verified
+    non-separating in g before returning; VerificationFailed otherwise.
     """
     _require_top3(g)
     _validate_thread(g, t)
     first = _theta(g, t, t.endpoints)
-    return ThetaPair(first, _theta(g, t, first.vertex_cycle), t)
+    second = _theta(g, t, first.vertex_cycle)
+    if _is_separating_edges(g, first.edges) or _is_separating_edges(g, second.edges):
+        raise VerificationFailed("the shortest non-separating theta pair is separating")
+    return ThetaPair(first, second, t)
 
 
 def lift_circuit(g: Graph, t: Thread, q: Circuit) -> list[Circuit]:

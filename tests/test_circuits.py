@@ -342,12 +342,26 @@ def test_catalog_circuits_are_rebuilt_from_their_edges():
             assert c == circuit_from_edges(g, c.edges.ids()), fingerprint(g)
 
 
-def test_branch_cycle_circuit_rejects_a_path_and_two_cycles(prism):
+def test_branch_cycle_circuit_rejects_a_broken_order(prism):
     g = subdivide_every_edge(prism)
-    cycles = [bits for _, bits in _chordless_cycles(_branch_graph(g), DEFAULT_CIRCUIT_CAP)]
-    with pytest.raises(NotACircuit, match="degree 2"):
-        _branch_cycle_circuit(g, cycles[0] & (cycles[0] - 1))  # one edge dropped
-    on = {bits: set(_branch_cycle_circuit(g, bits).vertex_cycle) for bits in cycles}
-    two = next(a | b for a in cycles for b in cycles if not on[a] & on[b])
-    with pytest.raises(NotACircuit, match="more than one cycle"):
-        _branch_cycle_circuit(g, two)
+    square = next(order for order, _ in _chordless_cycles(_branch_graph(g), DEFAULT_CIRCUIT_CAP)
+                  if len(order) == 4)
+    with pytest.raises(NotACircuit, match="not adjacent"):
+        _branch_cycle_circuit(g, square[:1] + square[2:])  # a corner cut off
+    with pytest.raises(NotACircuit, match="repeat"):
+        _branch_cycle_circuit(g, square + square[-2:0:-1])  # around and back
+    with pytest.raises(NotACircuit, match="repeat"):
+        _branch_cycle_circuit(g, square[:2])  # one thread there and back
+
+
+def test_chordless_cycle_orders_walk_the_branch_graph(corpus):
+    for label, g in corpus:
+        for host in (g, subdivide_every_edge(g)):
+            h = _branch_graph(host)
+            adjacent = {(v, w): e for v, pairs in h.adjacency.items() for e, w in pairs}
+            for order, bits in _chordless_cycles(h, DEFAULT_CIRCUIT_CAP):
+                assert len(set(order)) == len(order) >= 3, label
+                pairs = list(zip(order, order[1:] + order[:1]))
+                assert all(pair in adjacent for pair in pairs), label
+                assert bits == sum(1 << adjacent[pair] for pair in pairs), label
+                assert order[0] == min(order) and order[1] < order[-1], label

@@ -35,6 +35,7 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
+from nscycles.decomposition import _precedes
 from nscycles.graph_core import Graph, _branch_graph, _lists, _removable
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
@@ -90,6 +91,19 @@ def test_sym_diff_group_laws(gx, gy):
     assert sym_diff(x, x) == EdgeSet.empty(x.universe)
     assert sym_diff(x, EdgeSet.empty(x.universe)) == x
     assert sym_diff(x, y) == sym_diff(y, x)
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=70), st.randoms())
+def test_lowest_differing_bit_orders_equal_sizes_by_sorted_ids(flags, rng):
+    # two distinct masks of one popcount: the one holding the lowest bit
+    # where they differ has the smaller tuple of sorted ids
+    a = sum(1 << i for i, f in enumerate(flags) if f)
+    shuffled = rng.sample(flags, len(flags))
+    b = sum(1 << i for i, f in enumerate(shuffled) if f)
+    assume(a != b)
+    x, y = EdgeSet(a, len(flags)), EdgeSet(b, len(flags))
+    assert _precedes(a, b) == (x.ids() < y.ids())
+    assert _precedes(a, b) != _precedes(b, a)
 
 
 @given(connected_graphs(), st.data())
