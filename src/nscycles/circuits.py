@@ -252,8 +252,7 @@ class _NearestFirst(dict):
         return steps
 
 
-def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None, limit=None,
-                   order=None):
+def _induced_paths(h: Graph, start, allowed: int, ends, order=None, limit=None):
     """Each induced path of the simple graph ``h`` that leaves ``start``
     through the vertices whose bits are in ``allowed`` and stops at the
     first one in ``ends``, as its vertices but the last (a list the search
@@ -264,19 +263,21 @@ def _induced_paths(h: Graph, start, allowed: int, ends, weight=None, bound=None,
     are those that extend the tip without a chord; a push clears the old
     tip and its neighbors.  A vertex of ``ends`` closes a path, unpassed.
 
-    Given ``weight`` (edge id -> length), ``bound`` (vertex -> a lower
-    bound on the length still to go after it; vertices with no bound are
-    skipped) and ``limit`` (a one-item list the caller may lower as the
-    search runs), the search is bounded: the tip's edges are tried nearest
-    first, and a step is dropped when its length plus its bound is
-    strictly greater than ``limit[0]``, so every path within the limit is
-    still yielded.  It stays exponential in the worst case.  ``order``, the
-    tip's steps nearest first (a :class:`_NearestFirst`), may be given by a
-    caller that searches under several limits, so each tip is sorted once.
+    Given ``order``, a :class:`_NearestFirst` with its ``weight`` (edge id
+    -> length) and ``bound`` (vertex -> a lower bound on the length still
+    to go after it; vertices with no bound are skipped), and ``limit`` (a
+    one-item list the caller may lower as the search runs), the search is
+    bounded: the tip's edges are tried nearest first, and a step is
+    dropped when its length plus its bound is strictly greater than
+    ``limit[0]``, so every path within the limit is still yielded.  It
+    stays exponential in the worst case.  A caller that searches under
+    several limits passes one ``order``, so each tip is sorted once.
     """
     bit, nbrs = _vertex_bits(h)
-    if order is None:
-        order = h.adjacency if limit is None else _NearestFirst(h, weight, bound)
+    if limit is None:
+        order = h.adjacency
+    else:
+        weight, bound = order.weight, order.bound
     path = [start]
     # DFS frames: (free vertices, edge bitmask and length of the path,
     # iterator over its tip's edges)

@@ -11,8 +11,9 @@ intermediate part is checked.  The output is certified instead (McConnell,
 Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011): each
 final part is checked once to be a circuit of the host and non-separating
 there, and the parts must sum to the target, so a returned certificate is
-sound whatever the passes did.  The public :func:`lift_circuit` takes the
-same split, ``circuits._halves``, and keeps its checks on every call.
+sound whatever the passes did.  verify-all's lifting check reads the same
+ear walk, :func:`_chain`, and lift, :func:`_lift_bits`; the public
+:func:`lift_circuit` takes that split, ``circuits._halves``, too.
 
 The theta search runs on the branch graph H alone, one edge per thread,
 compares candidates as edge bitmasks and builds only its winner.  One
@@ -36,9 +37,9 @@ of H - xy, x and y suppressed, separates x from y, so only the inner
 vertices of one x-y path are tested, each by one low-point search.  One
 ear sequence runs all its removal tests on one set of index lists for H:
 the host's are its branch graph's index lists, as its 3-connectivity test
-reads them, and each removal hands g - t those of its own branch graph.
-The full test of every vertex runs only on the host and on the K4
-terminal.
+reads them, and each removal hands g - t those of its own branch graph,
+with the removal test's verdict that g - t is top-3-connected.  The full
+test of every vertex runs only on the host and on the K4 terminal.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def ear_sequence(g: Graph) -> EarSequence:
     """
     _require_top3(g)
     steps, terminal = _chain(g)
-    before = (g, *(reduced for _, reduced in steps[:-1]))  # the g_i each t leaves
-    return EarSequence(tuple((fingerprint(h), t) for h, (t, _) in zip(before, steps)), terminal)
+    before = (g, *(reduced for _, _, reduced in steps[:-1]))  # the g_i each t leaves
+    return EarSequence(tuple((fingerprint(h), t) for h, (t, _, _) in zip(before, steps)), terminal)
 
 
 def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
@@ -225,7 +226,7 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     limit = [min((weight[e] + bound[w] for e, w in order[x]), default=math.inf)]
     best, best_bits, total = None, 0, sum(weight)
     while best is None and limit[0] < total:
-        for path, _, last in _induced_paths(h, x, free, to_y, weight, bound, limit, order):
+        for path, _, last in _induced_paths(h, x, free, to_y, order, limit):
             bits = sum(runs[pair][0] for pair in pairwise(chain(path, (last, y, x))))
             if best is None or _precedes(bits, best_bits):
                 if not _separates(h, chain(path, (last, y)), 0):
@@ -296,25 +297,14 @@ def _catalog_matrix(g: Graph) -> Gf2Matrix:
 
 @memoized
 def _chain(g: Graph) -> tuple[tuple, Graph]:
-    """The ear steps of ``g`` as (t, g_i - t), g_i the graph t is removed
-    from (g_0 = g), and the K4 terminal."""
+    """The ear steps of ``g`` as (t, t's edge bitmask, g_i - t), g_i the
+    graph t is removed from (g_0 = g), and the K4 terminal."""
     steps = []
     while not is_top_k4(g):
         t, reduced = _ear_step(g)
-        steps.append((t, reduced))
+        steps.append((t, sum(1 << e for e in t.edges), reduced))
         g = reduced
     return tuple(steps), g
-
-
-@memoized
-def _chain_bits(g: Graph) -> tuple[tuple, Graph, dict]:
-    """The steps of :func:`_chain` as (t, t's edge bitmask, g_i - t), the
-    K4 terminal, and each vertex of g mapped to the bitmask of its edges in
-    g (:func:`_incident_bits`): what the lifts read, built on the first
-    decomposition."""
-    steps, terminal = _chain(g)
-    return (tuple((t, sum(1 << e for e in t.edges), reduced) for t, reduced in steps), terminal,
-            _incident_bits(g))
 
 
 def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
@@ -333,10 +323,10 @@ def _lifted(g: Graph, i: int, q: int) -> frozenset:
     """The edge bitmasks of host circuits that q, the edge bitmask of a
     non-separating circuit of g_i (the K4 terminal for i = the number of
     steps), becomes when lifted up steps i - 1, ..., 0 of
-    :func:`_chain_bits`, mod 2: each lift keeps a part or splits it, and
-    the lemma keeps every part non-separating.  Built once per host and
-    source, a p or a terminal member, and kept in the host's memo."""
-    steps, _, at = _chain_bits(g)
+    :func:`_chain`, mod 2: each lift keeps a part or splits it, and the
+    lemma keeps every part non-separating.  Built once per host and source,
+    a p or a terminal member, and kept in the host's memo."""
+    steps, at = _chain(g)[0], _incident_bits(g)
     parts = {q}
     for t, tbits, _ in reversed(steps[:i]):
         lifted = set()
@@ -365,7 +355,7 @@ def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     edge.  So any split of x, such as a peel into circuits, gives these
     same parts.
     """
-    steps, terminal, _ = _chain_bits(g)
+    steps, terminal = _chain(g)
     parts: set[int] = set()
     bits, level = x.bits, g
     for i, (t, tbits, reduced) in enumerate(steps):

@@ -759,7 +759,8 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
     Removals are decided on g's branch-graph lists, so g - t is built only
     for the thread removed.  g - t is handed its connectivity, its threads
     derived from g's, the lists its removal test derived, and, while more
-    than four branch vertices are left, that it is no subdivision of K4."""
+    than four branch vertices are left, that it is top-3-connected and no
+    subdivision of K4, so only the host and the terminal run the full test."""
     ts = _threads(g)
     lists = _lists(g)
     index = lists[0]
@@ -772,6 +773,7 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
             _remember(reduced, _threads, _threads_after_delete(g, t, ts))
             _remember(reduced, _lists, reduced_lists)
             if len(index) - len(reduced_lists[2]) > 4:
+                _remember(reduced, is_top_3_connected, True)
                 _remember(reduced, is_top_k4, False)
             return t, reduced
     raise VerificationFailed(

@@ -15,10 +15,11 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AllDegreesTwo, CircuitExplosion, Disconnected, GraphError, TooLarge
+from .errors import AllDegreesTwo, Disconnected, GraphError, TooLarge, VerificationFailed
 from .graph_core import (
     EdgeSet,
     Graph,
+    _incident_bits,
     blocks,
     fingerprint,
     is_connected,
@@ -37,11 +38,12 @@ from .cycle_space import (
 )
 from .circuits import (
     DEFAULT_CIRCUIT_CAP,
-    enumerate_circuits,
+    _is_separating_edges,
+    circuit_from_edges,
     is_separating,
     non_separating_circuits,
 )
-from .decomposition import decompose_cs_element, ear_sequence, lift_circuit, theta_pair
+from .decomposition import _chain, _lift_bits, decompose_cs_element, ear_sequence, theta_pair
 from .cocircuits import (
     CounterexampleReport,
     bonds,
@@ -158,28 +160,24 @@ def _check_nc_span(g: Graph, cap: int) -> tuple[bool, str]:
     return True, f"{len(nc)} circuits span dimension {dim}"
 
 
-def _check_decomposition_replay(g: Graph, cap: int, rng: random.Random) -> tuple[bool, str]:
-    try:
-        targets = [c.edges for c in enumerate_circuits(g, min(cap, DECOMPOSE_SAMPLE_CAP))]
-    except CircuitExplosion:
-        basis = fundamental_basis(g)
-        targets = []
-        for i in range(DECOMPOSE_SAMPLE_CAP):
-            if i < len(basis):
-                x = basis[i]
-            else:
-                x = EdgeSet.empty(g.universe)
-                for row in basis:
-                    if rng.random() < 0.5:
-                        x = x ^ row
-            targets.append(x)
+def _check_decomposition_replay(g: Graph, rng: random.Random) -> tuple[bool, str]:
+    # Targets: the fundamental circuits, then seeded sums of them.
+    basis = fundamental_basis(g)
+    targets = list(basis[:DECOMPOSE_SAMPLE_CAP])
+    while len(targets) < DECOMPOSE_SAMPLE_CAP:
+        x = EdgeSet.empty(g.universe)
+        for row in basis:
+            if rng.random() < 0.5:
+                x = x ^ row
+        targets.append(x)
+    fresh = Graph(g.vertices, g.edges, g.psi, g.universe)  # reads no memo left on g
     seen = set()  # parts already tested
     for target in targets:
         cert = decompose_cs_element(g, target)
         if cert.replay() != target:
             return False, "replay mismatch"
         for part in cert.parts:
-            if part not in seen and is_separating(g, part):
+            if part not in seen and is_separating(fresh, part):
                 return False, "certificate part is separating"
         seen.update(cert.parts)
     return True, f"{len(targets)} targets decomposed and replayed"
@@ -203,17 +201,24 @@ def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
 
 
 def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
-    # The induction's own steps (g_i, t, g_i - t): t path-chords each
-    # non-separating circuit of g_i - t that passes both of its ends, and
-    # lift_circuit splits it as the decomposition does, checking each half
-    # non-separating in g_i (VerificationFailed otherwise).
+    # The decomposition's own steps (g_i, t, g_i - t): t path-chords each
+    # non-separating circuit of g_i - t that passes both of its ends, its
+    # lift splits it, and each half must be a non-separating circuit of g_i
+    # (VerificationFailed otherwise), the two summing to the circuit.
     checked = 0
     current = g
-    for _, t in ear_sequence(g).steps:
-        reduced = thread_delete(current, t)
+    steps, _ = _chain(g)
+    at = _incident_bits(g)
+    for t, tbits, reduced in steps:
         for c in non_separating_circuits(reduced, cap):
             if set(t.endpoints) <= set(c.vertex_cycle):
-                lift_circuit(current, t, c)
+                halves = _lift_bits(g, at, t, tbits, c.edges.bits)
+                for half in halves:
+                    lifted = circuit_from_edges(current, EdgeSet(half, g.universe).ids())
+                    if _is_separating_edges(current, lifted.edges):
+                        raise VerificationFailed("lifted circuit is separating in the host")
+                if len(halves) != 2 or halves[0] ^ halves[1] != c.edges.bits:
+                    return False, "split halves do not sum to the circuit"
                 checked += 1
         current = reduced
     return True, f"{checked} split pairs verified"
@@ -221,6 +226,7 @@ def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
 
 def _check_theta_pairs(g: Graph) -> tuple[bool, str]:
     pool = threads(g)
+    fresh = Graph(g.vertices, g.edges, g.psi, g.universe)  # reads no memo left on g
     for t in pool:
         pair = theta_pair(g, t)
         tset = g.edge_set(t.edges)
@@ -229,7 +235,7 @@ def _check_theta_pairs(g: Graph) -> tuple[bool, str]:
         shared = set(pair.first.vertex_cycle) & set(pair.second.vertex_cycle)
         if shared != set(t.vertices):
             return False, "vertex intersection is not the thread"
-        if is_separating(g, pair.first) or is_separating(g, pair.second):
+        if is_separating(fresh, pair.first) or is_separating(fresh, pair.second):
             return False, "theta circuit is separating"
     return True, f"{len(pool)} threads paired"
 
@@ -281,7 +287,7 @@ def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> Verific
         ("cut_cycle_orthogonality", _CONNECTED, lambda: _check_orthogonality(g)),
         ("cycle_space_rank", _CONNECTED, lambda: _check_cycle_space_rank(g)),
         ("decomposition_replay", _TOP_3_CONNECTED,
-         lambda: _check_decomposition_replay(g, cap, rng)),
+         lambda: _check_decomposition_replay(g, rng)),
         ("ear_assembly_reduction", _TOP_3_CONNECTED, lambda: _check_ear_assembly(g)),
         ("host_three_connected", None, lambda: _check_host(g)),
         ("nc_spans_cycle_space", _SIMPLE_3_CONNECTED, lambda: _check_nc_span(g, cap)),

@@ -26,6 +26,7 @@ from nscycles import (
 )
 from nscycles.circuits import (
     DEFAULT_CIRCUIT_CAP,
+    _NearestFirst,
     _branch_cycle_circuit,
     _chordless_cycles,
     _induced_paths,
@@ -327,7 +328,8 @@ def test_bounded_induced_paths_match_enumeration_oracle():
                            + weight[to_y[last]] for _, bits, last in expected]
                 limit = sorted(lengths)[len(lengths) // 2]
                 bound = _distances_to(h, weight, to_y, allowed)
-                got = _induced_paths(h, x, _mask(h, allowed), to_y, weight, bound, [limit])
+                order = _NearestFirst(h, weight, bound)
+                got = _induced_paths(h, x, _mask(h, allowed), to_y, order, [limit])
                 assert _paths(got) == _paths(p for p, n in zip(expected, lengths) if n <= limit), \
                     (fingerprint(lg), t)
 

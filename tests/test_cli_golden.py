@@ -33,7 +33,7 @@ GOLDEN = {
     ("k4", "ears"): (0, "e73ea5be6b31f2e320184df457aa57d987d664acca53f4cdce081e533c1b5c52"),
     ("k4", "bonds"): (0, "0b4e37fbabc5a64bd3c27f174274e338db41a40accbf51571401d315a77aa23b"),
     ("k4", "whitney"): (0, "fcbb55c072cfeea8ed019797b1150ce56018951621e9dd1013ada98b25179f60"),
-    ("k4", "verify-all"): (0, "16027d008828a25aeaca3c9ad1732ec441e4d3c48af69e8785e4a39538864769"),
+    ("k4", "verify-all"): (0, "f16e40968d633bd7018b01dbb94420542b9cf6688842557bdd5b3e9b5c5de1d3"),
     ("k4", "gen"): (0, "314a7a6e509cfbd2d4baad69e2fbed713345d77f2056c4809006ce3955b61fa0"),
     ("prism", "info"): (0, "d9941a81739931261cb9275e7cac2e3f7fd895e141a74beaadd0124c72ed0207"),
     ("prism", "blocks"): (0, "55664604ef8fed1c250fd9be4170fc4707a84432a494cc698fdadaafe94f3534"),
@@ -46,7 +46,7 @@ GOLDEN = {
     ("prism", "ears"): (0, "65c9c5ad4388ca5ae629c2d1eaf03a10e8086812b077d9dbd1de93932b47573b"),
     ("prism", "bonds"): (0, "d28b44ea262549ebd7c97f4be70966625171aca3ed30edff2d15180aa16708a8"),
     ("prism", "whitney"): (0, "59cabcec7e2112b848ca987660a8ba6633447f5b59b1c7848a2ec815ab9da367"),
-    ("prism", "verify-all"): (0, "d1a0c85de5e3c1cb8c5a46cf519a9d81ccb0f2debe37f3bd3eb0c976806c22b0"),
+    ("prism", "verify-all"): (0, "5d20da318d58276fc2223f647204746538d2e95377133bd56953490414d764ce"),
     ("prism", "gen"): (0, "35866a06060c3744ba41830412113b0081e50fa8423b743a3ed799cd64af6b12"),
     ("wheel-5", "info"): (0, "dc28e2fc9401df49ec2be4c8ce7bf8e730a9dbc6ea29a906b2b939cfb7486510"),
     ("wheel-5", "blocks"): (0, "0c19fccd2f304e767011e0400100a30e5b07366c4fd41d76449c0b0d19be768e"),
@@ -59,7 +59,7 @@ GOLDEN = {
     ("wheel-5", "ears"): (0, "07f37e6fdd2f4677ec4a580f91b069eaa703930152b6933dd7b19bb3a3c21ff2"),
     ("wheel-5", "bonds"): (0, "06e33ed34fb2373c7dfc50e07129e25f3936a9b71f4425de3f583364853611c1"),
     ("wheel-5", "whitney"): (0, "13fefce3ac27d2712b54a48668818ce0ddb031ece49fab791ec642178358b381"),
-    ("wheel-5", "verify-all"): (0, "bd2c431f3f9d892dc060f1a0cd4ba3409b90fa7bbfc6a4dc3f8ae923f2df79d1"),
+    ("wheel-5", "verify-all"): (0, "f29d3810ae92b15fddac99529ee20ae53c961f0647256d5fa5b7fa9cde45568f"),
     ("wheel-5", "gen"): (0, "61eb205b411568153a03842df3fc25d3cb0a1ed16bd7753de3828b792b13c522"),
     ("petersen", "info"): (0, "66c50581a03a5837e14214631b53d3fd5f71ebaf170f0b97561e999ba09827c7"),
     ("petersen", "blocks"): (0, "8b1d1a8dc80c66aba5fc0a55d5d16bcf105de7e2a3aa48695854c0530ff2b470"),
@@ -72,7 +72,7 @@ GOLDEN = {
     ("petersen", "ears"): (0, "7b9235e9410da104491d5056b1a8baa96900ca5171c8d75cce7407f7df8eff63"),
     ("petersen", "bonds"): (0, "3e7efbc0d22efda4ff42b65baf6ae1ed3d4705f3f0f4b1665d7b2d137d5ae7b1"),
     ("petersen", "whitney"): (0, "6debc2740704abb01db32df0afac9fcb3ddb8cc6e5fac2cf6c27f339a9e85691"),
-    ("petersen", "verify-all"): (0, "84f3178839a8a23e967d4d7e49f8c340679c4441cb1aac711686ba285b67bfc0"),
+    ("petersen", "verify-all"): (0, "d4d8c8ab8d69ae2f0200755ad4b731983a665a8d35b1340f420bc28b8a626b4b"),
     ("petersen", "gen"): (0, "8706067ce57de7fa5a08eb6af35a33e12f3a1e23d62246aa00e0a4e0b253897c"),
     ("random3c-10", "info"): (0, "c789bea27368e99d926288cf832345cd97ced61b568e3891fd40dc9df244e0e3"),
     ("random3c-10", "blocks"): (0, "1a195f1ce9e7b0b8b77141cbb89b6fcecefbe4f7fbcd12c2c5eaa0048a29d086"),

@@ -34,6 +34,7 @@ from nscycles import (
 )
 from nscycles import decomposition
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected, VerificationFailed
+from nscycles.graph_core import _incident_bits
 
 import oracles
 from conftest import CORPUS_NAMES
@@ -234,7 +235,8 @@ def test_lift_splits_exactly_the_circuits_through_both_thread_ends(name, seed):
     # decomposition's lift and lift_circuit take it, is the two circuits of
     # q + t other than q, found by the brute-force oracle
     host = gen_corpus(name, seed)
-    steps, _, at = decomposition._chain_bits(host)
+    steps, _ = decomposition._chain(host)
+    at = _incident_bits(host)
     g = host
     for t, tbits, reduced in steps:
         for q in non_separating_circuits(reduced).members:
@@ -406,7 +408,7 @@ def test_a_repeated_target_lifts_nothing(monkeypatch):
     calls.clear()
     assert decompose_cs_element(g, x) == first
     assert calls == []
-    steps, _, _ = decomposition._chain_bits(g)
+    steps, _ = decomposition._chain(g)
     for y in _targets(g, 24):
         decompose_cs_element(g, y)
     kept = [value for key, value in g._memo.items() if key[0] is decomposition._lifted.__wrapped__]
@@ -429,7 +431,7 @@ def test_theta_tail_step_of_random3c_150_tests_few_paths(monkeypatch):
 
     monkeypatch.setattr(decomposition, "_separates", counting)
     level, counts = g, []
-    for t, reduced in steps:
+    for t, _, reduced in steps:
         tested.clear()
         decomposition._theta(level, t, t.endpoints)
         counts.append(len(tested))

@@ -23,11 +23,12 @@ from nscycles import (
     theta_pair,
     thread_delete,
     threads,
+    verify_graph,
 )
 from nscycles import graph_core
 from nscycles.circuits import _is_separating_edges
-from nscycles.decomposition import _chain, _chain_bits, _part, _theta
-from nscycles.graph_core import _ear_step
+from nscycles.decomposition import _chain, _part, _theta
+from nscycles.graph_core import _ear_step, _incident_bits
 from nscycles.errors import NotInNcOfReduced
 
 
@@ -104,6 +105,28 @@ def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(subdivide
     assert built == ([g] if subdivided else []) + [seq.terminal]
 
 
+@pytest.mark.parametrize("name", ["petersen", "random3c-12", "random3c-10+subdivided"])
+def test_only_host_and_terminal_run_the_full_connectivity_test(name):
+    # the removal test hands each g - t above the terminal its verdict, so
+    # neither verify-all's catalogs of the g_i - t nor the decomposition
+    # test 3-connectivity again between the host and the terminal
+    base, _, subdivided = name.partition("+")
+    g = gen_corpus(base)
+    g = subdivide_every_edge(g) if subdivided else g
+    checks = {c.name: c.passed for c in verify_graph(g, name).checks}
+    assert checks["decomposition_replay"] and checks["path_chord_split_lifting"]
+    steps, terminal = _chain(g)
+    assert len(steps) > 2
+
+    def tested(h):
+        branch = h._memo.get((graph_core._branch_graph.__wrapped__,))
+        return any(key[0] is graph_core.is_k_connected.__wrapped__
+                   for x in (h, branch) if x is not None for key in x._memo)
+
+    assert tested(g) and tested(terminal)
+    assert not any(tested(level) for _, _, level in steps[:-1])
+
+
 @pytest.mark.parametrize("subdivided", [False, True])
 def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
     for label, host in corpus:
@@ -119,7 +142,7 @@ def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     g = subdivide_every_edge(gen_corpus("random3c-16"))
     decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
     steps, terminal = _chain(g)
-    walk = [g, *(reduced for _, reduced in steps)]
+    walk = [g, *(reduced for _, _, reduced in steps)]
 
     def reductions():
         return sum(key[0] is _ear_step.__wrapped__ for h in walk for key in h._memo)
@@ -128,22 +151,13 @@ def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     assert walked == len(steps) > 5
     seq = ear_sequence(g)
     assert reductions() == walked
-    assert [t for _, t in seq.steps] == [t for t, _ in steps]
+    assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
     assert [fp for fp, _ in seq.steps] == [fingerprint(h) for h in walk[:-1]]
     assert seq.terminal is terminal
-
-
-def test_only_the_decomposition_builds_the_chain_bitmasks():
-    # ear_sequence reads the walk of _chain alone; the thread and vertex
-    # bitmasks of the lifts are built on the first decomposition
-    g = subdivide_every_edge(gen_corpus("random3c-12"))
-    seq = ear_sequence(g)
-    assert (_chain_bits.__wrapped__,) not in g._memo
-    decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
-    steps, terminal, at = g._memo[(_chain_bits.__wrapped__,)]
-    assert [(t, tbits) for t, tbits, _ in steps] == [(t, g.edge_set(t.edges).bits)
-                                                     for _, t in seq.steps]
-    assert terminal is seq.terminal
+    # each step carries its thread's edge bitmask, and the lifts read each
+    # vertex's edge bitmask in the host from _incident_bits
+    assert all(tbits == g.edge_set(t.edges).bits for t, tbits, _ in steps)
+    at = g._memo[(_incident_bits.__wrapped__,)]
     assert at == {v: g.edge_set(e for e, _ in g.adjacency[v]).bits for v in g.vertices}
 
 
@@ -184,7 +198,7 @@ def test_decompose_checks_only_its_final_parts():
     steps, _ = _chain(g)
     assert len(steps) > 5
     searched = 0
-    for _, level in steps:
+    for _, _, level in steps:
         searched += sum(1 for key in level._memo if key[0] is _theta.__wrapped__)
         tested = [key for key in level._memo if key[0] is _is_separating_edges.__wrapped__]
         assert not tested, fingerprint(level)

@@ -1,5 +1,6 @@
 """The ``verify-all`` battery: what its checks run on, and that they run."""
 
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -7,14 +8,20 @@ from pathlib import Path
 from nscycles import (
     circuit_from_edges,
     decompose_cs_element,
+    enumerate_circuits,
+    fundamental_basis,
     gen_corpus,
     is_separating,
     subdivide_every_edge,
+    theta_pair,
+    thread_from_edges,
     verify,
     verify_graph,
 )
-from nscycles.circuits import DEFAULT_CIRCUIT_CAP
-from nscycles.decomposition import DecompositionCertificate
+from nscycles import decomposition
+from nscycles.circuits import DEFAULT_CIRCUIT_CAP, _is_separating_edges
+from nscycles.decomposition import DecompositionCertificate, ThetaPair
+from nscycles.graph_core import _remember
 
 from conftest import CORPUS_NAMES
 import oracles
@@ -102,24 +109,85 @@ def test_replay_tests_each_distinct_part_once(monkeypatch):
                      ("random3c-14+subdivided", subdivide_every_edge(gen_corpus("random3c-14")))]:
         certified.clear()
         tested.clear()
-        passed, _ = verify._check_decomposition_replay(g, DEFAULT_CIRCUIT_CAP, random.Random(0))
+        passed, _ = verify._check_decomposition_replay(g, random.Random(0))
         assert passed, label
         assert len(tested) == len(set(tested)) == len(set(certified)) < len(certified), label
 
 
 def test_replay_fails_on_a_separating_part_or_a_mismatch(monkeypatch):
-    g = gen_corpus("k5")
+    # the targets start with wheel-5's fundamental circuits, of which the
+    # first two are non-separating and the third is separating
+    g = gen_corpus("wheel-5")
 
     def whole(g, target):  # each target circuit as its own one part
         return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
 
     monkeypatch.setattr(verify, "decompose_cs_element", whole)
-    check = _replay_check(g, "k5")
+    check = _replay_check(g, "wheel-5")
     assert (check.passed, check.details) == (False, "certificate part is separating")
 
     def empty(g, target):  # parts that sum to nothing
         return DecompositionCertificate(target, (), "")
 
     monkeypatch.setattr(verify, "decompose_cs_element", empty)
-    check = _replay_check(g, "k5")
+    check = _replay_check(g, "wheel-5")
     assert (check.passed, check.details) == (False, "replay mismatch")
+
+
+def test_lifting_fails_on_halves_that_do_not_sum_to_the_circuit(monkeypatch):
+    # each half a non-separating circuit of the host, but the first twice
+    halves = decomposition._halves
+    monkeypatch.setattr(decomposition, "_halves", lambda *args: halves(*args)[:1] * 2)
+    assert verify._check_path_chord_lifting(gen_corpus("k5"), DEFAULT_CIRCUIT_CAP) == (
+        False, "split halves do not sum to the circuit")
+
+
+def test_replay_tests_parts_on_a_copy_of_the_host(monkeypatch):
+    # wrong verdicts left in the host's memo do not pass a separating part
+    g = gen_corpus("wheel-5")
+    separating = [c for c in enumerate_circuits(g) if is_separating(gen_corpus("wheel-5"), c)]
+    assert fundamental_basis(g)[2] in {c.edges for c in separating}
+    for c in separating:
+        _remember(g, _is_separating_edges, False, c.edges)
+
+    def whole(g, target):  # each target circuit as its own one part
+        return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
+
+    monkeypatch.setattr(verify, "decompose_cs_element", whole)
+    assert verify._check_decomposition_replay(g, random.Random(0)) == (
+        False, "certificate part is separating")
+
+
+def test_theta_pairs_test_separation_on_a_copy_of_the_host(monkeypatch):
+    # on wheel-5 (hub 0, rim 1..5), the circuit 0-1-2-3 has the chord 0-2,
+    # and meets the triangle 0-1-5 exactly in the spoke 0-1: a pair that
+    # only a wrong verdict in the host's memo would pass
+    g = gen_corpus("wheel-5")
+    spoke = thread_from_edges(g, [5])
+    first, second = circuit_from_edges(g, [5, 0, 1, 7]), circuit_from_edges(g, [5, 4, 9])
+    _remember(g, _is_separating_edges, False, first.edges)
+
+    def fake(g, t):
+        return ThetaPair(first, second, t) if t == spoke else theta_pair(g, t)
+
+    monkeypatch.setattr(verify, "theta_pair", fake)
+    assert verify._check_theta_pairs(g) == (False, "theta circuit is separating")
+
+
+def test_replay_draws_64_targets_from_the_fundamental_basis(monkeypatch):
+    for name, g in runner.corpus():
+        assert verify._check_decomposition_replay(g, random.Random(0)) == (
+            True, "64 targets decomposed and replayed"), name
+    # random3c-10 has more than 64 circuits, so it drew these same targets
+    # when graphs with at most 64 took every circuit as a target instead
+    targets = []
+
+    def decompose(g, target):
+        targets.append(target.bits)
+        return decompose_cs_element(g, target)
+
+    monkeypatch.setattr(verify, "decompose_cs_element", decompose)
+    assert _replay_check(gen_corpus("random3c-10"), "random3c-10").passed
+    assert len(targets) == 64
+    assert hashlib.sha256(repr(targets).encode()).hexdigest() == \
+        "1e6db1971e5544861e5046bad83785e10d545beefb3f5e2eacda57bd5beaca15"
