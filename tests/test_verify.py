@@ -114,15 +114,16 @@ def test_replay_tests_each_distinct_part_once(monkeypatch):
         assert len(tested) == len(set(tested)) == len(set(certified)) < len(certified), label
 
 
+def _whole(g, target):  # each target circuit as its own one part
+    return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
+
+
 def test_replay_fails_on_a_separating_part_or_a_mismatch(monkeypatch):
     # the targets start with wheel-5's fundamental circuits, of which the
     # first two are non-separating and the third is separating
     g = gen_corpus("wheel-5")
 
-    def whole(g, target):  # each target circuit as its own one part
-        return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
-
-    monkeypatch.setattr(verify, "decompose_cs_element", whole)
+    monkeypatch.setattr(verify, "decompose_cs_element", _whole)
     check = _replay_check(g, "wheel-5")
     assert (check.passed, check.details) == (False, "certificate part is separating")
 
@@ -150,10 +151,7 @@ def test_replay_tests_parts_on_a_copy_of_the_host(monkeypatch):
     for c in separating:
         _remember(g, _is_separating_edges, False, c.edges)
 
-    def whole(g, target):  # each target circuit as its own one part
-        return DecompositionCertificate(target, (circuit_from_edges(g, target.ids()),), "")
-
-    monkeypatch.setattr(verify, "decompose_cs_element", whole)
+    monkeypatch.setattr(verify, "decompose_cs_element", _whole)
     assert verify._check_decomposition_replay(g, random.Random(0)) == (
         False, "certificate part is separating")
 
