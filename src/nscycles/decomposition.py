@@ -64,6 +64,7 @@ from .graph_core import (
     _branch_graph,
     _ear_step,
     _incident_bits,
+    _key_digest,
     _threads,
     _validate_thread,
     fingerprint,
@@ -151,6 +152,7 @@ def find_reducible_thread(g: Graph) -> Thread:
     return _ear_step(g)[0]
 
 
+@memoized
 def ear_sequence(g: Graph) -> EarSequence:
     """Iterate thread removals until a subdivision of K4 remains.
 
@@ -158,12 +160,23 @@ def ear_sequence(g: Graph) -> EarSequence:
     tested on its branch graph, as in :func:`find_reducible_thread`, read
     from index lists that each removal hands down to the next graph; g - t
     is built only for the thread removed, and only the host and the
-    terminal get the full test.  It reads the walk of :func:`_chain`.
+    terminal get the full test.  It reads the walk of :func:`_chain`, each
+    g - t handed its degree table, threads, connectivity and removal
+    lists.  Step i's fingerprint is hashed from the reprs of the host's
+    sorted vertices and edge triples less those threads 0..i-1 removed.
     """
     _require_top3(g)
     steps, terminal = _chain(g)
-    before = (g, *(reduced for _, _, reduced in steps[:-1]))  # the g_i each t leaves
-    return EarSequence(tuple((fingerprint(h), t) for h, (t, _, _) in zip(before, steps)), terminal)
+    vertices = {v: repr(v) for v in sorted(g.vertices)}
+    triples = {e: repr((e, *p)) for e, p in sorted(g.psi.items())}
+    out = []
+    for t, _, _ in steps:
+        out.append((_key_digest(vertices.values(), triples.values(), g.universe), t))
+        for v in t.inner_vertices():
+            del vertices[v]
+        for e in t.edges:
+            del triples[e]
+    return EarSequence(tuple(out), terminal)
 
 
 def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:

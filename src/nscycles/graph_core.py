@@ -8,11 +8,11 @@ Derived results (fingerprints, connectivity tests, threads, circuit
 catalogs, reductions, decomposition parts) are memoized on the ``Graph``
 that owns them, through :func:`memoized`: they live and die with that
 graph.  A graph may be handed results at birth: the g - t that the
-memoized :func:`_ear_step` keeps gets the threads it derives from g's and
-the branch-graph index lists its removal test derives from g's, and no
-reference to g.  The branch graph has one builder, :func:`_branch_graph`,
-and the index lists of the low-point DFS one, :func:`_index_lists`, read
-by the 3-connectivity test and by an ear sequence's removal tests alike.
+memoized :func:`_ear_step` keeps gets its degree table, threads and
+branch-graph index lists derived from g's, and no reference to g.  The
+branch graph has one builder, :func:`_branch_graph`, and the index lists
+of the low-point DFS one, :func:`_index_lists`, read by the
+3-connectivity test and by an ear sequence's removal tests alike.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends (``circuits._halves``) are all traced by one walk,
@@ -203,13 +203,16 @@ def _is_simple(psi: dict) -> bool:
     return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
 
 
-def _subgraph(g: Graph, vertices, edges: frozenset) -> Graph:
-    """The graph on ``vertices`` and ``edges`` of ``g``, whose psi is
-    filtered in g's order and not normalized again: g's is already.  A
-    subgraph of a simple graph is simple."""
-    psi = {e: p for e, p in g.psi.items() if e in edges}
+def _subgraph(g: Graph, vertices, dropped) -> Graph:
+    """The graph on ``vertices`` of ``g`` and its edges but ``dropped``,
+    whose psi is g's copied without them and not normalized again: g's is
+    already.  A subgraph of a simple graph is simple."""
+    psi = g.psi.copy()
+    for e in dropped:
+        psi.pop(e, None)
     sub = Graph.__new__(Graph)
-    sub._fill(vertices, edges, psi, g.universe, g.simple or _is_simple(psi))
+    sub._fill(vertices, g.edges.difference(dropped), psi, g.universe,
+              g.simple or _is_simple(psi))
     return sub
 
 
@@ -243,6 +246,15 @@ def _remember(g: Graph, fn, value, *args) -> None:
 def fingerprint(g: Graph) -> str:
     """Stable 16-hex-digit digest of the graph's labeled structure."""
     return hashlib.sha256(repr(g._key).encode()).hexdigest()[:16]
+
+
+def _key_digest(vertices, triples, universe: int) -> str:
+    """:func:`fingerprint` of the graph whose sorted vertices and (edge, u,
+    v) triples have the reprs ``vertices`` and ``triples``, joined as
+    repr(g._key) joins them, a one-element tuple written ``(x,)``."""
+    a, b = ("(" + ", ".join(s) + ("," if len(s) == 1 else "") + ")"
+            for s in (vertices, triples))
+    return hashlib.sha256(f"({a}, {b}, {universe!r})".encode()).hexdigest()[:16]
 
 
 @memoized
@@ -281,7 +293,7 @@ def _check_universe(g: Graph, z: EdgeSet) -> None:
 def delete_edges(g: Graph, z: EdgeSet) -> Graph:
     """Remove the edges of ``z``; every vertex is retained."""
     _check_universe(g, z)
-    return _subgraph(g, g.vertices, g.edges.difference(z))
+    return _subgraph(g, g.vertices, z.ids())
 
 
 def find_root(parent: dict, v):
@@ -571,19 +583,23 @@ def _threads(g: Graph) -> tuple[Thread, ...]:
 def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple:
     """The threads of g - t from ``ts``, the threads of ``g``: every thread
     but t, with the two threads at each end of t that is left with degree
-    two joined into one.  No join closes a run on itself when g's branch
-    graph is simple.
+    two joined into one, found in the pass that drops t.  No join closes a
+    run on itself, nor does a thread meet both ends, when g's branch graph
+    is simple.
 
     The result keeps the walk's order: threads are edge-disjoint, so their
     sorted edge tuples compare by smallest edge, and a joined thread takes
     the place of the earlier of its two halves.
     """
-    t_edges = set(t.edges)
-    out = [s for s in ts if s.edges[0] not in t_edges]
-    for v in t.endpoints:
-        if g.degree(v) != 3:
-            continue
-        i, j = [i for i, s in enumerate(out) if v in (s.vertices[0], s.vertices[-1])]
+    first, out = t.edges[0], []
+    at = {v: [] for v in t.endpoints if g.degree(v) == 3}  # v -> indices in out
+    for s in ts:
+        if s.edges[0] != first:
+            u, w = s.vertices[0], s.vertices[-1]
+            if u in at or w in at:
+                at[u if u in at else w].append(len(out))
+            out.append(s)
+    for v, (i, j) in sorted(at.items(), key=lambda item: -item[1][1]):  # later j first
         a, b = out[i], out[j]
         a_edges, a_verts = (a.edges, a.vertices) if a.vertices[-1] == v else (
             a.edges[::-1], a.vertices[::-1])
@@ -621,8 +637,7 @@ def _validate_thread(g: Graph, t: Thread) -> None:
 def thread_delete(g: Graph, t: Thread) -> Graph:
     """Remove a thread: all of its edges and all of its inner vertices."""
     _validate_thread(g, t)
-    return _subgraph(g, g.vertices.difference(t.inner_vertices()),
-                     g.edges.difference(t.edges))
+    return _subgraph(g, g.vertices.difference(t.inner_vertices()), t.edges)
 
 
 def thread_from_edges(g: Graph, edge_ids) -> Thread:
@@ -757,10 +772,12 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
     """The first thread t of top-3-connected ``g`` whose removal leaves it
     top-3-connected, and g - t; VerificationFailed if there is none.
     Removals are decided on g's branch-graph lists, so g - t is built only
-    for the thread removed.  g - t is handed its connectivity, its threads
-    derived from g's, the lists its removal test derived, and, while more
-    than four branch vertices are left, that it is top-3-connected and no
-    subdivision of K4, so only the host and the terminal run the full test."""
+    for the thread removed, t not validated again, and is kept as
+    ``thread_delete(g, t)``.  It is handed its degree table, its
+    connectivity, its threads derived from g's, the lists its removal test
+    derived, and, while more than four branch vertices are left, that it
+    is top-3-connected and no subdivision of K4, so only the host and the
+    terminal run the full test."""
     ts = _threads(g)
     lists = _lists(g)
     index = lists[0]
@@ -768,7 +785,12 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
         x, y = t.endpoints
         reduced_lists = _removable(lists, index[x], index[y])
         if reduced_lists is not None:
-            reduced = thread_delete(g, t)
+            reduced = _subgraph(g, g.vertices.difference(t.inner_vertices()), t.edges)
+            _remember(g, thread_delete, reduced, t)
+            # g's degree table was built by _threads(g) or handed down with it
+            reduced._deg = {**g._deg, x: g._deg[x] - 1, y: g._deg[y] - 1}
+            for v in t.inner_vertices():
+                del reduced._deg[v]
             _remember(reduced, is_connected, True)
             _remember(reduced, _threads, _threads_after_delete(g, t, ts))
             _remember(reduced, _lists, reduced_lists)

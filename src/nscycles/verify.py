@@ -187,12 +187,11 @@ def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
     if is_top_k4(g):
         return True, "already a subdivision of K4"
     seq = ear_sequence(g)
-    current = g
+    # A walk of copies, each built from the last and t alone, where t is
+    # validated again: it reads nothing the ear walk handed each g - t.
+    current = Graph(g.vertices, g.edges, g.psi, g.universe)
     for step_fingerprint, t in seq.steps:
-        # The full test runs on a copy, which reads none of the connectivity
-        # and threads that the ear loop handed each g - t.
-        fresh = Graph(current.vertices, current.edges, current.psi, current.universe)
-        if fingerprint(current) != step_fingerprint or not is_top_3_connected(fresh):
+        if fingerprint(current) != step_fingerprint or not is_top_3_connected(current):
             return False, "intermediate graph fails the reduction invariant"
         current = thread_delete(current, t)
     if current != seq.terminal or not is_top_k4(current):
@@ -203,19 +202,20 @@ def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
 def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
     # The decomposition's own steps (g_i, t, g_i - t): t path-chords each
     # non-separating circuit of g_i - t that passes both of its ends, its
-    # lift splits it, and each half must be a non-separating circuit of g_i
-    # (VerificationFailed otherwise), the two summing to the circuit.
+    # lift splits it, and each half must be a non-separating circuit of a
+    # fresh copy of g_i (VerificationFailed otherwise), the two summing to it.
     checked = 0
     current = g
     steps, _ = _chain(g)
     at = _incident_bits(g)
     for t, tbits, reduced in steps:
+        fresh = Graph(current.vertices, current.edges, current.psi, current.universe)
         for c in non_separating_circuits(reduced, cap):
             if set(t.endpoints) <= set(c.vertex_cycle):
                 halves = _lift_bits(g, at, t, tbits, c.edges.bits)
                 for half in halves:
-                    lifted = circuit_from_edges(current, EdgeSet(half, g.universe).ids())
-                    if _is_separating_edges(current, lifted.edges):
+                    lifted = circuit_from_edges(fresh, EdgeSet(half, g.universe).ids())
+                    if _is_separating_edges(fresh, lifted.edges):
                         raise VerificationFailed("lifted circuit is separating in the host")
                 if len(halves) != 2 or halves[0] ^ halves[1] != c.edges.bits:
                     return False, "split halves do not sum to the circuit"

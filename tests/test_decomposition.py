@@ -9,6 +9,7 @@ import pytest
 from nscycles import (
     EdgeSet,
     Graph,
+    build_graph,
     circuit_from_edges,
     count_threads,
     decompose_circuit,
@@ -32,9 +33,9 @@ from nscycles import (
     thread_from_edges,
     threads,
 )
-from nscycles import decomposition
+from nscycles import decomposition, graph_core
 from nscycles.errors import IsTopK4, NotInNcOfReduced, NotTop3Connected, VerificationFailed
-from nscycles.graph_core import _incident_bits
+from nscycles.graph_core import _incident_bits, _key_digest
 
 import oracles
 from conftest import CORPUS_NAMES
@@ -80,9 +81,11 @@ def test_ear_sequence_base_case(k4):
 
 
 def test_ear_sequence_replay(k5, prism):
+    # replayed on copies, each built from the last and the step's thread,
+    # so no fingerprint or graph is read from the walk's memo tables
     for g in (k5, prism):
         seq = ear_sequence(g)
-        current = g
+        current = Graph(g.vertices, g.edges, g.psi, g.universe)
         sizes = [len(current.edges)]
         for fp, t in seq.steps:
             assert fp == fingerprint(current)
@@ -92,6 +95,46 @@ def test_ear_sequence_replay(k5, prism):
         assert current == seq.terminal
         assert is_top_k4(seq.terminal)
         assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
+
+
+def _relabelled(g, seed: int):
+    """``g`` rebuilt by build_graph with its vertex and edge ids permuted."""
+    rng = random.Random(seed)
+    vertices = sorted(g.vertices)
+    new = dict(zip(vertices, rng.sample(vertices, len(vertices))))
+    order = rng.sample(sorted(g.edges), len(g.edges))
+    return build_graph(len(vertices), [(new[u], new[v]) for u, v in map(g.psi.get, order)])
+
+
+def test_ear_steps_match_fresh_copies(corpus):
+    # each g_i below the host is handed its degree table and threads, and
+    # each step's fingerprint is joined from the host's reprs: all must be
+    # what a copy of g_i with an empty memo computes
+    hosts = [h for _, g in corpus for h in (g, subdivide_every_edge(g))]
+    hosts += [_relabelled(gen_corpus(f"random3c-{n}"), seed)
+              for n in (16, 24, 32) for seed in (1, 2)]
+    walked = 0
+    for host in hosts:
+        g = Graph(host.vertices, host.edges, host.psi, host.universe)
+        seq = ear_sequence(g)
+        steps, terminal = decomposition._chain(g)
+        below = [reduced for _, _, reduced in steps]
+        assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
+        for (fp, _), h in zip(seq.steps, [g, *below]):
+            assert fp == fingerprint(Graph(h.vertices, h.edges, h.psi, h.universe))
+        for h in below:
+            fresh = Graph(h.vertices, h.edges, h.psi, h.universe)
+            assert h._deg == {v: fresh.degree(v) for v in fresh.vertices}
+            assert h._memo[(graph_core._threads.__wrapped__,)] == graph_core._threads(fresh)
+        walked += len(below)
+    assert walked > 300
+
+
+def test_key_digest_writes_one_element_tuples_as_repr_does(k4):
+    for g in (build_graph(1, []), build_graph(2, [(0, 1)]), build_graph(3, [(2, 1)]), k4):
+        vertices = [repr(v) for v in sorted(g.vertices)]
+        triples = [repr((e, *g.psi[e])) for e in sorted(g.edges)]
+        assert _key_digest(vertices, triples, g.universe) == fingerprint(g), g
 
 
 def test_ear_sequence_subdivided(petersen):

@@ -138,6 +138,29 @@ def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
         assert graph_core._lists(g) == (*graph_core._index_lists(h), ()), label
 
 
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_no_graph_below_the_host_sorts_its_key_or_counts_degrees(monkeypatch, subdivided):
+    # each step's fingerprint is joined from the host's reprs and each
+    # g - t is handed its degree table, so no step sorts its O(m log m) key
+    # or rebuilds degrees from psi
+    counted = []
+    degree = Graph.degree
+
+    def counting(g, v):
+        if g._deg is None:
+            counted.append(g)
+        return degree(g, v)
+
+    monkeypatch.setattr(Graph, "degree", counting)
+    g = subdivide_every_edge(gen_corpus("random3c-30")) if subdivided \
+        else gen_corpus("random3c-40")
+    seq = ear_sequence(g)
+    below = [reduced for _, _, reduced in _chain(g)[0]]
+    assert len(below) > 10 and below[-1] is seq.terminal
+    assert all(h._key_tuple is None for h in below)
+    assert counted == [g]
+
+
 def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     g = subdivide_every_edge(gen_corpus("random3c-16"))
     decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))

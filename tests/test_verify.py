@@ -6,12 +6,14 @@ import random
 from pathlib import Path
 
 from nscycles import (
+    EdgeSet,
     circuit_from_edges,
     decompose_cs_element,
     enumerate_circuits,
     fundamental_basis,
     gen_corpus,
     is_separating,
+    non_separating_circuits,
     subdivide_every_edge,
     theta_pair,
     thread_from_edges,
@@ -21,7 +23,7 @@ from nscycles import (
 from nscycles import decomposition
 from nscycles.circuits import DEFAULT_CIRCUIT_CAP, _is_separating_edges
 from nscycles.decomposition import DecompositionCertificate, ThetaPair
-from nscycles.graph_core import _remember
+from nscycles.graph_core import _incident_bits, _remember
 
 from conftest import CORPUS_NAMES
 import oracles
@@ -170,6 +172,36 @@ def test_theta_pairs_test_separation_on_a_copy_of_the_host(monkeypatch):
 
     monkeypatch.setattr(verify, "theta_pair", fake)
     assert verify._check_theta_pairs(g) == (False, "theta circuit is separating")
+
+
+def test_ear_assembly_replays_the_steps_on_its_own_copies(monkeypatch):
+    # the check walks copies, each built from the last and the step's
+    # thread, so a wrong step fingerprint is not compared with itself
+    assert verify._check_ear_assembly(gen_corpus("random3c-12")) == (True, "7 reduction steps")
+    digests = []
+    digest = decomposition._key_digest
+
+    def wrong(*args):  # a wrong fingerprint at the third step
+        digests.append(digest(*args))
+        return "0" * 16 if len(digests) == 3 else digests[-1]
+
+    monkeypatch.setattr(decomposition, "_key_digest", wrong)
+    assert verify._check_ear_assembly(gen_corpus("random3c-12")) == (
+        False, "intermediate graph fails the reduction invariant")
+    assert len(digests) == 7
+
+
+def test_lifting_tests_halves_on_a_copy_of_each_graph():
+    # a wrong "separating" verdict left in the host's memo, where
+    # decomposition_replay leaves its own, for one half of the first step
+    g = gen_corpus("wheel-5")
+    expected = verify._check_path_chord_lifting(gen_corpus("wheel-5"), DEFAULT_CIRCUIT_CAP)
+    assert expected[0] and expected[1] != "0 split pairs verified"
+    t, tbits, reduced = decomposition._chain(g)[0][0]
+    c = next(c for c in non_separating_circuits(reduced) if set(t.endpoints) <= set(c.vertex_cycle))
+    half = decomposition._lift_bits(g, _incident_bits(g), t, tbits, c.edges.bits)[0]
+    _remember(g, _is_separating_edges, True, EdgeSet(half, g.universe))
+    assert verify._check_path_chord_lifting(g, DEFAULT_CIRCUIT_CAP) == expected
 
 
 def test_replay_draws_64_targets_from_the_fundamental_basis(monkeypatch):
