@@ -29,13 +29,8 @@ class Gf2Matrix:
                 )
 
     @staticmethod
-    def from_rows(rows, universe: int | None = None) -> Gf2Matrix:
-        rows = tuple(rows)
-        if universe is None:
-            if not rows:
-                raise ValueError("universe required for an empty matrix")
-            universe = rows[0].universe
-        return Gf2Matrix(rows, universe)
+    def from_rows(rows, universe: int) -> Gf2Matrix:
+        return Gf2Matrix(tuple(rows), universe)
 
     @cached_property
     def _pivots(self) -> dict[int, tuple[int, int]]:

@@ -11,9 +11,10 @@ intermediate part is checked.  The output is certified instead (McConnell,
 Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011): each
 final part is checked once to be a circuit of the host and non-separating
 there, and the parts must sum to the target, so a returned certificate is
-sound whatever the passes did.  verify-all's lifting check reads the same
-ear walk, :func:`_chain`, and lift, :func:`_lift_bits`; the public
-:func:`lift_circuit` takes that split, ``circuits._halves``, too.
+sound whatever the passes did.  verify-all's lifting check takes the
+threads of the same ear walk, :func:`_chain`, and the same lift,
+:func:`_lift_bits`; the public :func:`lift_circuit` takes that split,
+``circuits._halves``, too.
 
 The theta search runs on the branch graph H alone, one edge per thread,
 compares candidates as edge bitmasks and builds only its winner.  One
@@ -37,9 +38,9 @@ of H - xy, x and y suppressed, separates x from y, so only the inner
 vertices of one x-y path are tested, each by one low-point search.  One
 ear sequence runs all its removal tests on one set of index lists for H:
 the host's are its branch graph's index lists, as its 3-connectivity test
-reads them, and each removal hands g - t those of its own branch graph,
-with the removal test's verdict that g - t is top-3-connected.  The full
-test of every vertex runs only on the host and on the K4 terminal.
+reads them, and each removal hands g - t those of its own branch graph.
+The full test of every vertex runs only on the host and on the K4
+terminal.
 """
 
 from __future__ import annotations
@@ -152,7 +153,6 @@ def find_reducible_thread(g: Graph) -> Thread:
     return _ear_step(g)[0]
 
 
-@memoized
 def ear_sequence(g: Graph) -> EarSequence:
     """Iterate thread removals until a subdivision of K4 remains.
 

@@ -436,9 +436,9 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
                 low[parent] = low[v]
 
 
-def bfs_tree(adjacency: dict, start, skip=()) -> dict:
+def bfs_tree(adjacency: dict, start) -> dict:
     """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
-    pairs) from ``start``, never entering a vertex of ``skip``.
+    pairs) from ``start``.
 
     Returns each reached vertex's (parent, edge) in visiting order; the
     start maps to (None, None).
@@ -448,7 +448,7 @@ def bfs_tree(adjacency: dict, start, skip=()) -> dict:
     while queue:
         v = queue.popleft()
         for e, w in adjacency[v]:
-            if w not in tree and w not in skip:
+            if w not in tree:
                 tree[w] = (v, e)
                 queue.append(w)
     return tree
@@ -776,8 +776,8 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
     ``thread_delete(g, t)``.  It is handed its degree table, its
     connectivity, its threads derived from g's, the lists its removal test
     derived, and, while more than four branch vertices are left, that it
-    is top-3-connected and no subdivision of K4, so only the host and the
-    terminal run the full test."""
+    is no subdivision of K4, so walking the chain runs the full test only
+    on the host and the terminal."""
     ts = _threads(g)
     lists = _lists(g)
     index = lists[0]
@@ -795,7 +795,6 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
             _remember(reduced, _threads, _threads_after_delete(g, t, ts))
             _remember(reduced, _lists, reduced_lists)
             if len(index) - len(reduced_lists[2]) > 4:
-                _remember(reduced, is_top_3_connected, True)
                 _remember(reduced, is_top_k4, False)
             return t, reduced
     raise VerificationFailed(

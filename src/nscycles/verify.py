@@ -5,7 +5,8 @@ the cycle space, spanning by non-separating circuits, ear reduction,
 path-chord lifting, theta pairs, unit-overlap witnesses, cocircuit
 recovery, orthogonality) plus two structural partitions.  Checks whose
 hypotheses the input graph does not meet report as skipped rather than
-failed.
+failed; those that walk the ear sequence or test separation read one
+replica of it, :func:`_replica`, and no verdict the library left in a memo.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .graph_core import (
     is_k_connected,
     is_top_3_connected,
     is_top_k4,
+    memoized,
     thread_delete,
     threads,
 )
@@ -75,7 +77,7 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self, include_timing: bool) -> dict:
         payload: dict = {
             "graph": self.graph_name,
             "checks": [
@@ -104,6 +106,17 @@ _CONNECTED = (lambda g: is_connected(g), "graph is disconnected")
 _SIMPLE_3_CONNECTED = (_simple_3_connected, "requires a simple 3-connected host")
 _TOP_3_CONNECTED = (
     lambda g: is_top_3_connected(g), "requires a subdivision of a 3-connected graph")
+
+
+@memoized
+def _replica(g: Graph) -> tuple[Graph, ...]:
+    """Copies of the graphs g = g_0, ..., g_n = K4 terminal of the ear walk
+    :func:`_chain`, each built from the last by ``thread_delete``, which
+    validates the step's thread again; kept in g's memo for the checks."""
+    walk = [Graph(g.vertices, g.edges, g.psi, g.universe)]
+    for t, _, _ in _chain(g)[0]:
+        walk.append(thread_delete(walk[-1], t))
+    return tuple(walk)
 
 
 def _check_blocks_partition(g: Graph) -> tuple[bool, str]:
@@ -170,14 +183,13 @@ def _check_decomposition_replay(g: Graph, rng: random.Random) -> tuple[bool, str
             if rng.random() < 0.5:
                 x = x ^ row
         targets.append(x)
-    fresh = Graph(g.vertices, g.edges, g.psi, g.universe)  # reads no memo left on g
     seen = set()  # parts already tested
     for target in targets:
         cert = decompose_cs_element(g, target)
         if cert.replay() != target:
             return False, "replay mismatch"
         for part in cert.parts:
-            if part not in seen and is_separating(fresh, part):
+            if part not in seen and is_separating(_replica(g)[0], part):
                 return False, "certificate part is separating"
         seen.update(cert.parts)
     return True, f"{len(targets)} targets decomposed and replayed"
@@ -186,47 +198,40 @@ def _check_decomposition_replay(g: Graph, rng: random.Random) -> tuple[bool, str
 def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
     if is_top_k4(g):
         return True, "already a subdivision of K4"
-    seq = ear_sequence(g)
-    # A walk of copies, each built from the last and t alone, where t is
-    # validated again: it reads nothing the ear walk handed each g - t.
-    current = Graph(g.vertices, g.edges, g.psi, g.universe)
-    for step_fingerprint, t in seq.steps:
+    seq, walk = ear_sequence(g), _replica(g)
+    for (step_fingerprint, _), current in zip(seq.steps, walk):
         if fingerprint(current) != step_fingerprint or not is_top_3_connected(current):
             return False, "intermediate graph fails the reduction invariant"
-        current = thread_delete(current, t)
-    if current != seq.terminal or not is_top_k4(current):
+    if walk[-1] != seq.terminal or not is_top_k4(walk[-1]):
         return False, "terminal graph is not a subdivision of K4"
     return True, f"{len(seq.steps)} reduction steps"
 
 
 def _check_path_chord_lifting(g: Graph, cap: int) -> tuple[bool, str]:
-    # The decomposition's own steps (g_i, t, g_i - t): t path-chords each
-    # non-separating circuit of g_i - t that passes both of its ends, its
-    # lift splits it, and each half must be a non-separating circuit of a
-    # fresh copy of g_i (VerificationFailed otherwise), the two summing to it.
+    # The decomposition's own steps (g_i, t, g_i - t), replicated: t
+    # path-chords each non-separating circuit of g_i - t that passes both of
+    # its ends, its lift splits it, and each half must be a non-separating
+    # circuit of g_i (VerificationFailed otherwise), the two summing to it.
     checked = 0
-    current = g
-    steps, _ = _chain(g)
+    walk = _replica(g)
     at = _incident_bits(g)
-    for t, tbits, reduced in steps:
-        fresh = Graph(current.vertices, current.edges, current.psi, current.universe)
+    for (t, tbits, _), current, reduced in zip(_chain(g)[0], walk, walk[1:]):
         for c in non_separating_circuits(reduced, cap):
             if set(t.endpoints) <= set(c.vertex_cycle):
                 halves = _lift_bits(g, at, t, tbits, c.edges.bits)
                 for half in halves:
-                    lifted = circuit_from_edges(fresh, EdgeSet(half, g.universe).ids())
-                    if _is_separating_edges(fresh, lifted.edges):
+                    lifted = circuit_from_edges(current, EdgeSet(half, g.universe).ids())
+                    if _is_separating_edges(current, lifted.edges):
                         raise VerificationFailed("lifted circuit is separating in the host")
                 if len(halves) != 2 or halves[0] ^ halves[1] != c.edges.bits:
                     return False, "split halves do not sum to the circuit"
                 checked += 1
-        current = reduced
     return True, f"{checked} split pairs verified"
 
 
 def _check_theta_pairs(g: Graph) -> tuple[bool, str]:
     pool = threads(g)
-    fresh = Graph(g.vertices, g.edges, g.psi, g.universe)  # reads no memo left on g
+    fresh = _replica(g)[0]
     for t in pool:
         pair = theta_pair(g, t)
         tset = g.edge_set(t.edges)

@@ -107,9 +107,9 @@ def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(subdivide
 
 @pytest.mark.parametrize("name", ["petersen", "random3c-12", "random3c-10+subdivided"])
 def test_only_host_and_terminal_run_the_full_connectivity_test(name):
-    # the removal test hands each g - t above the terminal its verdict, so
-    # neither verify-all's catalogs of the g_i - t nor the decomposition
-    # test 3-connectivity again between the host and the terminal
+    # verify-all tests 3-connectivity on its own copies of the g_i, and the
+    # decomposition reads no verdict on them, so neither tests it on a
+    # graph of the walk between the host and the terminal
     base, _, subdivided = name.partition("+")
     g = gen_corpus(base)
     g = subdivide_every_edge(g) if subdivided else g

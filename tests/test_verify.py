@@ -21,9 +21,9 @@ from nscycles import (
     verify_graph,
 )
 from nscycles import decomposition
-from nscycles.circuits import DEFAULT_CIRCUIT_CAP, _is_separating_edges
+from nscycles.circuits import DEFAULT_CIRCUIT_CAP, NcCatalog, _is_separating_edges, _nc_catalog
 from nscycles.decomposition import DecompositionCertificate, ThetaPair
-from nscycles.graph_core import _incident_bits, _remember
+from nscycles.graph_core import Graph, _incident_bits, _remember
 
 from conftest import CORPUS_NAMES
 import oracles
@@ -202,6 +202,33 @@ def test_lifting_tests_halves_on_a_copy_of_each_graph():
     half = decomposition._lift_bits(g, _incident_bits(g), t, tbits, c.edges.bits)[0]
     _remember(g, _is_separating_edges, True, EdgeSet(half, g.universe))
     assert verify._check_path_chord_lifting(g, DEFAULT_CIRCUIT_CAP) == expected
+
+
+def test_lifting_builds_its_catalogs_on_its_own_copies():
+    # an empty catalog left in the memo of a graph of the decomposition's
+    # ear walk hides no split pair from the check
+    g = gen_corpus("random3c-12")
+    expected = verify._check_path_chord_lifting(gen_corpus("random3c-12"), DEFAULT_CIRCUIT_CAP)
+    assert expected[0] and expected[1] != "0 split pairs verified"
+    for _, _, reduced in decomposition._chain(g)[0]:
+        _remember(reduced, _nc_catalog, NcCatalog((), ""), DEFAULT_CIRCUIT_CAP)
+    assert verify._check_path_chord_lifting(g, DEFAULT_CIRCUIT_CAP) == expected
+
+
+def test_verify_graph_copies_the_host_once(monkeypatch):
+    # every check that reads the replica shares the one copy of the host,
+    # and each graph below it is built from the last by thread_delete
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Graph(*args)
+
+    monkeypatch.setattr(verify, "Graph", counting)
+    for label in ("petersen", "random3c-12"):
+        built.clear()
+        assert verify_graph(gen_corpus(label), label).all_passed, label
+        assert len(built) == 1, label
 
 
 def test_replay_draws_64_targets_from_the_fundamental_basis(monkeypatch):
