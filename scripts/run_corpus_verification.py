@@ -51,8 +51,8 @@ def main(argv=None) -> int:
     any_failed = False
     for name, g in jobs:
         report = verify_graph(g, name)
-        failed = [c.name for c in report.checks if not c.passed]
-        skipped = [c.name for c in report.checks if c.details.startswith("skipped:")]
+        failed = [c.name for c in report.checks if c.passed is False]
+        skipped = [c.name for c in report.checks if c.passed is None]
         status = f"FAIL ({', '.join(failed)})" if failed else "ok"
         if skipped:
             status += f" (skipped: {', '.join(skipped)})"

@@ -8,12 +8,14 @@ bridge, so this is contracting C leaving more blocks than the host has.
 Subdivisions of simple 3-connected graphs read their non-separating catalog
 off the chordless cycles of the branch graph; other hosts test every circuit.
 
-The induced-path search and the separation test work on vertex bitmasks
-(:func:`_vertex_bits`).  The search yields each chordless cycle of the
-branch graph as its cyclic vertex order, and the circuit of g along it is
-built in that one pass (:func:`_branch_cycle_circuit`): each consecutive
-pair of branch vertices gives its thread's edge bitmask and vertex run
-from one per-graph table, so no circuit is walked a second time.
+The induced-path search and the separation test work on the vertex
+bitmasks of ``graph_core._vertex_bits``, and the test floods each
+component of G - V(C) with ``graph_core._flood``.  The search yields each
+chordless cycle of the branch graph as its cyclic vertex order, and the
+circuit of g along it is built in that one pass
+(:func:`_branch_cycle_circuit`): each consecutive pair of branch vertices
+gives its thread's edge bitmask and vertex run from one per-graph table,
+so no circuit is walked a second time.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .graph_core import (
     Graph,
     Thread,
     _branch_graph,
+    _flood,
     _incidence,
     _threads,
     _validate_thread,
+    _vertex_bits,
     _walk,
     fingerprint,
     is_connected,
@@ -178,19 +182,6 @@ def enumerate_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit
     return list(_enumerate(g, cap))
 
 
-@memoized
-def _vertex_bits(g: Graph) -> tuple[dict, list]:
-    """Vertex -> its bit ``1 << i``, i its position in ``g.adjacency``, and
-    index i -> the bits of that vertex's neighbors, ORed (a loop puts a
-    vertex among its own neighbors; parallel edges set one bit)."""
-    bit = {v: 1 << i for i, v in enumerate(g.adjacency)}
-    nbrs = [0] * len(bit)
-    for i, pairs in enumerate(g.adjacency.values()):
-        for _, w in pairs:
-            nbrs[i] |= bit[w]
-    return bit, nbrs
-
-
 def _separates(g: Graph, on_cycle, bridges: int) -> bool:
     """True iff the cycle with vertices ``on_cycle``, which has ``bridges``
     chords, has two or more bridges.  O(m) bitmask operations."""
@@ -198,15 +189,8 @@ def _separates(g: Graph, on_cycle, bridges: int) -> bool:
     on = sum(map(bit.__getitem__, on_cycle))  # on_cycle holds each vertex once
     rest = ((1 << len(nbrs)) - 1) & ~on
     while rest and bridges < 2:
-        # flood one component of G - V(C), collecting its neighbors
-        part = frontier = rest & -rest
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= nbrs[low.bit_length() - 1]
-            new = reach & rest & ~part
-            frontier ^= low | new
-            part |= new
+        # one component of G - V(C), and its neighbors
+        part, reach = _flood(nbrs, rest & -rest, rest)
         if not bridges and part == rest:
             return False  # no chord and one component: at most one bridge
         rest &= ~part

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyX, TooLarge
-from .graph_core import (EdgeSet, Graph, _check_universe, _incident_bits, fingerprint,
-                         is_connected, memoized)
-from .circuits import Circuit, NcCatalog, _vertex_bits, non_separating_circuits
+from .graph_core import (EdgeSet, Graph, _check_universe, _flood, _incident_bits, _vertex_bits,
+                         fingerprint, is_connected, memoized)
+from .circuits import Circuit, NcCatalog, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
 MAX_CUT_SEARCH_EDGES = 21
@@ -71,17 +71,9 @@ def _bonds(g: Graph) -> tuple[Bond, ...]:
     while stack:
         side, cut, ext, barred = stack.pop()
         rest = full & ~side
-        if side and rest:
-            reach = frontier = rest & -rest
-            while frontier:  # flood the complement
-                low = frontier & -frontier
-                frontier ^= low
-                new = nbrs[low.bit_length() - 1] & rest & ~reach
-                reach |= new
-                frontier |= new
-            if reach == rest:
-                members = frozenset(v for v, b in bit.items() if side & b)
-                out.append(Bond(EdgeSet(cut, g.universe), members))
+        if side and rest and _flood(nbrs, rest & -rest, rest)[0] == rest:  # rest connected
+            members = frozenset(v for v, b in bit.items() if side & b)
+            out.append(Bond(EdgeSet(cut, g.universe), members))
         while ext:
             low = ext & -ext
             ext ^= low

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Disconnected, NotInSpan, UniverseMismatch, VerificationFailed
-from .graph_core import (EdgeSet, Graph, _check_universe, _incident_bits, bfs_tree, find_root,
-                         is_connected)
+from .graph_core import EdgeSet, Graph, _check_universe, _incident_bits, find_root, is_connected
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,14 @@ def fundamental_basis(g: Graph) -> list[EdgeSet]:
             parent[ru] = rv
             tree_adj[u].append((e, v))
             tree_adj[v].append((e, u))
-    # Edge bitmask of each vertex's tree path to the root; parents come first.
-    root_path: dict = {}
-    tree = bfs_tree(tree_adj, min(g.vertices)) if g.vertices else {}
-    for v, (p, e) in tree.items():
-        root_path[v] = 0 if p is None else root_path[p] | 1 << e
+    # Edge bitmask of each vertex's tree path to the root, breadth first.
+    queue = [min(g.vertices)] if g.vertices else []
+    root_path = dict.fromkeys(queue, 0)
+    for v in queue:
+        for e, w in tree_adj[v]:
+            if w not in root_path:
+                root_path[w] = root_path[v] | 1 << e
+                queue.append(w)
     basis = []
     for e in non_tree:
         u, v = g.psi[e]

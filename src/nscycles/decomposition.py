@@ -68,6 +68,7 @@ from .graph_core import (
     _key_digest,
     _threads,
     _validate_thread,
+    _vertex_bits,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -86,7 +87,6 @@ from .circuits import (
     _separates,
     _thread_runs,
     _validate_circuit,
-    _vertex_bits,
     circuit_from_edges,
     non_separating_circuits,
 )

@@ -14,6 +14,11 @@ branch graph has one builder, :func:`_branch_graph`, and the index lists
 of the low-point DFS one, :func:`_index_lists`, read by the
 3-connectivity test and by an ear sequence's removal tests alike.
 
+Reachability on vertex bitmasks, indexed once per graph by
+:func:`_vertex_bits`, is one flood, :func:`_flood`: it decides
+:func:`is_connected`, the components of G - V(C) in the separation test
+and whether a bond's other side is connected.
+
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends (``circuits._halves``) are all traced by one walk,
 :func:`_walk`.
@@ -258,11 +263,41 @@ def _key_digest(vertices, triples, universe: int) -> str:
 
 
 @memoized
+def _vertex_bits(g: Graph) -> tuple[dict, list]:
+    """Vertex -> its bit ``1 << i``, i its position in ``g.adjacency``, and
+    index i -> the bits of that vertex's neighbors, ORed (a loop puts a
+    vertex among its own neighbors; parallel edges set one bit).  This
+    table, :func:`_incident_bits` and :func:`_index_lists` all number the
+    vertices in ``g.adjacency`` order, which is that of ``g.vertices``."""
+    bit = {v: 1 << i for i, v in enumerate(g.adjacency)}
+    nbrs = [0] * len(bit)
+    for i, pairs in enumerate(g.adjacency.values()):
+        for _, w in pairs:
+            nbrs[i] |= bit[w]
+    return bit, nbrs
+
+
+@memoized
 def _incident_bits(g: Graph) -> dict:
     """Vertex -> the bitmask of its non-loop edges, in ``g.adjacency``
     order: a vertex's degree parity in an edge set is that of its mask's
     bits there, as a loop adds 2."""
     return {v: sum(1 << e for e, w in pairs if w != v) for v, pairs in g.adjacency.items()}
+
+
+def _flood(nbrs: list, seed: int, within: int) -> tuple[int, int]:
+    """The vertices of ``within`` that ``seed`` reaches inside it, seed
+    included, and the OR of their neighbor masks, both as bitmasks of
+    :func:`_vertex_bits` with its neighbor list ``nbrs``."""
+    part = frontier = seed
+    reach = 0
+    while frontier:
+        low = frontier & -frontier
+        reach |= nbrs[low.bit_length() - 1]
+        new = reach & within & ~part
+        frontier ^= low | new
+        part |= new
+    return part, reach
 
 
 def build_graph(vertex_count: int, edge_pairs) -> Graph:
@@ -436,29 +471,12 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
                 low[parent] = low[v]
 
 
-def bfs_tree(adjacency: dict, start) -> dict:
-    """Breadth-first search over ``adjacency`` (vertex -> (edge, neighbor)
-    pairs) from ``start``.
-
-    Returns each reached vertex's (parent, edge) in visiting order; the
-    start maps to (None, None).
-    """
-    tree = {start: (None, None)}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e, w in adjacency[v]:
-            if w not in tree:
-                tree[w] = (v, e)
-                queue.append(w)
-    return tree
-
-
 @memoized
 def is_connected(g: Graph) -> bool:
-    if len(g.vertices) <= 1:
-        return True
-    return len(bfs_tree(g.adjacency, min(g.vertices))) == len(g.vertices)
+    """True iff one flood from the first vertex, if any, reaches them all."""
+    nbrs = _vertex_bits(g)[1]
+    every = (1 << len(nbrs)) - 1
+    return _flood(nbrs, every & 1, every)[0] == every
 
 
 @memoized

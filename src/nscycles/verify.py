@@ -4,9 +4,10 @@ Each check exercises one statement the library is built around (rank of
 the cycle space, spanning by non-separating circuits, ear reduction,
 path-chord lifting, theta pairs, unit-overlap witnesses, cocircuit
 recovery, orthogonality) plus two structural partitions.  Checks whose
-hypotheses the input graph does not meet report as skipped rather than
-failed; those that walk the ear sequence or test separation read one
-replica of it, :func:`_replica`, and no verdict the library left in a memo.
+hypotheses the input graph does not meet report as skipped, neither
+passed nor failed: ``"pass": null``, details starting ``skipped:``.
+Those that walk the ear sequence or test separation read one replica of
+it, :func:`_replica`, and no verdict the library left in a memo.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AllDegreesTwo, Disconnected, GraphError, TooLarge, VerificationFailed
+from .errors import AllDegreesTwo, GraphError, TooLarge, VerificationFailed
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -62,7 +63,7 @@ DECOMPOSE_SAMPLE_CAP = 64
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
+    passed: bool | None  # None: skipped, its hypothesis unmet
     details: str
     elapsed_ms: int
 
@@ -75,7 +76,7 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed is not False for c in self.checks)
 
     def to_dict(self, include_timing: bool) -> dict:
         payload: dict = {
@@ -92,8 +93,8 @@ class VerificationReport:
         return payload
 
 
-def _skip(reason: str) -> tuple[bool, str]:
-    return True, f"skipped: {reason}"
+def _skip(reason: str) -> tuple[None, str]:
+    return None, f"skipped: {reason}"
 
 
 def _simple_3_connected(g: Graph) -> bool:
@@ -133,7 +134,7 @@ def _check_blocks_partition(g: Graph) -> tuple[bool, str]:
     return True, f"{decomposition.block_count} blocks cover {total} edges"
 
 
-def _check_threads_partition(g: Graph) -> tuple[bool, str]:
+def _check_threads_partition(g: Graph) -> tuple[bool | None, str]:
     try:
         ts = threads(g)
     except AllDegreesTwo:
@@ -250,19 +251,16 @@ def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
     ids = sorted(g.edges)
     pool = [(e,) for e in ids] + list(combinations(ids, 2))
     pool = pool[:WITNESS_SAMPLE_CAP]
-    checked = 0
     for combo in pool:
-        try:
-            result = circuits_meeting_once(g, g.edge_set(combo), nc)
-        except Disconnected:
-            continue
+        # a simple 3-connected host is 3-edge-connected: deleting one or two
+        # edges leaves it connected, else Disconnected fails the check
+        result = circuits_meeting_once(g, g.edge_set(combo), nc)
         if isinstance(result, CounterexampleReport):
             return False, f"no witness pair for edges {list(combo)}"
-        checked += 1
-    return True, f"{checked} cuts witnessed"
+    return True, f"{len(pool)} cuts witnessed"
 
 
-def _check_cocircuit_recovery(g: Graph) -> tuple[bool, str]:
+def _check_cocircuit_recovery(g: Graph) -> tuple[bool | None, str]:
     try:
         ok = verify_cocircuit_identity(g)
     except TooLarge as exc:
@@ -270,7 +268,7 @@ def _check_cocircuit_recovery(g: Graph) -> tuple[bool, str]:
     return ok, "minimal cut candidates equal bonds" if ok else "families differ"
 
 
-def _check_orthogonality(g: Graph) -> tuple[bool, str]:
+def _check_orthogonality(g: Graph) -> tuple[bool | None, str]:
     # By GF(2) bilinearity, a bond even on a cycle basis is even on every circuit.
     try:
         all_bonds = bonds(g)

@@ -283,8 +283,19 @@ def test_cli_verify_all_rejects_weak_hosts(tmp_path, capsys):
     assert code == 1
     by_name = {c["name"]: c for c in payload["checks"]}
     assert not by_name["host_three_connected"]["pass"]
-    assert by_name["nc_spans_cycle_space"]["pass"]
+    assert by_name["nc_spans_cycle_space"]["pass"] is None
     assert by_name["nc_spans_cycle_space"]["details"].startswith("skipped")
+
+
+def test_cli_verify_all_reports_a_skip_as_null(capsys):
+    # wheel-11 has 22 edges, past the cut-candidate search: that check did
+    # not run, so it neither passes nor fails, and the exit code is 0
+    code, payload = run_json(["verify-all", "--gen", "wheel-11"], capsys)
+    assert code == 0
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["cocircuit_recovery"]["pass"] is None
+    assert by_name["cocircuit_recovery"]["details"].startswith("skipped:")
+    assert all(c["pass"] is True for name, c in by_name.items() if name != "cocircuit_recovery")
 
 
 def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):

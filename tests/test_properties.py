@@ -171,9 +171,20 @@ def test_contract_delete_commute_on_disjoint_sets(g, data):
     assert one == other
 
 
+@st.composite
+def deleted_graphs(draw):
+    """Edge-deletion images of simple graphs, often with isolated vertices."""
+    g = draw(simple_graphs())
+    return delete_edges(g, g.edge_set(e for e in sorted(g.edges) if draw(st.booleans())))
+
+
 @settings(max_examples=200)
-@given(st.one_of(simple_graphs(), contracted_graphs()))
+@given(st.one_of(simple_graphs(), contracted_graphs(), deleted_graphs(),
+                 st.just(build_graph(0, []))))
 def test_k_connected_matches_removal_oracle(g):
+    adj = oracles.adjacency_from_pairs(g.vertices, g.psi.values())
+    reached = oracles.reachable(adj, min(g.vertices)) if g.vertices else set()
+    assert is_connected(g) == (len(reached) == len(g.vertices))
     for k in range(1, 5):
         assert is_k_connected(g, k) == oracles.k_connected_by_removal(g, k), k
 

@@ -23,6 +23,7 @@ from nscycles import (
 from nscycles import decomposition
 from nscycles.circuits import DEFAULT_CIRCUIT_CAP, NcCatalog, _is_separating_edges, _nc_catalog
 from nscycles.decomposition import DecompositionCertificate, ThetaPair
+from nscycles.errors import Disconnected
 from nscycles.graph_core import Graph, _incident_bits, _remember
 
 from conftest import CORPUS_NAMES
@@ -143,6 +144,19 @@ def test_lifting_fails_on_halves_that_do_not_sum_to_the_circuit(monkeypatch):
     monkeypatch.setattr(decomposition, "_halves", lambda *args: halves(*args)[:1] * 2)
     assert verify._check_path_chord_lifting(gen_corpus("k5"), DEFAULT_CIRCUIT_CAP) == (
         False, "split halves do not sum to the circuit")
+
+
+def test_witness_check_fails_when_a_cut_disconnects(monkeypatch):
+    # no cut of one or two edges disconnects a simple 3-connected host; if
+    # one did, the check reports it instead of leaving the cut out
+    def disconnected(*args):
+        raise Disconnected("deleting the edge set disconnects the graph")
+
+    monkeypatch.setattr(verify, "circuits_meeting_once", disconnected)
+    check = next(c for c in verify_graph(gen_corpus("k4"), "k4").checks
+                 if c.name == "unit_overlap_witnesses")
+    assert (check.passed, check.details) == (
+        False, "Disconnected: deleting the edge set disconnects the graph")
 
 
 def test_replay_tests_parts_on_a_copy_of_the_host(monkeypatch):
