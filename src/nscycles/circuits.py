@@ -8,9 +8,14 @@ bridge, so this is contracting C leaving more blocks than the host has.
 Subdivisions of simple 3-connected graphs read their non-separating catalog
 off the chordless cycles of the branch graph; other hosts test every circuit.
 
-The induced-path search and the separation test work on the vertex
-bitmasks of ``graph_core._vertex_bits``, and the test floods each
-component of G - V(C) with ``graph_core._flood``.  The search yields each
+The induced-path search and the separation test work on integer
+vertices and their neighbor masks, and the test floods each component of
+G - V(C) with ``graph_core._flood``.  The vertices are the positions of
+``graph_core._vertex_bits`` for the separation tests in g and in the
+catalog's branch graph, the labels themselves for the chordless-cycle
+search, and the indices of ``graph_core._lists`` for the theta search of
+``decomposition``, which runs both kernels on the lists an ear walk
+carries.  The search yields each
 chordless cycle of the branch graph as its cyclic vertex order, and the
 circuit of g along it is built in that one pass
 (:func:`_branch_cycle_circuit`): each consecutive pair of branch vertices
@@ -182,12 +187,12 @@ def enumerate_circuits(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit
     return list(_enumerate(g, cap))
 
 
-def _separates(g: Graph, on_cycle, bridges: int) -> bool:
-    """True iff the cycle with vertices ``on_cycle``, which has ``bridges``
-    chords, has two or more bridges.  O(m) bitmask operations."""
-    bit, nbrs = _vertex_bits(g)
-    on = sum(map(bit.__getitem__, on_cycle))  # on_cycle holds each vertex once
-    rest = ((1 << len(nbrs)) - 1) & ~on
+def _separates(nbrs: list, live: int, on: int, bridges: int) -> bool:
+    """True iff the cycle on the vertices ``on``, which has ``bridges``
+    chords, has two or more bridges in the graph on the vertices ``live``,
+    both vertex bitmasks over ``nbrs``, index -> the bits of that vertex's
+    neighbors.  O(m) bitmask operations."""
+    rest = live & ~on
     while rest and bridges < 2:
         # one component of G - V(C), and its neighbors
         part, reach = _flood(nbrs, rest & -rest, rest)
@@ -206,7 +211,8 @@ def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
     # _separates pass chordless cycles only
     chords = sum(1 for v in on_cycle for e, w in g.adjacency[v]
                  if v < w and w in on_cycle and not bits >> e & 1)
-    return _separates(g, on_cycle, chords)
+    bit, nbrs = _vertex_bits(g)
+    return _separates(nbrs, (1 << len(nbrs)) - 1, sum(map(bit.__getitem__, on_cycle)), chords)
 
 
 def is_separating(g: Graph, c: Circuit) -> bool:
@@ -220,64 +226,67 @@ def is_separating(g: Graph, c: Circuit) -> bool:
 
 
 class _NearestFirst(dict):
-    """Vertex -> its (edge, neighbor) steps in ``h`` to the vertices of
-    ``bound``, by ascending length plus bound (see :func:`_induced_paths`):
-    a tip's steps are sorted on their first lookup and kept, so a search
+    """Index -> its steps to the indices of ``bound`` in the branch graph
+    with neighbor index lists ``nbrs``, as (its thread's edge bitmask in g,
+    neighbor index) pairs, by ascending length plus bound (see
+    :func:`_induced_paths`).  Threads are read from ``runs``, g's
+    :func:`_thread_runs`, through ``vertex``, index -> branch vertex.  A
+    tip's steps are sorted on their first lookup and kept, so a search
     sorts only the tips it reaches."""
 
-    def __init__(self, h: Graph, weight: list, bound: dict):
+    def __init__(self, nbrs: list, vertex: list, runs: dict, bound: dict):
         super().__init__()
-        self.adjacency, self.weight, self.bound = h.adjacency, weight, bound
+        self.nbrs, self.vertex, self.runs, self.bound = nbrs, vertex, runs, bound
 
     def __missing__(self, v):
-        weight, bound = self.weight, self.bound
-        steps = self[v] = sorted((p for p in self.adjacency[v] if p[1] in bound),
-                                 key=lambda p: weight[p[0]] + bound[p[1]])
+        vertex, runs, bound = self.vertex, self.runs, self.bound
+        u = vertex[v]
+        steps = self[v] = sorted(((runs[u, vertex[w]][0], w) for w in self.nbrs[v] if w in bound),
+                                 key=lambda step: step[0].bit_count() + bound[step[1]])
         return steps
 
 
-def _induced_paths(h: Graph, start, allowed: int, ends, order=None, limit=None):
-    """Each induced path of the simple graph ``h`` that leaves ``start``
-    through the vertices whose bits are in ``allowed`` and stops at the
-    first one in ``ends``, as its vertices but the last (a list the search
-    goes on to change), its edge bitmask and its last vertex.
+def _induced_paths(nbrs: list, start: int, allowed: int, ends: int, order, limit=None):
+    """Each induced path of the simple graph with neighbor masks ``nbrs``
+    (index -> the bits of its neighbors' indices) that leaves ``start``
+    through the indices whose bits are in ``allowed`` and stops at the
+    first one in ``ends``, as its indices but the last (a list the search
+    goes on to change), its edge bitmask and its last index.
 
-    Grows the path depth first.  Each frame carries ``free``: the allowed
-    vertices off the path and adjacent to no path vertex but the tip, which
-    are those that extend the tip without a chord; a push clears the old
-    tip and its neighbors.  A vertex of ``ends`` closes a path, unpassed.
+    ``order`` maps each index to its steps, (edge bitmask, neighbor index)
+    pairs; a path's edge bitmask is the OR of its steps'.  Grows the path
+    depth first.  Each frame carries ``free``: the allowed indices off the
+    path and adjacent to no path index but the tip, which are those that
+    extend the tip without a chord; a push clears the old tip and its
+    neighbors.  An index of ``ends`` closes a path, unpassed.
 
-    Given ``order``, a :class:`_NearestFirst` with its ``weight`` (edge id
-    -> length) and ``bound`` (vertex -> a lower bound on the length still
-    to go after it; vertices with no bound are skipped), and ``limit`` (a
-    one-item list the caller may lower as the search runs), the search is
-    bounded: the tip's edges are tried nearest first, and a step is
+    Given ``limit`` (a one-item list the caller may lower as the search
+    runs), ``order`` is a :class:`_NearestFirst`: a step's bitmask is its
+    thread in g, so a path's length is its bitmask's bit count, and
+    ``order.bound`` maps an index to a lower bound on the length still to
+    go after it.  The tip's steps are tried nearest first, and a step is
     dropped when its length plus its bound is strictly greater than
     ``limit[0]``, so every path within the limit is still yielded.  It
     stays exponential in the worst case.  A caller that searches under
     several limits passes one ``order``, so each tip is sorted once.
     """
-    bit, nbrs = _vertex_bits(h)
-    if limit is None:
-        order = h.adjacency
-    else:
-        weight, bound = order.weight, order.bound
+    bound = limit and order.bound
     path = [start]
-    # DFS frames: (free vertices, edge bitmask and length of the path,
-    # iterator over its tip's edges)
-    frames = [(allowed, 0, 0, iter(order[start]))]
+    # DFS frames: (free indices, edge bitmask of the path, iterator over
+    # its tip's steps)
+    frames = [(allowed, 0, iter(order[start]))]
     while frames:
-        free, bits, length, edges = frames[-1]
-        for e, w in edges:
-            if not free & bit[w] or limit and length + weight[e] + bound[w] > limit[0]:
+        free, bits, steps = frames[-1]
+        for step, w in steps:
+            if not free >> w & 1 or limit and (bits | step).bit_count() + bound[w] > limit[0]:
                 continue
-            if w in ends:
-                yield path, bits | 1 << e, w
+            if ends >> w & 1:
+                yield path, bits | step, w
             else:
-                u = bit[path[-1]]
-                free &= ~(u | nbrs[u.bit_length() - 1])
+                u = path[-1]
+                free &= ~(1 << u | nbrs[u])
                 path.append(w)
-                frames.append((free, bits | 1 << e, limit and length + weight[e], iter(order[w])))
+                frames.append((free, bits | step, iter(order[w])))
                 break
         else:
             frames.pop()
@@ -291,19 +300,26 @@ def _chordless_cycles(h: Graph, cap: int):
 
     From each vertex s and each larger neighbor p1 but the largest, grows
     the induced paths p1, ... through vertices larger than s, closing at a
-    neighbor of s.  Each cycle is found in both directions and kept when
-    p1 is smaller than its last vertex, so a path from s's largest
-    neighbor is never kept.  Raises CircuitExplosion past ``cap`` cycles.
+    neighbor of s, with each vertex's own label as its bit.  Each cycle is
+    found in both directions and kept when p1 is smaller than its last
+    vertex, so a path from s's largest neighbor is never kept.  Raises
+    CircuitExplosion past ``cap`` cycles.
     """
+    nbrs = [0] * (max(h.vertices) + 1)
+    steps = [()] * len(nbrs)
+    for v, pairs in h.adjacency.items():
+        steps[v] = [(1 << e, w) for e, w in pairs]
+        nbrs[v] = sum(1 << w for _, w in pairs)
+    every = sum(1 << v for v in h.vertices)
     found = 0
     for s in sorted(h.vertices):
         to_s = {w: e for e, w in h.adjacency[s] if w > s}
-        above = sum(b for v, b in _vertex_bits(h)[0].items() if v > s)
+        above = every >> s + 1 << s + 1
         top = max(to_s, default=None)  # its paths close at smaller neighbors only
         for first, e1 in to_s.items():
             if first == top:
                 continue
-            for path, bits, last in _induced_paths(h, first, above, to_s):
+            for path, bits, last in _induced_paths(nbrs, first, above, nbrs[s] & above, steps):
                 if first < last:
                     found += 1
                     if found > cap:
@@ -357,9 +373,11 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         # A circuit of g runs along a cycle of the branch graph h, one thread
         # per edge, and has as many bridges in g as that cycle has in h.
         h = _branch_graph(g)
+        bit, nbrs = _vertex_bits(h)
+        every = (1 << len(nbrs)) - 1
         members = sorted(
             (_branch_cycle_circuit(g, order) for order, _ in _chordless_cycles(h, cap)
-             if not _separates(h, order, 0)),
+             if not _separates(nbrs, every, sum(map(bit.__getitem__, order)), 0)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

@@ -16,8 +16,14 @@ threads of the same ear walk, :func:`_chain`, and the same lift,
 :func:`_lift_bits`; the public :func:`lift_circuit` takes that split,
 ``circuits._halves``, too.
 
-The theta search runs on the branch graph H alone, one edge per thread,
-compares candidates as edge bitmasks and builds only its winner.  One
+The theta search runs on the branch graph H as the ear walk carries it,
+with no graph built for H: its index lists (``graph_core._lists``), one
+neighbor mask per index (:func:`_masks`) and g's thread runs, each run's
+edge bitmask giving its length.  The host reads them off its own branch
+graph; one walk per host (:func:`_handed_down`) hands each g_i - t of a
+decomposition its runs and masks, derived from g_i's by O(degree) edits
+on top of a copy.  The search compares candidates as edge bitmasks and
+builds only its winner.  One
 search returns the shortest non-separating circuit through the thread
 meeting a vertex set only in the thread's ends, ties going to the
 smallest sorted edge ids: a theta pair is the shortest one through the
@@ -48,7 +54,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, pairwise
 
 from .errors import (
     IsTopK4,
@@ -62,13 +67,12 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
-    _branch_graph,
     _ear_step,
     _incident_bits,
     _key_digest,
-    _threads,
+    _lists,
+    _remember,
     _validate_thread,
-    _vertex_bits,
     fingerprint,
     is_top_3_connected,
     is_top_k4,
@@ -76,6 +80,7 @@ from .graph_core import (
     thread_delete,
     threads,
 )
+from . import circuits
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
@@ -179,23 +184,28 @@ def ear_sequence(g: Graph) -> EarSequence:
     return EarSequence(tuple(out), terminal)
 
 
-def _distances_to(h: Graph, weight: list, ends: dict, allowed) -> dict:
-    """Least length, over edges of ``weight``, of a path from each vertex
-    of ``allowed`` to y whose only vertex in ``ends`` (y's neighbors, each
-    mapped to its edge to y) is its last before y; vertices with no such
-    path are left out.  Dijkstra, from ``ends`` inwards."""
-    dist = {w: weight[e] for w, e in ends.items()}
+def _distances_to(nbrs: list, vertex: list, runs: dict, ends: dict, allowed: int) -> dict:
+    """Least length of a path from each index of ``allowed`` to y, in the
+    branch graph given by the neighbor index lists ``nbrs``, whose only
+    index in ``ends`` (y's neighbors, each mapped to the length of its
+    thread to y) is its last before y; indices with no such path are left
+    out.  A step's length is that of its thread in ``runs``, g's
+    :func:`_thread_runs`, read through ``vertex``, index -> branch vertex.
+    Dijkstra, from ``ends`` inwards."""
+    dist = dict(ends)
     heap = [(d, w) for w, d in dist.items()]
     heapq.heapify(heap)
-    adjacency = h.adjacency
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for e, w in adjacency[v]:
-            if w in allowed and w not in ends and d + weight[e] < dist.get(w, math.inf):
-                dist[w] = d + weight[e]
-                heapq.heappush(heap, (dist[w], w))
+        u = vertex[v]
+        for w in nbrs[v]:
+            if allowed >> w & 1 and w not in ends:
+                via = d + runs[u, vertex[w]][0].bit_count()
+                if via < dist.get(w, math.inf):
+                    dist[w] = via
+                    heapq.heappush(heap, (via, w))
     return dist
 
 
@@ -210,45 +220,61 @@ def _precedes(a: int, b: int) -> bool:
 
 
 @memoized
+def _masks(g: Graph) -> tuple[list, int]:
+    """The branch graph of top-3-connected ``g`` as the theta search floods
+    it, on the indices of :func:`_lists`: index -> the bits of its
+    neighbors' indices, and the bits of the indices not suppressed.  Read
+    off g's lists, unless :func:`_handed_down` derived it from the graph
+    above g."""
+    _, nbrs, suppressed = _lists(g)
+    masks = [sum(1 << j for j in row) for row in nbrs]
+    return masks, (1 << len(masks)) - 1 - sum(1 << v for v in suppressed)
+
+
+@memoized
 def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     """The shortest non-separating circuit through the thread that meets
     the vertices ``avoid`` only in its ends, the first by sorted edge ids
-    on ties: t plus an induced x-y path of h - t's edge off ``avoid``, as
-    non-separating circuits are chordless in the branch graph h.  The path
-    stops at the first neighbor of y, as an edge from a path vertex to y
-    would be a chord.  The search is deepened: every path within a limit
-    is yielded, and the limit rises by 1 from the least bound, so the
-    first limit at which a circuit appears is the shortest one's length.
-    Candidates are compared on their edge bitmasks (:func:`_precedes`),
-    only one that would be the new best is tested for bridges in h, and
-    only the winner is built, from its vertex order in h.  The winner is
-    not tested again in g: a circuit has as many bridges in g as its cycle
-    in h, and the callers certify what they return.  VerificationFailed if
-    there is none."""
-    h = _branch_graph(g)
-    x, y = t.endpoints
-    weight = [len(s.edges) for s in _threads(g)]  # thread length of each h-edge
-    allowed = h.vertices.difference(avoid)
-    to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
-    bound = _distances_to(h, weight, to_y, allowed)
-    free = sum(map(_vertex_bits(h)[0].__getitem__, allowed))
-    order = _NearestFirst(h, weight, bound)
+    on ties: t plus an induced x-y path of the branch graph H - t's edge
+    off ``avoid``, as non-separating circuits are chordless in H.  H is
+    read as g's index lists (:func:`_lists`), neighbor masks
+    (:func:`_masks`) and thread runs (``circuits._thread_runs``), which
+    below a decomposition's host :func:`_handed_down` has handed down the
+    ear walk; no graph is built for it.  The path stops at the first neighbor of y, as an edge from a path
+    vertex to y would be a chord.  The search is deepened: every path
+    within a limit is yielded, and the limit rises by 1 from the least
+    bound, so the first limit at which a circuit appears is the shortest
+    one's length.  Candidates are compared on their edge bitmasks
+    (:func:`_precedes`), only one that would be the new best is tested for
+    bridges in H, and only the winner is built, from its vertex order.
+    The winner is not tested again in g: a circuit has as many bridges in
+    g as its cycle in H, and the callers certify what they return.
+    VerificationFailed if there is none."""
+    index, nbrs, _ = _lists(g)
+    masks, live = _masks(g)
     runs = _thread_runs(g)
+    vertex = list(index)
+    x, y = (index[v] for v in t.endpoints)
+    free = live & ~sum(1 << index[v] for v in avoid if v in index)
+    to_y = {w: runs[vertex[w], t.endpoints[1]][0] for w in nbrs[y] if free >> w & 1}
+    bound = _distances_to(nbrs, vertex, runs, {w: m.bit_count() for w, m in to_y.items()}, free)
+    order = _NearestFirst(nbrs, vertex, runs, bound)
+    ends, tbits = sum(1 << w for w in to_y), runs[t.endpoints][0]
+    limit = [min((m.bit_count() + bound[w] for m, w in order[x]), default=math.inf)]
+    best, best_bits = None, 0
     # on the length of the x-y path, which is shorter than all threads
     # together: past that, the search was exhaustive
-    limit = [min((weight[e] + bound[w] for e, w in order[x]), default=math.inf)]
-    best, best_bits, total = None, 0, sum(weight)
-    while best is None and limit[0] < total:
-        for path, _, last in _induced_paths(h, x, free, to_y, order, limit):
-            bits = sum(runs[pair][0] for pair in pairwise(chain(path, (last, y, x))))
+    while best is None and limit[0] < len(g.edges):
+        for path, bits, last in _induced_paths(masks, x, free, ends, order, limit):
+            bits |= to_y[last] | tbits
             if best is None or _precedes(bits, best_bits):
-                if not _separates(h, chain(path, (last, y)), 0):
+                if not _separates(masks, live, sum(1 << v for v in path) | 1 << last | 1 << y, 0):
                     best, best_bits = [*path, last, y], bits
                     limit[0] = bits.bit_count() - len(t.edges)
         limit[0] += 1
     if best is None:
         raise VerificationFailed("the shortest non-separating theta pair is separating")
-    return _branch_cycle_circuit(g, best)
+    return _branch_cycle_circuit(g, [vertex[v] for v in best])
 
 
 def theta_pair(g: Graph, t: Thread) -> ThetaPair:
@@ -320,6 +346,43 @@ def _chain(g: Graph) -> tuple[tuple, Graph]:
     return tuple(steps), g
 
 
+@memoized
+def _handed_down(g: Graph) -> None:
+    """Hands each g_i - t of :func:`_chain` the thread runs and the
+    neighbor masks of its branch graph that :func:`_theta` reads, derived
+    from g_i's: t's two pairs are dropped, t's ends x and y drop each
+    other, and at each end of t left with degree 2 the two runs there are
+    joined, its two neighbors naming each other.  Walked once per host by
+    :func:`_decompose`; :func:`ear_sequence` reads the same chain and pays
+    for none of it."""
+    runs, (masks, live) = _thread_runs(g), _masks(g)
+    index, _, before = _lists(g)
+    vertex = list(index)  # the host's indices, kept down the chain
+    for t, _, reduced in _chain(g)[0]:
+        _, nbrs, suppressed = _lists(reduced)
+        runs, masks = dict(runs), list(masks)
+        x, y = t.endpoints
+        del runs[x, y], runs[y, x]
+        i, j = index[x], index[y]
+        masks[i] ^= 1 << j
+        masks[j] ^= 1 << i
+        for v in suppressed[len(before):]:
+            a, b = nbrs[v]
+            masks[a] ^= 1 << v | 1 << b
+            masks[b] ^= 1 << v | 1 << a
+            live ^= 1 << v
+            u, p, q = vertex[v], vertex[a], vertex[b]
+            (bits, p_run), (q_bits, q_run) = runs.pop((p, u)), runs.pop((q, u))
+            bits |= q_bits
+            runs[p, q] = bits, p_run + runs.pop((u, q))[1]
+            runs[q, p] = bits, q_run + runs.pop((u, p))[1]
+        # circuits' own name: a tracer's wrapper on the name imported here
+        # would store the table under a key the memo never reads
+        _remember(reduced, circuits._thread_runs, runs)
+        _remember(reduced, _masks, (masks, live))
+        before = suppressed
+
+
 def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
     """The lift of q, the edge bitmask of a circuit of g_i - t, to g_i, read
     on the host ``g`` and its vertex -> edge bitmask ``at``: q passes both
@@ -369,6 +432,7 @@ def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     same parts.
     """
     steps, terminal = _chain(g)
+    _handed_down(g)
     parts: set[int] = set()
     bits, level = x.bits, g
     for i, (t, tbits, reduced) in enumerate(steps):

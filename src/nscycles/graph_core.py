@@ -12,7 +12,9 @@ memoized :func:`_ear_step` keeps gets its degree table, threads and
 branch-graph index lists derived from g's, and no reference to g.  The
 branch graph has one builder, :func:`_branch_graph`, and the index lists
 of the low-point DFS one, :func:`_index_lists`, read by the
-3-connectivity test and by an ear sequence's removal tests alike.
+3-connectivity test and by an ear sequence's removal tests alike.  The
+theta search of ``decomposition`` reads the same lists, :func:`_lists`,
+so below the host it builds no branch graph.
 
 Reachability on vertex bitmasks, indexed once per graph by
 :func:`_vertex_bits`, is one flood, :func:`_flood`: it decides

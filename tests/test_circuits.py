@@ -30,10 +30,11 @@ from nscycles.circuits import (
     _branch_cycle_circuit,
     _chordless_cycles,
     _induced_paths,
+    _thread_runs,
     _vertex_bits,
 )
-from nscycles.decomposition import _distances_to
-from nscycles.graph_core import _branch_graph, _ear_step, _threads, is_top_k4
+from nscycles.decomposition import _distances_to, _masks
+from nscycles.graph_core import _branch_graph, _ear_step, _lists, _threads, is_top_k4
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -275,11 +276,6 @@ def test_even_subgraph_peeling_replays(corpus):
         assert total == x and seen == len(x), label
 
 
-def _mask(h, vertices) -> int:
-    bit = _vertex_bits(h)[0]
-    return sum(bit[v] for v in vertices)
-
-
 def _levels(g) -> list:
     """g and every graph below it down its ear sequence."""
     out = [g]
@@ -288,8 +284,11 @@ def _levels(g) -> list:
     return out
 
 
-def _paths(found) -> Counter:
-    return Counter((tuple(path), bits, last) for path, bits, last in found)
+def _paths(found, vertex=None) -> Counter:
+    """The paths ``found`` as (vertices but the last, edge bitmask, last
+    vertex), read through ``vertex`` (index -> vertex) when given."""
+    label = (lambda v: v) if vertex is None else vertex.__getitem__
+    return Counter((tuple(map(label, path)), bits, label(last)) for path, bits, last in found)
 
 
 def _oracle_hosts() -> list:
@@ -299,27 +298,41 @@ def _oracle_hosts() -> list:
 
 def test_induced_paths_match_enumeration_oracle():
     # unbounded, from each vertex's larger neighbors through larger
-    # vertices to its neighbors, as the chordless-cycle search asks
+    # vertices to its neighbors, as the chordless-cycle search asks, on the
+    # indices and neighbor masks of _vertex_bits
     for g in _oracle_hosts():
         h = _branch_graph(g)
+        bit, nbrs = _vertex_bits(h)
+        index = {v: b.bit_length() - 1 for v, b in bit.items()}
+        steps = [[(1 << e, index[w]) for e, w in pairs] for pairs in h.adjacency.values()]
         for s in sorted(h.vertices):
             above = {v for v in h.vertices if v > s}
             to_s = {w: e for e, w in h.adjacency[s] if w > s}
             for first in to_s:
-                assert _paths(_induced_paths(h, first, _mask(h, above), to_s)) == \
+                got = _induced_paths(nbrs, index[first], sum(map(bit.__getitem__, above)),
+                                     sum(map(bit.__getitem__, to_s)), steps)
+                assert _paths(got, list(bit)) == \
                     _paths(oracles.induced_paths_by_enumeration(h, first, above, to_s)), \
                     (fingerprint(g), s, first)
 
 
 def test_bounded_induced_paths_match_enumeration_oracle():
     # bounded as the theta search asks, with a fixed limit, on every graph
-    # down the ear sequence, where threads have various lengths: every path
-    # from x to a neighbor of y off the thread's ends within the limit
+    # down the ear sequence, where threads have various lengths, on the
+    # index lists, neighbor masks and thread runs that search reads: every
+    # path from x to a neighbor of y off the thread's ends within the
+    # limit, its edge bitmask that of its threads in g
     for g in _oracle_hosts():
         for lg in _levels(g):
             h = _branch_graph(lg)
-            weight = [len(t.edges) for t in _threads(lg)]
-            for t in _threads(lg):
+            ts = _threads(lg)
+            weight = [len(t.edges) for t in ts]
+            thread_bits = [sum(1 << e for e in t.edges) for t in ts]
+            index, nbrs, _ = _lists(lg)
+            masks = _masks(lg)[0]
+            runs = _thread_runs(lg)
+            vertex = list(index)
+            for t in ts:
                 x, y = t.endpoints
                 allowed = h.vertices - {x, y}
                 to_y = {w: e for e, w in h.adjacency[y] if w in allowed}
@@ -327,11 +340,15 @@ def test_bounded_induced_paths_match_enumeration_oracle():
                 lengths = [sum(weight[e] for e in range(len(weight)) if bits >> e & 1)
                            + weight[to_y[last]] for _, bits, last in expected]
                 limit = sorted(lengths)[len(lengths) // 2]
-                bound = _distances_to(h, weight, to_y, allowed)
-                order = _NearestFirst(h, weight, bound)
-                got = _induced_paths(h, x, _mask(h, allowed), to_y, order, [limit])
-                assert _paths(got) == _paths(p for p, n in zip(expected, lengths) if n <= limit), \
-                    (fingerprint(lg), t)
+                free = sum(1 << index[v] for v in allowed)
+                ends = {index[w]: weight[e] for w, e in to_y.items()}
+                bound = _distances_to(nbrs, vertex, runs, ends, free)
+                order = _NearestFirst(nbrs, vertex, runs, bound)
+                got = _induced_paths(masks, index[x], free, sum(1 << w for w in ends), order, [limit])
+                in_g = [(path, sum(thread_bits[e] for e in range(len(ts)) if bits >> e & 1), last)
+                        for path, bits, last in expected]
+                assert _paths(got, vertex) == \
+                    _paths(p for p, n in zip(in_g, lengths) if n <= limit), (fingerprint(lg), t)
 
 
 def test_catalog_circuits_are_rebuilt_from_their_edges():

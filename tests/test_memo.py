@@ -26,7 +26,7 @@ from nscycles import (
     verify_graph,
 )
 from nscycles import graph_core
-from nscycles.circuits import _is_separating_edges
+from nscycles.circuits import _is_separating_edges, _thread_runs
 from nscycles.decomposition import _chain, _part, _theta
 from nscycles.graph_core import _ear_step, _incident_bits
 from nscycles.errors import NotInNcOfReduced
@@ -210,6 +210,29 @@ def test_decompose_runs_only_the_first_theta_search():
     pair = theta_pair(g, t)
     keys = {key[1:] for key in g._memo if key[0] is _theta.__wrapped__}
     assert keys == {(t, t.endpoints), (t, pair.first.vertex_cycle)}
+
+
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_theta_below_the_host_builds_no_branch_graph(subdivided):
+    # the theta searches below the host read the lists, thread runs and
+    # neighbor masks the decomposition's walk hands down, so no level
+    # between the host and the terminal builds a branch graph or a vertex
+    # index; the walk is the decomposition's, so an ear sequence alone
+    # hands no thread runs down
+    g = subdivide_every_edge(gen_corpus("random3c-12")) if subdivided \
+        else gen_corpus("random3c-40")
+    g = Graph(g.vertices, g.edges, g.psi, g.universe)
+    ear_sequence(g)
+    below = [level for _, _, level in _chain(g)[0]]
+    assert len(below) > 5
+    assert not any((_thread_runs.__wrapped__,) in level._memo for level in below)
+    decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
+    searched = 0
+    for level in below[:-1]:
+        searched += sum(1 for key in level._memo if key[0] is _theta.__wrapped__)
+        for fn in (graph_core._branch_graph, graph_core._vertex_bits):
+            assert (fn.__wrapped__,) not in level._memo, (fn.__name__, fingerprint(level))
+    assert searched > 0
 
 
 def test_decompose_checks_only_its_final_parts():
