@@ -10,12 +10,12 @@ off the chordless cycles of the branch graph; other hosts test every circuit.
 
 The induced-path search and the separation test work on integer
 vertices and their neighbor masks, and the test floods each component of
-G - V(C) with ``graph_core._flood``.  The vertices are the positions of
-``graph_core._vertex_bits`` for the separation tests in g and in the
-catalog's branch graph, the labels themselves for the chordless-cycle
-search, and the indices of ``graph_core._lists`` for the theta search of
-``decomposition``, which runs both kernels on the lists an ear walk
-carries.  The search yields each
+G - V(C) with ``graph_core._flood``.  The vertices are the indices of
+``graph_core._index`` with the masks of ``graph_core._masks`` for the
+separation tests in g and in the catalog's branch graph, the labels
+themselves for the chordless-cycle search, and the indices of
+``graph_core._lists`` for the theta search of ``decomposition``, which
+runs both kernels on the tables an ear walk carries.  The search yields each
 chordless cycle of the branch graph as its cyclic vertex order, and the
 circuit of g along it is built in that one pass
 (:func:`_branch_cycle_circuit`): each consecutive pair of branch vertices
@@ -39,12 +39,13 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
-    _branch_graph,
+    _branch,
     _flood,
     _incidence,
+    _index,
+    _masks,
     _threads,
     _validate_thread,
-    _vertex_bits,
     _walk,
     fingerprint,
     is_connected,
@@ -211,8 +212,8 @@ def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
     # _separates pass chordless cycles only
     chords = sum(1 for v in on_cycle for e, w in g.adjacency[v]
                  if v < w and w in on_cycle and not bits >> e & 1)
-    bit, nbrs = _vertex_bits(g)
-    return _separates(nbrs, (1 << len(nbrs)) - 1, sum(map(bit.__getitem__, on_cycle)), chords)
+    index, masks = _index(g)[0], _masks(g)
+    return _separates(masks, (1 << len(masks)) - 1, sum(1 << index[v] for v in on_cycle), chords)
 
 
 def is_separating(g: Graph, c: Circuit) -> bool:
@@ -225,24 +226,21 @@ def is_separating(g: Graph, c: Circuit) -> bool:
     return _is_separating_edges(g, c.edges)
 
 
-class _NearestFirst(dict):
+class _Steps(dict):
     """Index -> its steps to the indices of ``bound`` in the branch graph
     with neighbor index lists ``nbrs``, as (its thread's edge bitmask in g,
-    neighbor index) pairs, by ascending length plus bound (see
-    :func:`_induced_paths`).  Threads are read from ``runs``, g's
-    :func:`_thread_runs`, through ``vertex``, index -> branch vertex.  A
-    tip's steps are sorted on their first lookup and kept, so a search
-    sorts only the tips it reaches."""
+    neighbor index) pairs (see :func:`_induced_paths`).  Threads are read
+    from ``runs``, g's :func:`_thread_runs`, through ``vertex``, index ->
+    branch vertex.  A tip's steps are built on their first lookup and kept,
+    so a search builds only the tips it reaches."""
 
     def __init__(self, nbrs: list, vertex: list, runs: dict, bound: dict):
         super().__init__()
         self.nbrs, self.vertex, self.runs, self.bound = nbrs, vertex, runs, bound
 
     def __missing__(self, v):
-        vertex, runs, bound = self.vertex, self.runs, self.bound
-        u = vertex[v]
-        steps = self[v] = sorted(((runs[u, vertex[w]][0], w) for w in self.nbrs[v] if w in bound),
-                                 key=lambda step: step[0].bit_count() + bound[step[1]])
+        vertex, runs, u = self.vertex, self.runs, self.vertex[v]
+        steps = self[v] = [(runs[u, vertex[w]][0], w) for w in self.nbrs[v] if w in self.bound]
         return steps
 
 
@@ -260,15 +258,14 @@ def _induced_paths(nbrs: list, start: int, allowed: int, ends: int, order, limit
     extend the tip without a chord; a push clears the old tip and its
     neighbors.  An index of ``ends`` closes a path, unpassed.
 
-    Given ``limit`` (a one-item list the caller may lower as the search
-    runs), ``order`` is a :class:`_NearestFirst`: a step's bitmask is its
+    Given ``limit``, ``order`` is a :class:`_Steps`: a step's bitmask is its
     thread in g, so a path's length is its bitmask's bit count, and
     ``order.bound`` maps an index to a lower bound on the length still to
-    go after it.  The tip's steps are tried nearest first, and a step is
-    dropped when its length plus its bound is strictly greater than
-    ``limit[0]``, so every path within the limit is still yielded.  It
-    stays exponential in the worst case.  A caller that searches under
-    several limits passes one ``order``, so each tip is sorted once.
+    go after it.  A step is dropped when its length plus its bound is
+    strictly greater than ``limit``, so every path within the limit is
+    still yielded.  It stays exponential in the worst case.  A caller that
+    searches under several limits passes one ``order``, so each tip's steps
+    are built once.
     """
     bound = limit and order.bound
     path = [start]
@@ -278,7 +275,7 @@ def _induced_paths(nbrs: list, start: int, allowed: int, ends: int, order, limit
     while frames:
         free, bits, steps = frames[-1]
         for step, w in steps:
-            if not free >> w & 1 or limit and (bits | step).bit_count() + bound[w] > limit[0]:
+            if not free >> w & 1 or limit and (bits | step).bit_count() + bound[w] > limit:
                 continue
             if ends >> w & 1:
                 yield path, bits | step, w
@@ -372,12 +369,12 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
     else:
         # A circuit of g runs along a cycle of the branch graph h, one thread
         # per edge, and has as many bridges in g as that cycle has in h.
-        h = _branch_graph(g)
-        bit, nbrs = _vertex_bits(h)
-        every = (1 << len(nbrs)) - 1
+        h = _branch(g)
+        index, masks = _index(h)[0], _masks(h)
+        every = (1 << len(masks)) - 1
         members = sorted(
             (_branch_cycle_circuit(g, order) for order, _ in _chordless_cycles(h, cap)
-             if not _separates(nbrs, every, sum(map(bit.__getitem__, order)), 0)),
+             if not _separates(masks, every, sum(1 << index[v] for v in order), 0)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

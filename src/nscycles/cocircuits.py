@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, EmptyX, TooLarge
-from .graph_core import (EdgeSet, Graph, _check_universe, _flood, _incident_bits, _vertex_bits,
+from .graph_core import (EdgeSet, Graph, _check_universe, _flood, _incident_bits, _index, _masks,
                          fingerprint, is_connected, memoized)
 from .circuits import Circuit, NcCatalog, non_separating_circuits
 
@@ -61,10 +61,10 @@ def _bonds(g: Graph) -> tuple[Bond, ...]:
         raise TooLarge(f"bond enumeration is capped at {MAX_BOND_VERTICES} vertices")
     if len(g.vertices) < 2:
         return ()
-    bit, nbrs = _vertex_bits(g)
-    full = (1 << len(bit)) - 1
-    incident = list(_incident_bits(g).values())  # index -> mask of its non-loop edges
-    root = bit[min(g.vertices)]
+    index, nbrs = _index(g)[0], _masks(g)
+    full = (1 << len(index)) - 1
+    incident = list(map(_incident_bits(g).__getitem__, index))  # index -> mask of its non-loop edges
+    root = 1 << index[min(g.vertices)]
     out = []
     # (side, cut, extension, barred), from the empty side, whose one extension is the root
     stack = [(0, 0, root, root)]
@@ -72,7 +72,7 @@ def _bonds(g: Graph) -> tuple[Bond, ...]:
         side, cut, ext, barred = stack.pop()
         rest = full & ~side
         if side and rest and _flood(nbrs, rest & -rest, rest)[0] == rest:  # rest connected
-            members = frozenset(v for v, b in bit.items() if side & b)
+            members = frozenset(v for v, i in index.items() if side >> i & 1)
             out.append(Bond(EdgeSet(cut, g.universe), members))
         while ext:
             low = ext & -ext
@@ -161,15 +161,14 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
 
 
 def _connected_without(g: Graph, x: EdgeSet) -> bool:
-    """True iff g - x is connected: one traversal that skips x's edges."""
-    stack = [next(iter(g.adjacency))] if g.vertices else []
-    seen = set(stack)
-    while stack:
-        for e, w in g.adjacency[stack.pop()]:
-            if w not in seen and not x.bits >> e & 1:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    """True iff g - x is connected: one flood over g's neighbor masks, those
+    of x's ends rebuilt without x's edges, so a parallel edge outside x
+    still joins its ends.  Ids of x that are not edges of g are ignored."""
+    index, masks = _index(g)[0], list(_masks(g))
+    for v in {v for e in x if e in g.edges for v in g.psi[e]}:
+        masks[index[v]] = sum({1 << index[w] for e, w in g.adjacency[v] if not x.bits >> e & 1})
+    every = (1 << len(masks)) - 1
+    return _flood(masks, every & 1, every)[0] == every
 
 
 def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):

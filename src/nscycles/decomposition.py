@@ -17,23 +17,22 @@ threads of the same ear walk, :func:`_chain`, and the same lift,
 ``circuits._halves``, too.
 
 The theta search runs on the branch graph H as the ear walk carries it,
-with no graph built for H: its index lists (``graph_core._lists``), one
-neighbor mask per index (:func:`_masks`) and g's thread runs, each run's
-edge bitmask giving its length.  The host reads them off its own branch
-graph; one walk per host (:func:`_handed_down`) hands each g_i - t of a
-decomposition its runs and masks, derived from g_i's by O(degree) edits
-on top of a copy.  The search compares candidates as edge bitmasks and
-builds only its winner.  One
-search returns the shortest non-separating circuit through the thread
-meeting a vertex set only in the thread's ends, ties going to the
-smallest sorted edge ids: a theta pair is the shortest one through the
-thread, then the shortest meeting that exactly in the thread (alpha =
-|E| - |C|); the decomposition needs only the first.  Non-separating
-circuits are chordless in H (Tutte 1963), so each is the thread plus an
-induced path between its ends there, grown by a depth-first search that
-drops a path once its length plus its Dijkstra distance to the far end
-exceeds a limit.  The limit starts at the least such bound and rises by
-1 until a circuit is found, then drops to the best circuit found so far,
+with no graph built for H: its index lists and neighbor masks
+(``graph_core._lists``, which the ear step hands down) and g's thread
+runs, each run's edge bitmask giving its length.  The host reads them off
+its own branch graph; one walk per host (:func:`_handed_down`) hands each
+g_i - t of a decomposition its runs, derived from g_i's by O(degree)
+edits on top of a copy.  The search compares candidates as edge bitmasks
+and builds only its winner.  One search returns the shortest
+non-separating circuit through the thread meeting a vertex set only in
+the thread's ends, ties going to the smallest sorted edge ids: a theta
+pair is the shortest one through the thread, then the shortest meeting
+that exactly in the thread (alpha = |E| - |C|); the decomposition needs
+only the first.  Non-separating circuits are chordless in H (Tutte
+1963), so each is the thread plus an induced path between its ends
+there, grown by a depth-first search that drops a path once its length
+plus its Dijkstra distance to the far end exceeds a limit.  The limit
+starts at the least such bound and rises by 1 until a circuit is found,
 so no path longer than the answer is grown; it stays exponential in the
 worst case.  The non-separating catalog is built only for the K4
 terminal of the induction.
@@ -84,7 +83,7 @@ from . import circuits
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
-    _NearestFirst,
+    _Steps,
     _branch_cycle_circuit,
     _halves,
     _induced_paths,
@@ -220,28 +219,17 @@ def _precedes(a: int, b: int) -> bool:
 
 
 @memoized
-def _masks(g: Graph) -> tuple[list, int]:
-    """The branch graph of top-3-connected ``g`` as the theta search floods
-    it, on the indices of :func:`_lists`: index -> the bits of its
-    neighbors' indices, and the bits of the indices not suppressed.  Read
-    off g's lists, unless :func:`_handed_down` derived it from the graph
-    above g."""
-    _, nbrs, suppressed = _lists(g)
-    masks = [sum(1 << j for j in row) for row in nbrs]
-    return masks, (1 << len(masks)) - 1 - sum(1 << v for v in suppressed)
-
-
-@memoized
 def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     """The shortest non-separating circuit through the thread that meets
     the vertices ``avoid`` only in its ends, the first by sorted edge ids
     on ties: t plus an induced x-y path of the branch graph H - t's edge
     off ``avoid``, as non-separating circuits are chordless in H.  H is
-    read as g's index lists (:func:`_lists`), neighbor masks
-    (:func:`_masks`) and thread runs (``circuits._thread_runs``), which
-    below a decomposition's host :func:`_handed_down` has handed down the
-    ear walk; no graph is built for it.  The path stops at the first neighbor of y, as an edge from a path
-    vertex to y would be a chord.  The search is deepened: every path
+    read as g's index lists and neighbor masks (:func:`_lists`), its live
+    indices being those not suppressed, and g's thread runs
+    (``circuits._thread_runs``), which below a decomposition's host
+    :func:`_handed_down` has handed down the ear walk; no graph is built
+    for it.  The path stops at the first neighbor of y, as an edge from a
+    path vertex to y would be a chord.  The search is deepened: every path
     within a limit is yielded, and the limit rises by 1 from the least
     bound, so the first limit at which a circuit appears is the shortest
     one's length.  Candidates are compared on their edge bitmasks
@@ -250,28 +238,27 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     The winner is not tested again in g: a circuit has as many bridges in
     g as its cycle in H, and the callers certify what they return.
     VerificationFailed if there is none."""
-    index, nbrs, _ = _lists(g)
-    masks, live = _masks(g)
+    index, nbrs, masks, suppressed = _lists(g)
+    live = (1 << len(masks)) - 1 - sum(1 << v for v in suppressed)
     runs = _thread_runs(g)
     vertex = list(index)
     x, y = (index[v] for v in t.endpoints)
     free = live & ~sum(1 << index[v] for v in avoid if v in index)
     to_y = {w: runs[vertex[w], t.endpoints[1]][0] for w in nbrs[y] if free >> w & 1}
     bound = _distances_to(nbrs, vertex, runs, {w: m.bit_count() for w, m in to_y.items()}, free)
-    order = _NearestFirst(nbrs, vertex, runs, bound)
+    order = _Steps(nbrs, vertex, runs, bound)
     ends, tbits = sum(1 << w for w in to_y), runs[t.endpoints][0]
-    limit = [min((m.bit_count() + bound[w] for m, w in order[x]), default=math.inf)]
+    limit = min((m.bit_count() + bound[w] for m, w in order[x]), default=math.inf)
     best, best_bits = None, 0
     # on the length of the x-y path, which is shorter than all threads
     # together: past that, the search was exhaustive
-    while best is None and limit[0] < len(g.edges):
+    while best is None and limit < len(g.edges):
         for path, bits, last in _induced_paths(masks, x, free, ends, order, limit):
             bits |= to_y[last] | tbits
             if best is None or _precedes(bits, best_bits):
                 if not _separates(masks, live, sum(1 << v for v in path) | 1 << last | 1 << y, 0):
                     best, best_bits = [*path, last, y], bits
-                    limit[0] = bits.bit_count() - len(t.edges)
-        limit[0] += 1
+        limit += 1
     if best is None:
         raise VerificationFailed("the shortest non-separating theta pair is separating")
     return _branch_cycle_circuit(g, [vertex[v] for v in best])
@@ -348,29 +335,21 @@ def _chain(g: Graph) -> tuple[tuple, Graph]:
 
 @memoized
 def _handed_down(g: Graph) -> None:
-    """Hands each g_i - t of :func:`_chain` the thread runs and the
-    neighbor masks of its branch graph that :func:`_theta` reads, derived
-    from g_i's: t's two pairs are dropped, t's ends x and y drop each
-    other, and at each end of t left with degree 2 the two runs there are
-    joined, its two neighbors naming each other.  Walked once per host by
-    :func:`_decompose`; :func:`ear_sequence` reads the same chain and pays
-    for none of it."""
-    runs, (masks, live) = _thread_runs(g), _masks(g)
-    index, _, before = _lists(g)
+    """Hands each g_i - t of :func:`_chain` the thread runs of its branch
+    graph that :func:`_theta` reads, derived from g_i's: t's two pairs are
+    dropped, and at each end of t left with degree 2 the two runs there are
+    joined.  Walked once per host by :func:`_decompose`;
+    :func:`ear_sequence` reads the same chain and pays for none of it."""
+    runs = _thread_runs(g)
+    index, _, _, before = _lists(g)
     vertex = list(index)  # the host's indices, kept down the chain
     for t, _, reduced in _chain(g)[0]:
-        _, nbrs, suppressed = _lists(reduced)
-        runs, masks = dict(runs), list(masks)
+        _, nbrs, _, suppressed = _lists(reduced)
+        runs = dict(runs)
         x, y = t.endpoints
         del runs[x, y], runs[y, x]
-        i, j = index[x], index[y]
-        masks[i] ^= 1 << j
-        masks[j] ^= 1 << i
         for v in suppressed[len(before):]:
             a, b = nbrs[v]
-            masks[a] ^= 1 << v | 1 << b
-            masks[b] ^= 1 << v | 1 << a
-            live ^= 1 << v
             u, p, q = vertex[v], vertex[a], vertex[b]
             (bits, p_run), (q_bits, q_run) = runs.pop((p, u)), runs.pop((q, u))
             bits |= q_bits
@@ -379,7 +358,6 @@ def _handed_down(g: Graph) -> None:
         # circuits' own name: a tracer's wrapper on the name imported here
         # would store the table under a key the memo never reads
         _remember(reduced, circuits._thread_runs, runs)
-        _remember(reduced, _masks, (masks, live))
         before = suppressed
 
 

@@ -9,17 +9,18 @@ catalogs, reductions, decomposition parts) are memoized on the ``Graph``
 that owns them, through :func:`memoized`: they live and die with that
 graph.  A graph may be handed results at birth: the g - t that the
 memoized :func:`_ear_step` keeps gets its degree table, threads and
-branch-graph index lists derived from g's, and no reference to g.  The
-branch graph has one builder, :func:`_branch_graph`, and the index lists
-of the low-point DFS one, :func:`_index_lists`, read by the
-3-connectivity test and by an ear sequence's removal tests alike.  The
-theta search of ``decomposition`` reads the same lists, :func:`_lists`,
-so below the host it builds no branch graph.
+branch-graph tables derived from g's, and no reference to g.  The branch
+graph has one builder, :func:`_branch_graph`, and each graph one vertex
+numbering, :func:`_index`, with its neighbor index lists, from which
+:func:`_masks` derives its neighbor masks when they are first asked for.
+The 3-connectivity test reads the lists; an ear sequence's removal tests
+and the theta search of ``decomposition`` read both, as :func:`_lists`,
+so below the host they build no branch graph.
 
-Reachability on vertex bitmasks, indexed once per graph by
-:func:`_vertex_bits`, is one flood, :func:`_flood`: it decides
-:func:`is_connected`, the components of G - V(C) in the separation test
-and whether a bond's other side is connected.
+Reachability on vertex bitmasks is one flood, :func:`_flood`, over
+:func:`_masks`: it decides :func:`is_connected`, the components of
+G - V(C) in the separation test, whether a bond's other side is
+connected and whether deleting an edge set disconnects a graph.
 
 Threads, circuits rebuilt from their edges, and a circuit's two arcs between
 a path-chord's ends (``circuits._halves``) are all traced by one walk,
@@ -265,32 +266,40 @@ def _key_digest(vertices, triples, universe: int) -> str:
 
 
 @memoized
-def _vertex_bits(g: Graph) -> tuple[dict, list]:
-    """Vertex -> its bit ``1 << i``, i its position in ``g.adjacency``, and
-    index i -> the bits of that vertex's neighbors, ORed (a loop puts a
-    vertex among its own neighbors; parallel edges set one bit).  This
-    table, :func:`_incident_bits` and :func:`_index_lists` all number the
-    vertices in ``g.adjacency`` order, which is that of ``g.vertices``."""
-    bit = {v: 1 << i for i, v in enumerate(g.adjacency)}
-    nbrs = [0] * len(bit)
-    for i, pairs in enumerate(g.adjacency.values()):
-        for _, w in pairs:
-            nbrs[i] |= bit[w]
-    return bit, nbrs
+def _index(g: Graph) -> tuple[dict, list]:
+    """Vertex -> index, in the order of ``g.vertices``, and index ->
+    neighbor indices, one per edge end (a loop appears once at its vertex).
+    The one vertex numbering of a graph: :func:`_masks`, the low-point DFS
+    and the bitmask kernels all read it."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    lists = [[] for _ in index]
+    for u, v in g.psi.values():
+        i, j = index[u], index[v]
+        lists[i].append(j)
+        if i != j:
+            lists[j].append(i)
+    return index, lists
+
+
+@memoized
+def _masks(g: Graph) -> list:
+    """Index of :func:`_index` -> the OR of its distinct neighbors' bits
+    ``1 << index``: a loop puts a vertex among its own neighbors, and
+    parallel edges set one bit."""
+    return [sum(1 << j for j in set(row)) for row in _index(g)[1]]
 
 
 @memoized
 def _incident_bits(g: Graph) -> dict:
-    """Vertex -> the bitmask of its non-loop edges, in ``g.adjacency``
-    order: a vertex's degree parity in an edge set is that of its mask's
-    bits there, as a loop adds 2."""
+    """Vertex -> the bitmask of its non-loop edges: a vertex's degree parity
+    in an edge set is that of its mask's bits there, as a loop adds 2."""
     return {v: sum(1 << e for e, w in pairs if w != v) for v, pairs in g.adjacency.items()}
 
 
 def _flood(nbrs: list, seed: int, within: int) -> tuple[int, int]:
     """The vertices of ``within`` that ``seed`` reaches inside it, seed
-    included, and the OR of their neighbor masks, both as bitmasks of
-    :func:`_vertex_bits` with its neighbor list ``nbrs``."""
+    included, and the OR of their neighbor masks, both as vertex bitmasks
+    over ``nbrs``, index -> the bits of its neighbors (:func:`_masks`)."""
     part = frontier = seed
     reach = 0
     while frontier:
@@ -476,9 +485,9 @@ def _biconnected_without(nbrs: list, removed: tuple) -> bool:
 @memoized
 def is_connected(g: Graph) -> bool:
     """True iff one flood from the first vertex, if any, reaches them all."""
-    nbrs = _vertex_bits(g)[1]
-    every = (1 << len(nbrs)) - 1
-    return _flood(nbrs, every & 1, every)[0] == every
+    masks = _masks(g)
+    every = (1 << len(masks)) - 1
+    return _flood(masks, every & 1, every)[0] == every
 
 
 @memoized
@@ -495,21 +504,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    return _k_connected_without(_index_lists(g)[1], (), k)
-
-
-def _index_lists(g: Graph) -> tuple[dict, list]:
-    """Vertex -> index, in the order of ``g.vertices``, and index ->
-    neighbor indices, for the low-point DFS; a loop appears once at its
-    vertex."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[] for _ in index]
-    for u, v in g.psi.values():
-        i, j = index[u], index[v]
-        nbrs[i].append(j)
-        if i != j:
-            nbrs[j].append(i)
-    return index, nbrs
+    return _k_connected_without(_index(g)[1], (), k)
 
 
 def _k_connected_without(nbrs: list, removed: tuple, k: int) -> bool:
@@ -727,17 +722,19 @@ def is_top_3_connected(g: Graph) -> bool:
 
 
 @memoized
-def _lists(g: Graph) -> tuple[dict, list, tuple]:
-    """The branch graph of top-3-connected ``g`` as the removal test reads
-    it: branch vertex -> index, index -> neighbor indices (one per thread
-    end), and the indices suppressed, none here.  Read off the branch
-    graph for a host; :func:`_ear_step` hands each g - t the lists its
-    removal test derived, which keep the host's indices."""
-    return (*_index_lists(_branch(g)), ())
+def _lists(g: Graph) -> tuple[dict, list, list, tuple]:
+    """The branch graph of top-3-connected ``g`` as the removal test and the
+    theta search read it: branch vertex -> index, index -> neighbor indices
+    (one per thread end), index -> neighbor mask, and the indices
+    suppressed, none here.  Read off the branch graph's :func:`_index` and
+    :func:`_masks` for a host; :func:`_ear_step` hands each g - t the
+    tables its removal test derived, which keep the host's indices."""
+    h = _branch(g)
+    return (*_index(h), _masks(h), ())
 
 
 def _removable(lists: tuple, i: int, j: int) -> tuple | None:
-    """The lists of g - t (see :func:`_lists`) if g - t is
+    """The tables of g - t (see :func:`_lists`) if g - t is
     top-3-connected, else None, where g is top-3-connected with branch
     graph H given by ``lists``, and t is a thread of g whose ends x and y
     have indices ``i`` and ``j``.
@@ -751,9 +748,11 @@ def _removable(lists: tuple, i: int, j: int) -> tuple | None:
     of every x-y path of H - xy.  It therefore suffices to check that
     removing each inner vertex of one such path leaves H' 2-connected,
     instead of removing every vertex.  The path is found by breadth-first
-    search from x, stopping at the first neighbor of y reached.
+    search from x, stopping at the first neighbor of y reached.  The
+    neighbor lists are edited for the test, the masks only once g - t is
+    accepted.
     """
-    index, nbrs, suppressed = lists
+    index, nbrs, masks, suppressed = lists
     ends = set(nbrs[j]) - {i}
     parent = {i: i, j: j}  # y is never entered
     queue = deque([i])
@@ -784,7 +783,14 @@ def _removable(lists: tuple, i: int, j: int) -> tuple | None:
         if not _biconnected_without(nbrs, suppressed + (w,)):
             return None
         w = parent[w]
-    return index, nbrs, suppressed
+    masks = list(masks)
+    masks[i] ^= 1 << j
+    masks[j] ^= 1 << i
+    for v in suppressed[len(lists[3]):]:
+        a, b = nbrs[v]
+        masks[a] ^= 1 << v | 1 << b
+        masks[b] ^= 1 << v | 1 << a
+    return index, nbrs, masks, suppressed
 
 
 @memoized
@@ -794,8 +800,8 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
     Removals are decided on g's branch-graph lists, so g - t is built only
     for the thread removed, t not validated again, and is kept as
     ``thread_delete(g, t)``.  It is handed its degree table, its
-    connectivity, its threads derived from g's, the lists its removal test
-    derived, and, while more than four branch vertices are left, that it
+    connectivity, its threads derived from g's, the lists and masks its
+    removal test derived, and, while more than four branch vertices are left, that it
     is no subdivision of K4, so walking the chain runs the full test only
     on the host and the terminal."""
     ts = _threads(g)
@@ -814,7 +820,7 @@ def _ear_step(g: Graph) -> tuple[Thread, Graph]:
             _remember(reduced, is_connected, True)
             _remember(reduced, _threads, _threads_after_delete(g, t, ts))
             _remember(reduced, _lists, reduced_lists)
-            if len(index) - len(reduced_lists[2]) > 4:
+            if len(index) - len(reduced_lists[3]) > 4:
                 _remember(reduced, is_top_k4, False)
             return t, reduced
     raise VerificationFailed(

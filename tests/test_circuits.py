@@ -26,15 +26,14 @@ from nscycles import (
 )
 from nscycles.circuits import (
     DEFAULT_CIRCUIT_CAP,
-    _NearestFirst,
+    _Steps,
     _branch_cycle_circuit,
     _chordless_cycles,
     _induced_paths,
     _thread_runs,
-    _vertex_bits,
 )
-from nscycles.decomposition import _distances_to, _masks
-from nscycles.graph_core import _branch_graph, _ear_step, _lists, _threads, is_top_k4
+from nscycles.decomposition import _distances_to
+from nscycles.graph_core import _branch_graph, _ear_step, _index, _lists, _masks, _threads, is_top_k4
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -86,13 +85,22 @@ def test_enumeration_cap(k4):
     assert len(enumerate_circuits(k4, 7)) == 7
 
 
-def test_circuit_from_edges_validation(k4):
+def test_circuit_from_edges_validation(k4, prism):
     with pytest.raises(NotACircuit):
         circuit_from_edges(k4, [])
     with pytest.raises(NotACircuit):
         circuit_from_edges(k4, [0, 1])  # path, not a cycle
     with pytest.raises(NotACircuit):
         circuit_from_edges(k4, [0, 1, 2, 3, 4, 5])  # degrees 3
+    with pytest.raises(NotACircuit, match="single non-loop edge"):
+        circuit_from_edges(k4, [2])
+    triangles = [c.edges.ids() for c in enumerate_circuits(prism) if len(c) == 3]
+    assert len(triangles) == 2 and not set(triangles[0]) & set(triangles[1])
+    with pytest.raises(NotACircuit, match="more than one cycle"):
+        circuit_from_edges(prism, triangles[0] + triangles[1])
+    looped = Graph(range(3), range(4), {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (1, 1)}, 4)
+    with pytest.raises(NotACircuit, match="loop edge 3 inside a multi-edge set"):
+        circuit_from_edges(looped, [0, 1, 2, 3])
     c = circuit_from_edges(k4, [3, 0, 1])
     assert c.vertex_cycle == (0, 1, 2)
 
@@ -299,11 +307,11 @@ def _oracle_hosts() -> list:
 def test_induced_paths_match_enumeration_oracle():
     # unbounded, from each vertex's larger neighbors through larger
     # vertices to its neighbors, as the chordless-cycle search asks, on the
-    # indices and neighbor masks of _vertex_bits
+    # indices and neighbor masks of _index and _masks
     for g in _oracle_hosts():
         h = _branch_graph(g)
-        bit, nbrs = _vertex_bits(h)
-        index = {v: b.bit_length() - 1 for v, b in bit.items()}
+        index, nbrs = _index(h)[0], _masks(h)
+        bit = {v: 1 << i for v, i in index.items()}
         steps = [[(1 << e, index[w]) for e, w in pairs] for pairs in h.adjacency.values()]
         for s in sorted(h.vertices):
             above = {v for v in h.vertices if v > s}
@@ -328,8 +336,7 @@ def test_bounded_induced_paths_match_enumeration_oracle():
             ts = _threads(lg)
             weight = [len(t.edges) for t in ts]
             thread_bits = [sum(1 << e for e in t.edges) for t in ts]
-            index, nbrs, _ = _lists(lg)
-            masks = _masks(lg)[0]
+            index, nbrs, masks, _ = _lists(lg)
             runs = _thread_runs(lg)
             vertex = list(index)
             for t in ts:
@@ -343,8 +350,8 @@ def test_bounded_induced_paths_match_enumeration_oracle():
                 free = sum(1 << index[v] for v in allowed)
                 ends = {index[w]: weight[e] for w, e in to_y.items()}
                 bound = _distances_to(nbrs, vertex, runs, ends, free)
-                order = _NearestFirst(nbrs, vertex, runs, bound)
-                got = _induced_paths(masks, index[x], free, sum(1 << w for w in ends), order, [limit])
+                order = _Steps(nbrs, vertex, runs, bound)
+                got = _induced_paths(masks, index[x], free, sum(1 << w for w in ends), order, limit)
                 in_g = [(path, sum(thread_bits[e] for e in range(len(ts)) if bits >> e & 1), last)
                         for path, bits, last in expected]
                 assert _paths(got, vertex) == \

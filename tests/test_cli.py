@@ -37,6 +37,10 @@ def test_parse_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ParseError):
         parse_edge_list("3 1\n0 x\n")
+    with pytest.raises(ParseError, match="header fields must be integers"):
+        parse_edge_list("3 x\n")
+    with pytest.raises(ParseError, match="line 2: expected 'u v'"):
+        parse_edge_list("3 1\n0 1 2\n")
 
 
 def test_edge_list_header_vertex_bound(tmp_path, capsys):
@@ -233,10 +237,13 @@ def test_cli_usage_errors(capsys, tmp_path):
     (["decompose", "--gen", "k4", "--circuit", "0,1"], "NotEven"),
     (["theta", "--gen", "k4", "--thread", "99"], "NotAThread"),
     (["theta", "--gen", "k4", "--thread", "0,1"], "NotAThread"),
+    (["decompose", "--gen", "k4", "--circuit", "1,x"], "bad edge id list '1,x'"),
 ])
 def test_bad_circuit_or_thread_is_a_usage_error(argv, error, capsys):
+    # an error is named by its type, or in full where parsing rejects a flag
     assert run_command(argv) == 2
-    assert capsys.readouterr().err.startswith(f"nscycles: {error}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"nscycles: {error}: ") or err == f"nscycles: {error}\n"
 
 
 def test_cli_domain_failure_exit_code(capsys):
@@ -250,6 +257,9 @@ def test_negative_cap_is_a_usage_error(command, capsys):
     assert run_command([command, "--gen", "k4", "--cap", "-5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "--cap: must be non-negative" in err
+    assert run_command([command, "--gen", "k4", "--cap", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--cap: invalid int value: 'x'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,8 +318,8 @@ def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
         reduced = real(lists, i, j)
         if reduced is None and not accepted:
             accepted.append((i, j))
-            # the lists of the wrong g - t: H - xy, ends of degree 2 suppressed
-            index, nbrs, suppressed = lists
+            # the tables of the wrong g - t: H - xy, ends of degree 2 suppressed
+            index, nbrs, masks, suppressed = lists
             nbrs = [list(ns) for ns in nbrs]
             nbrs[i].remove(j)
             nbrs[j].remove(i)
@@ -319,7 +329,8 @@ def test_cli_verify_all_catches_a_wrong_removal(monkeypatch, capsys):
                     nbrs[a][nbrs[a].index(v)] = b
                     nbrs[b][nbrs[b].index(v)] = a
                     suppressed += (v,)
-            return index, nbrs, suppressed
+            masks = [sum({1 << w for w in ns}) for ns in nbrs]
+            return index, nbrs, masks, suppressed
         return reduced
 
     monkeypatch.setattr(graph_core, "_removable", accept_one_bad)

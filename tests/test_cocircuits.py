@@ -1,9 +1,12 @@
+import functools
+import operator
 from itertools import combinations
 
 import pytest
 
 from nscycles import (
     EdgeSet,
+    Graph,
     bonds,
     build_graph,
     circuits_meeting_once,
@@ -20,6 +23,7 @@ from nscycles import (
 )
 from nscycles.cocircuits import MAX_BOND_VERTICES, MAX_CUT_SEARCH_EDGES
 from nscycles.errors import Disconnected, EmptyX, TooLarge
+from nscycles.graph_core import _index, _masks
 
 from conftest import CORPUS_NAMES
 import oracles
@@ -72,6 +76,12 @@ def test_bonds_match_bipartition_oracle():
     multi, _ = contract_edges(gen_corpus("prism"), EdgeSet.from_ids([0, 1, 6], 9))
     pairs = list(multi.psi.values())
     assert any(u == v for u, v in pairs) and len(set(pairs)) < len(pairs)  # a loop, parallels
+    # each mask is the OR of the distinct neighbor bits, though an index's
+    # neighbor list repeats a vertex for each parallel edge
+    index, lists = _index(multi)
+    assert any(len(set(row)) < len(row) for row in lists)
+    assert _masks(multi) == [functools.reduce(operator.or_, (1 << index[w] for _, w in pairs), 0)
+                             for pairs in map(multi.adjacency.__getitem__, index)]
     graphs.append(("prism/{0,1,6}", multi))
     assert len(graphs) > 60
     for label, g in graphs:
@@ -151,6 +161,14 @@ def test_circuits_meeting_once_preconditions(k4):
     assert not is_connected(delete_edges(k4, star))
     with pytest.raises(Disconnected):
         circuits_meeting_once(k4, star, nc)
+    # a parallel copy left outside x still joins its ends, and an id of x
+    # that is not an edge of the graph is ignored
+    psi = {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (2, 3), 4: (2, 3), 5: (3, 3)}
+    multi = Graph(range(4), range(6), psi, 7)
+    nc = non_separating_circuits(multi)
+    circuits_meeting_once(multi, multi.edge_set([3, 6]), nc)
+    with pytest.raises(Disconnected):
+        circuits_meeting_once(multi, multi.edge_set([3, 4, 6]), nc)
 
 
 def test_circuits_meeting_once_matches_oracles(corpus):

@@ -131,21 +131,21 @@ def test_ear_steps_match_fresh_copies(corpus):
 
 
 def _flooded(g) -> dict:
-    """The branch graph of ``g`` as :func:`decomposition._masks` gives it,
-    read back to vertex labels: each vertex not suppressed -> its
+    """The branch graph of ``g`` as the masks of :func:`graph_core._lists`
+    give it, read back to vertex labels: each vertex not suppressed -> its
     neighbors."""
-    index = graph_core._lists(g)[0]
-    masks, live = decomposition._masks(g)
+    index, _, masks, suppressed = graph_core._lists(g)
     vertex = list(index)
     return {vertex[i]: {vertex[j] for j in range(len(vertex)) if masks[i] >> j & 1}
-            for i in range(len(vertex)) if live >> i & 1}
+            for i in range(len(vertex)) if i not in suppressed}
 
 
 def test_theta_tables_handed_down_match_fresh_builds(corpus):
     # the decomposition's walk hands each g_i below the host its thread
-    # runs and neighbor masks, derived from the graph above: each must be
-    # what g_i's own lists give, and what a copy of g_i with an empty memo
-    # builds, including at steps that suppress both ends of the thread
+    # runs, and the ear step its neighbor lists and masks, derived from the
+    # graph above: each must be what g_i's own lists give, and what a copy
+    # of g_i with an empty memo builds, including at steps that suppress
+    # both ends of the thread
     hosts = [h for _, g in corpus for h in (g, subdivide_every_edge(g))]
     hosts += [_relabelled(gen_corpus(f"random3c-{n}"), seed)
               for n in (16, 24, 32) for seed in (1, 2)]
@@ -159,10 +159,10 @@ def test_theta_tables_handed_down_match_fresh_builds(corpus):
         for _, _, h in steps:
             fresh = Graph(h.vertices, h.edges, h.psi, h.universe)
             assert h._memo[(runs.__wrapped__,)] == runs(fresh)
-            assert h._memo[(decomposition._masks.__wrapped__,)] == \
-                decomposition._masks.__wrapped__(h)
+            _, nbrs, masks, _ = graph_core._lists(h)
+            assert masks == [sum({1 << j for j in row}) for row in nbrs]
             assert _flooded(h) == _flooded(fresh)
-            both_suppressed += len(graph_core._lists(h)[2]) - len(graph_core._lists(level)[2]) == 2
+            both_suppressed += len(graph_core._lists(h)[3]) - len(graph_core._lists(level)[3]) == 2
             level = h
         walked += len(steps)
     assert walked > 300 and both_suppressed > 20

@@ -1,8 +1,10 @@
 """The runtime imports nothing outside the standard library, each module
 of the library, its tests and its scripts uses every name it imports or
 re-exports it in ``__all__``, every private top-level definition of the
-library is named somewhere else in it, and every default parameter of the
-library is both passed and left out somewhere."""
+library is named somewhere else in it, every default parameter of the
+library is both passed and left out somewhere, and every ``_remember``
+call of the library names its function as its own module's or as
+``module.attr``."""
 
 import ast
 import sys
@@ -122,3 +124,23 @@ def test_every_default_parameter_is_passed_and_left_out():
             if ways != {True, False}:
                 unused.append(f"{path.name}:{name}({param})")
     assert not unused, f"defaults never passed or never left out: {unused}"
+
+
+def test_remember_names_no_imported_function():
+    # _remember stores under fn.__wrapped__: a name imported from another
+    # module may be rebound there to a tracer's wrapper, whose __wrapped__
+    # is the memoizing wrapper, so the value would sit under a key the
+    # memo never reads; a module's own function, or one read as
+    # module.attr, is the memoized one
+    checked = 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", getattr(node.func, "attr", None)) == "_remember":
+                fn = node.args[1]
+                assert isinstance(fn, ast.Attribute) or isinstance(fn, ast.Name) and fn.id in own, \
+                    f"{path.name}:{node.lineno} remembers {ast.unparse(fn)}"
+                checked += 1
+    assert checked > 5

@@ -135,7 +135,7 @@ def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
             continue
         h = graph_core._branch(g)
         assert (h is g) is not subdivided, label
-        assert graph_core._lists(g) == (*graph_core._index_lists(h), ()), label
+        assert graph_core._lists(g) == (*graph_core._index(h), graph_core._masks(h), ()), label
 
 
 @pytest.mark.parametrize("subdivided", [False, True])
@@ -230,7 +230,7 @@ def test_theta_below_the_host_builds_no_branch_graph(subdivided):
     searched = 0
     for level in below[:-1]:
         searched += sum(1 for key in level._memo if key[0] is _theta.__wrapped__)
-        for fn in (graph_core._branch_graph, graph_core._vertex_bits):
+        for fn in (graph_core._branch_graph, graph_core._index, graph_core._masks):
             assert (fn.__wrapped__,) not in level._memo, (fn.__name__, fingerprint(level))
     assert searched > 0
 

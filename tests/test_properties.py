@@ -348,10 +348,12 @@ def test_carried_lists_match_branch_graph_down_the_ear_sequence(g):
     for _, t in ear_sequence(g).steps:
         current = thread_delete(current, t)
         assert (_lists.__wrapped__,) in current._memo
-        index, nbrs, suppressed = _lists(current)
+        index, nbrs, masks, suppressed = _lists(current)
         vertex = {i: v for v, i in index.items()}
         carried = {vertex[i]: sorted(vertex[w] for w in nbrs[i])
                    for i in vertex if i not in suppressed}
+        assert carried == {vertex[i]: sorted(vertex[w] for w in vertex if masks[i] >> w & 1)
+                           for i in vertex if i not in suppressed}
         h = _branch_graph(Graph(current.vertices, current.edges, current.psi, current.universe))
         assert carried == {v: sorted(w for _, w in pairs) for v, pairs in h.adjacency.items()}
 
