@@ -39,10 +39,10 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
+    _bit,
     _branch,
     _flood,
     _incidence,
-    _index,
     _masks,
     _threads,
     _validate_thread,
@@ -212,8 +212,8 @@ def _is_separating_edges(g: Graph, edges: EdgeSet) -> bool:
     # _separates pass chordless cycles only
     chords = sum(1 for v in on_cycle for e, w in g.adjacency[v]
                  if v < w and w in on_cycle and not bits >> e & 1)
-    index, masks = _index(g)[0], _masks(g)
-    return _separates(masks, (1 << len(masks)) - 1, sum(1 << index[v] for v in on_cycle), chords)
+    masks = _masks(g)
+    return _separates(masks, (1 << len(masks)) - 1, sum(map(_bit(g).__getitem__, on_cycle)), chords)
 
 
 def is_separating(g: Graph, c: Circuit) -> bool:
@@ -370,11 +370,11 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         # A circuit of g runs along a cycle of the branch graph h, one thread
         # per edge, and has as many bridges in g as that cycle has in h.
         h = _branch(g)
-        index, masks = _index(h)[0], _masks(h)
+        bit, masks = _bit(h), _masks(h)
         every = (1 << len(masks)) - 1
         members = sorted(
             (_branch_cycle_circuit(g, order) for order, _ in _chordless_cycles(h, cap)
-             if not _separates(masks, every, sum(1 << index[v] for v in order), 0)),
+             if not _separates(masks, every, sum(map(bit.__getitem__, order)), 0)),
             key=Circuit.sort_key,
         )
     return NcCatalog(tuple(members), fingerprint(g))

@@ -50,7 +50,7 @@ from .cycle_space import (
 )
 from .circuits import DEFAULT_CIRCUIT_CAP, enumerate_circuits, non_separating_circuits
 from .decomposition import decompose_cs_element, ear_sequence, theta_pair
-from .cocircuits import bonds, families_match, minimal_cut_candidates
+from .cocircuits import _bond_masks, bonds, families_match, minimal_cut_candidates
 from .corpus import gen_corpus
 from .verify import verify_graph
 
@@ -255,7 +255,7 @@ def _cmd_bonds(g: Graph, name: str, args) -> tuple[dict, int]:
 
 def _cmd_whitney(g: Graph, name: str, args) -> tuple[dict, int]:
     catalog = non_separating_circuits(g, args.cap)
-    found_bonds = bonds(g)
+    found_bonds = _bond_masks(g)
     candidates = minimal_cut_candidates(g, catalog)
     match = families_match(found_bonds, candidates)
     return {

@@ -8,7 +8,9 @@ what :func:`verify_cocircuit_identity` checks.  Bonds are grown as
 connected vertex sets on vertex bitmasks, and the minimal candidates by a
 branching search over edge sets on masks of circuit indices; two guards,
 ``MAX_BOND_VERTICES`` and ``MAX_CUT_SEARCH_EDGES``, bound the graphs they
-and the identity check accept.
+and the identity check accept.  Both keep edge sets as bitmasks: the
+checks compare and count :func:`_bond_masks`, and only :func:`bonds`
+builds :class:`Bond` objects.
 """
 
 from __future__ import annotations
@@ -45,12 +47,20 @@ class CounterexampleReport:
 def bonds(g: Graph) -> list[Bond]:
     """All bonds, sorted by edge ids: the cuts of the connected sides
     holding the least vertex whose complements are connected too."""
-    return list(_bonds(g))
+    vertices = list(_index(g)[0])  # index -> vertex
+    found = [Bond(EdgeSet(cut, g.universe),
+                  frozenset(v for i, v in enumerate(vertices) if side >> i & 1))
+             for cut, side in _bond_masks(g)]
+    found.sort(key=lambda b: b.edges.ids())
+    return found
 
 
 @memoized
-def _bonds(g: Graph) -> tuple[Bond, ...]:
-    """Each connected side S holding the least vertex is grown once, as in
+def _bond_masks(g: Graph) -> tuple[tuple[int, int], ...]:
+    """(cut, side) of each bond, the cut an edge bitmask and the side a
+    vertex bitmask over :func:`_index`, in the order they are grown.
+
+    Each connected side S holding the least vertex is grown once, as in
     Wernicke's ESU: a node extends S by each vertex of its extension in
     turn, barring those it took before, and a child's extension gains only
     the new vertex's neighbors outside the barred closed neighborhood of S.
@@ -72,14 +82,12 @@ def _bonds(g: Graph) -> tuple[Bond, ...]:
         side, cut, ext, barred = stack.pop()
         rest = full & ~side
         if side and rest and _flood(nbrs, rest & -rest, rest)[0] == rest:  # rest connected
-            members = frozenset(v for v, i in index.items() if side >> i & 1)
-            out.append(Bond(EdgeSet(cut, g.universe), members))
+            out.append((cut, side))
         while ext:
             low = ext & -ext
             ext ^= low
             j = low.bit_length() - 1
             stack.append((side | low, cut ^ incident[j], ext | nbrs[j] & ~barred, barred | nbrs[j]))
-    out.sort(key=lambda b: b.edges.ids())
     return tuple(out)
 
 
@@ -113,6 +121,9 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     kept and branched, so held none.  A node holds the masks of the circuit
     indices missing X and meeting it once; a child updates them from the
     mask of the circuits through the edge it adds.
+    A level's candidates all have |X| edges, so by sorted ids X precedes Y
+    iff the least edge of X ^ Y is X's: a descending sort on bit strings
+    read from bit 0 up orders them on masks.
     """
     edge_ids = sorted(g.edges)
     if len(edge_ids) > MAX_CUT_SEARCH_EDGES:
@@ -122,6 +133,7 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
     through = {e: sum(1 << i for i, c in enumerate(members) if c >> e & 1) for e in edge_ids}
     every = (1 << len(members)) - 1
     found: dict[int, list[int]] = {e: [] for e in edge_ids}  # edge -> candidates holding it
+    width = f"0{g.universe}b"
     out: list[EdgeSet] = []
     # (X, forbidden, X's last edge, circuits missing X, circuits meeting X once)
     level = [(1 << e, (1 << e) - 1, e, every & ~through[e], through[e]) for e in edge_ids]
@@ -152,21 +164,30 @@ def minimal_cut_candidates(g: Graph, nc: NcCatalog) -> list[EdgeSet]:
                     next_level.append((x | low, forbidden, e, miss & ~t, once & ~t | miss & t))
                     forbidden |= low
                     free ^= low
-        for x in sorted((EdgeSet(x, g.universe) for x in candidates), key=EdgeSet.ids):
-            out.append(x)
-            for e in x.ids():
-                found[e].append(x.bits)
+        for x in sorted(candidates, key=lambda x: format(x, width)[::-1], reverse=True):
+            out.append(EdgeSet(x, g.universe))
+            rest = x
+            while rest:
+                low = rest & -rest
+                found[low.bit_length() - 1].append(x)
+                rest ^= low
         level = next_level
     return out
 
 
 def _connected_without(g: Graph, x: EdgeSet) -> bool:
-    """True iff g - x is connected: one flood over g's neighbor masks, those
-    of x's ends rebuilt without x's edges, so a parallel edge outside x
-    still joins its ends.  Ids of x that are not edges of g are ignored."""
-    index, masks = _index(g)[0], list(_masks(g))
-    for v in {v for e in x if e in g.edges for v in g.psi[e]}:
-        masks[index[v]] = sum({1 << index[w] for e, w in g.adjacency[v] if not x.bits >> e & 1})
+    """True iff g - x is connected: one flood over a copy of g's neighbor
+    masks in which two vertices stop being neighbors when x holds every
+    edge joining them, as many as their :func:`_index` lists count, so a
+    parallel edge outside x still joins its ends.  Loops and ids of x that
+    are not edges of g are ignored."""
+    index, lists = _index(g)
+    masks = list(_masks(g))
+    ends = [sorted(map(index.__getitem__, g.psi[e])) for e in x if e in g.edges]
+    for i, j in ends:
+        if i != j and lists[i].count(j) == ends.count([i, j]):
+            masks[i] &= ~(1 << j)
+            masks[j] &= ~(1 << i)
     every = (1 << len(masks)) - 1
     return _flood(masks, every & 1, every)[0] == every
 
@@ -192,9 +213,10 @@ def circuits_meeting_once(g: Graph, x: EdgeSet, nc: NcCatalog):
     return CounterexampleReport(fingerprint(g), x, tuple(witnesses))
 
 
-def families_match(found_bonds: list[Bond], candidates: list[EdgeSet]) -> bool:
-    """True iff the bonds and the minimal cut candidates are the same edge sets."""
-    return sorted(b.edges.bits for b in found_bonds) == sorted(x.bits for x in candidates)
+def families_match(found: tuple, candidates: list[EdgeSet]) -> bool:
+    """True iff the bonds of :func:`_bond_masks` and the minimal cut
+    candidates are the same edge sets."""
+    return sorted(cut for cut, _ in found) == sorted(x.bits for x in candidates)
 
 
 def verify_cocircuit_identity(g: Graph) -> bool:
@@ -203,4 +225,4 @@ def verify_cocircuit_identity(g: Graph) -> bool:
     if len(g.vertices) > MAX_BOND_VERTICES or len(g.edges) > MAX_CUT_SEARCH_EDGES:
         raise TooLarge("graph exceeds the bond enumeration or cut-candidate search bounds")
     nc = non_separating_circuits(g)
-    return families_match(bonds(g), minimal_cut_candidates(g, nc))
+    return families_match(_bond_masks(g), minimal_cut_candidates(g, nc))

@@ -286,7 +286,19 @@ def _masks(g: Graph) -> list:
     """Index of :func:`_index` -> the OR of its distinct neighbors' bits
     ``1 << index``: a loop puts a vertex among its own neighbors, and
     parallel edges set one bit."""
-    return [sum(1 << j for j in set(row)) for row in _index(g)[1]]
+    masks = []
+    for row in _index(g)[1]:
+        mask = 0
+        for j in row:
+            mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+@memoized
+def _bit(g: Graph) -> dict:
+    """Vertex -> its bit in :func:`_masks`, ``1 << index`` over :func:`_index`."""
+    return {v: 1 << i for v, i in _index(g)[0].items()}
 
 
 @memoized

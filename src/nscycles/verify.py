@@ -49,7 +49,7 @@ from .circuits import (
 from .decomposition import _chain, _lift_bits, decompose_cs_element, ear_sequence, theta_pair
 from .cocircuits import (
     CounterexampleReport,
-    bonds,
+    _bond_masks,
     circuits_meeting_once,
     verify_cocircuit_identity,
 )
@@ -184,15 +184,16 @@ def _check_decomposition_replay(g: Graph, rng: random.Random) -> tuple[bool, str
             if rng.random() < 0.5:
                 x = x ^ row
         targets.append(x)
-    seen = set()  # parts already tested
+    fresh = _replica(g)[0]
+    seen = set()  # edge bitmasks of the parts already tested: a circuit is its edge set
     for target in targets:
         cert = decompose_cs_element(g, target)
         if cert.replay() != target:
             return False, "replay mismatch"
         for part in cert.parts:
-            if part not in seen and is_separating(_replica(g)[0], part):
+            if part.edges.bits not in seen and is_separating(fresh, part):
                 return False, "certificate part is separating"
-        seen.update(cert.parts)
+        seen.update(part.edges.bits for part in cert.parts)
     return True, f"{len(targets)} targets decomposed and replayed"
 
 
@@ -271,13 +272,13 @@ def _check_cocircuit_recovery(g: Graph) -> tuple[bool | None, str]:
 def _check_orthogonality(g: Graph) -> tuple[bool | None, str]:
     # By GF(2) bilinearity, a bond even on a cycle basis is even on every circuit.
     try:
-        all_bonds = bonds(g)
+        found = _bond_masks(g)
     except TooLarge as exc:
         return _skip(str(exc))
     basis = fundamental_basis(g)
-    if any((b.edges.bits & c.bits).bit_count() & 1 for b in all_bonds for c in basis):
+    if any((cut & c.bits).bit_count() & 1 for cut, _ in found for c in basis):
         return False, "odd bond-circuit intersection"
-    return True, f"{len(all_bonds)} bonds x {len(basis)} basis circuits all even"
+    return True, f"{len(found)} bonds x {len(basis)} basis circuits all even"
 
 
 def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> VerificationReport:

@@ -1,5 +1,6 @@
 import functools
 import operator
+import random
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from nscycles import (
     contract_edges,
     delete_edges,
     enumerate_circuits,
+    fingerprint,
     gen_corpus,
     is_cut_candidate,
     minimal_cut_candidates,
@@ -21,7 +23,8 @@ from nscycles import (
     verify_cocircuit_identity,
     verify_graph,
 )
-from nscycles.cocircuits import MAX_BOND_VERTICES, MAX_CUT_SEARCH_EDGES
+from nscycles.circuits import NcCatalog
+from nscycles.cocircuits import MAX_BOND_VERTICES, MAX_CUT_SEARCH_EDGES, _bond_masks
 from nscycles.errors import Disconnected, EmptyX, TooLarge
 from nscycles.graph_core import _index, _masks
 
@@ -73,9 +76,7 @@ def test_bonds_match_bipartition_oracle():
     graphs += [(label + "+subdivided", subdivide_every_edge(g)) for label, g in graphs
                if len(g.vertices) + len(g.edges) <= MAX_BOND_VERTICES]
     graphs.append(("path", build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])))
-    multi, _ = contract_edges(gen_corpus("prism"), EdgeSet.from_ids([0, 1, 6], 9))
-    pairs = list(multi.psi.values())
-    assert any(u == v for u, v in pairs) and len(set(pairs)) < len(pairs)  # a loop, parallels
+    multi = _loop_and_parallels()
     # each mask is the OR of the distinct neighbor bits, though an index's
     # neighbor list repeats a vertex for each parallel edge
     index, lists = _index(multi)
@@ -86,6 +87,26 @@ def test_bonds_match_bipartition_oracle():
     assert len(graphs) > 60
     for label, g in graphs:
         found = [(b.edges.ids(), b.side) for b in bonds(g)]
+        assert found == oracles.bonds_by_bipartition(g), label
+
+
+def _loop_and_parallels():
+    """Prism with two edges of a triangle and a rung contracted: the third
+    edge becomes a loop, and the edges to the other triangle come in
+    parallel pairs."""
+    multi, _ = contract_edges(gen_corpus("prism"), EdgeSet.from_ids([0, 1, 6], 9))
+    pairs = list(multi.psi.values())
+    assert any(u == v for u, v in pairs) and len(set(pairs)) < len(pairs)
+    return multi
+
+
+def test_bond_masks_match_bipartition_oracle(corpus):
+    # the masks verify-all compares, read back to edge ids and vertex labels
+    for label, g in corpus + [("prism/{0,1,6}", _loop_and_parallels())]:
+        vertices = list(_index(g)[0])
+        found = sorted((tuple(e for e in sorted(g.edges) if cut >> e & 1),
+                        frozenset(v for i, v in enumerate(vertices) if side >> i & 1))
+                       for cut, side in _bond_masks(g))
         assert found == oracles.bonds_by_bipartition(g), label
 
 
@@ -133,9 +154,18 @@ def test_subset_size_guard():
     assert verify_cocircuit_identity(largest)
 
 
+def _edges_shuffled(g, seed):
+    """``g`` rebuilt with its edge ids permuted."""
+    pairs = [g.psi[e] for e in sorted(g.edges)]
+    random.Random(seed).shuffle(pairs)
+    return build_graph(len(g.vertices), pairs)
+
+
 def test_minimal_cut_candidates_match_subset_oracle(corpus):
-    # corpus graphs small enough for the 2^m oracle, order included
-    for label, g in corpus:
+    # corpus graphs small enough for the 2^m oracle, order included, also
+    # with their edge ids permuted, so that ids do not follow the search
+    hosts = corpus + [(f"{label}~", _edges_shuffled(g, label)) for label, g in corpus]
+    for label, g in hosts:
         if len(g.edges) <= 18:
             nc = non_separating_circuits(g)
             assert [x.ids() for x in minimal_cut_candidates(g, nc)] == \
@@ -169,6 +199,10 @@ def test_circuits_meeting_once_preconditions(k4):
     circuits_meeting_once(multi, multi.edge_set([3, 6]), nc)
     with pytest.raises(Disconnected):
         circuits_meeting_once(multi, multi.edge_set([3, 4, 6]), nc)
+    # on a disconnected host, an x inside one component leaves it disconnected
+    two = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(Disconnected):
+        circuits_meeting_once(two, two.edge_set([0]), NcCatalog((), fingerprint(two)))
 
 
 def test_circuits_meeting_once_matches_oracles(corpus):

@@ -8,6 +8,7 @@ import pytest
 from nscycles import (
     Circuit,
     Graph,
+    bonds,
     decompose_cs_element,
     ear_sequence,
     find_reducible_thread,
@@ -25,11 +26,13 @@ from nscycles import (
     threads,
     verify_graph,
 )
-from nscycles import graph_core
+from nscycles import cocircuits, graph_core
 from nscycles.circuits import _is_separating_edges, _thread_runs
 from nscycles.decomposition import _chain, _part, _theta
 from nscycles.graph_core import _ear_step, _incident_bits
 from nscycles.errors import NotInNcOfReduced
+
+import oracles
 
 
 def _graph_count() -> int:
@@ -266,6 +269,24 @@ def test_lift_theta_and_branch_graph_memos_die_with_their_graph():
         key[0].__name__ for key in g._memo}
     del g, t, q, h
     assert _graph_count() == before
+
+
+def test_verify_all_keeps_bond_masks_and_builds_no_bond(monkeypatch):
+    # the cut checks compare and count the bonds as masks; only bonds()
+    # builds Bond objects, still in the oracle's order
+    g = gen_corpus("random3c-12")
+
+    class NoBond:
+        def __init__(self, *args):
+            raise AssertionError("a Bond was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(cocircuits, "Bond", NoBond)
+        checks = {c.name: c.passed for c in verify_graph(g, "random3c-12").checks}
+    assert checks["cocircuit_recovery"] and checks["cut_cycle_orthogonality"]
+    assert (cocircuits._bond_masks.__wrapped__,) in g._memo
+    assert "_bonds" not in {key[0].__name__ for key in g._memo}
+    assert [(b.edges.ids(), b.side) for b in bonds(g)] == oracles.bonds_by_bipartition(g)
 
 
 def test_mutating_a_lift_leaves_the_memo_intact():
