@@ -338,14 +338,15 @@ def _thread_runs(g: Graph) -> dict:
     return runs
 
 
-def _branch_cycle_circuit(g: Graph, order) -> Circuit:
-    """The circuit of ``g`` along the cycle of its simple branch graph that
-    visits the branch vertices ``order`` in turn, each thread laid out in
-    that direction; NotACircuit when two consecutive vertices (the last
-    and the first included) are not adjacent there, or a vertex repeats."""
+def _branch_cycle_circuit(runs: dict, universe: int, order) -> Circuit:
+    """The circuit, over the edge universe ``universe``, along the cycle of
+    a simple branch graph that visits the branch vertices ``order`` in
+    turn, each thread laid out in that direction from ``runs``, the graph's
+    :func:`_thread_runs`; NotACircuit when two consecutive vertices (the
+    last and the first included) are not adjacent there, or a vertex
+    repeats."""
     if len(set(order)) < max(len(order), 3):
         raise NotACircuit("branch vertices repeat, or are fewer than three")
-    runs = _thread_runs(g)
     bits, cycle = 0, []
     for pair in pairwise(chain(order, order[:1])):
         try:
@@ -354,7 +355,7 @@ def _branch_cycle_circuit(g: Graph, order) -> Circuit:
             raise NotACircuit("branch vertices {} and {} are not adjacent".format(*pair)) from None
         bits |= mask
         cycle += run
-    return Circuit(EdgeSet(bits, g.universe), _canonical_cycle(tuple(cycle)))
+    return Circuit(EdgeSet(bits, universe), _canonical_cycle(tuple(cycle)))
 
 
 @memoized
@@ -370,10 +371,11 @@ def _nc_catalog(g: Graph, cap: int) -> NcCatalog:
         # A circuit of g runs along a cycle of the branch graph h, one thread
         # per edge, and has as many bridges in g as that cycle has in h.
         h = _branch(g)
-        bit, masks = _bit(h), _masks(h)
+        bit, masks, runs = _bit(h), _masks(h), _thread_runs(g)
         every = (1 << len(masks)) - 1
         members = sorted(
-            (_branch_cycle_circuit(g, order) for order, _ in _chordless_cycles(h, cap)
+            (_branch_cycle_circuit(runs, g.universe, order)
+             for order, _ in _chordless_cycles(h, cap)
              if not _separates(masks, every, sum(map(bit.__getitem__, order)), 0)),
             key=Circuit.sort_key,
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import Disconnected, EmptyX, TooLarge
 from .graph_core import (EdgeSet, Graph, _check_universe, _flood, _incident_bits, _index, _masks,
                          fingerprint, is_connected, memoized)
-from .circuits import Circuit, NcCatalog, non_separating_circuits
+from .circuits import DEFAULT_CIRCUIT_CAP, Circuit, NcCatalog, non_separating_circuits
 
 MAX_BOND_VERTICES = 16
 MAX_CUT_SEARCH_EDGES = 21
@@ -219,10 +219,11 @@ def families_match(found: tuple, candidates: list[EdgeSet]) -> bool:
     return sorted(cut for cut, _ in found) == sorted(x.bits for x in candidates)
 
 
-def verify_cocircuit_identity(g: Graph) -> bool:
+def verify_cocircuit_identity(g: Graph, cap: int = DEFAULT_CIRCUIT_CAP) -> bool:
     """True iff the minimal cut candidates recovered from the
-    non-separating circuits coincide with the bonds."""
+    non-separating circuits, cataloged under ``cap`` (see
+    ``non_separating_circuits``), coincide with the bonds."""
     if len(g.vertices) > MAX_BOND_VERTICES or len(g.edges) > MAX_CUT_SEARCH_EDGES:
         raise TooLarge("graph exceeds the bond enumeration or cut-candidate search bounds")
-    nc = non_separating_circuits(g)
+    nc = non_separating_circuits(g, cap)
     return families_match(_bond_masks(g), minimal_cut_candidates(g, nc))

@@ -16,14 +16,14 @@ threads of the same ear walk, :func:`_chain`, and the same lift,
 :func:`_lift_bits`; the public :func:`lift_circuit` takes that split,
 ``circuits._halves``, too.
 
-The theta search runs on the branch graph H as the ear walk carries it,
-with no graph built for H: its index lists and neighbor masks
-(``graph_core._lists``, which the ear step hands down) and g's thread
-runs, each run's edge bitmask giving its length.  The host reads them off
-its own branch graph; one walk per host (:func:`_handed_down`) hands each
-g_i - t of a decomposition its runs, derived from g_i's by O(degree)
-edits on top of a copy.  The search compares candidates as edge bitmasks
-and builds only its winner.  One search returns the shortest
+The theta search runs on the branch graph H of g_i as the ear walk
+carries it, with no graph built for H or g_i: its index lists and
+neighbor masks (``graph_core._lists``, each level's from the removal test
+above it) and g_i's thread runs, each run's edge bitmask giving its
+length.  The host reads them off its own branch graph; one pass per host
+(:func:`_handed_down`) derives each level's runs from the level above by
+O(degree) edits on top of a copy.  The search compares candidates as edge
+bitmasks and builds only its winner.  One search returns the shortest
 non-separating circuit through the thread meeting a vertex set only in
 the thread's ends, ties going to the smallest sorted edge ids: a theta
 pair is the shortest one through the thread, then the shortest meeting
@@ -40,12 +40,14 @@ terminal of the induction.
 A thread t = xy is removable when g - t stays top-3-connected, decided on
 g's branch graph H: as H is 3-connected, every cut of at most two vertices
 of H - xy, x and y suppressed, separates x from y, so only the inner
-vertices of one x-y path are tested, each by one low-point search.  One
-ear sequence runs all its removal tests on one set of index lists for H:
-the host's are its branch graph's index lists, as its 3-connectivity test
-reads them, and each removal hands g - t those of its own branch graph.
-The full test of every vertex runs only on the host and on the K4
-terminal.
+vertices of one x-y path are tested, each by one low-point search.  The
+ear walk (:func:`_chain`) is Tutte's induction on thread removals, and
+each of its levels g_i is tables, not a graph: its threads and its branch
+graph's index lists and masks, each derived from the level above, the
+host's read off its own branch graph.  The walk keeps per step only the
+thread, its edge bitmask and g_i - t's tables, and builds one graph, the
+K4 terminal, from the host.  The full 3-connectivity test runs only on
+the host and on the terminal.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ from .graph_core import (
     EdgeSet,
     Graph,
     Thread,
-    _ear_step,
+    _first_removable,
     _incident_bits,
     _key_digest,
     _lists,
-    _remember,
+    _subgraph,
+    _threads,
+    _threads_after_delete,
     _validate_thread,
     fingerprint,
     is_top_3_connected,
@@ -79,7 +83,6 @@ from .graph_core import (
     thread_delete,
     threads,
 )
-from . import circuits
 from .cycle_space import Gf2Matrix, express_in_span, is_cycle_space_member
 from .circuits import (
     Circuit,
@@ -149,25 +152,24 @@ def find_reducible_thread(g: Graph) -> Thread:
 
     Removability is decided on g's branch graph H: a cut of at most two
     vertices of H - t's edge, t's ends suppressed, separates those ends,
-    so it is decided by the inner vertices of one path between them.
+    so it is decided by the inner vertices of one path between them.  One
+    step of :func:`_chain`, on the host's tables.
     """
     _require_top3(g)
     if is_top_k4(g):
         raise IsTopK4("already a subdivision of K4; nothing to reduce")
-    return _ear_step(g)[0]
+    return _first_removable(_threads(g), _lists(g))[0]
 
 
 def ear_sequence(g: Graph) -> EarSequence:
     """Iterate thread removals until a subdivision of K4 remains.
 
     Each graph of the sequence is top-3-connected, so each removal is
-    tested on its branch graph, as in :func:`find_reducible_thread`, read
-    from index lists that each removal hands down to the next graph; g - t
-    is built only for the thread removed, and only the host and the
-    terminal get the full test.  It reads the walk of :func:`_chain`, each
-    g - t handed its degree table, threads, connectivity and removal
-    lists.  Step i's fingerprint is hashed from the reprs of the host's
-    sorted vertices and edge triples less those threads 0..i-1 removed.
+    tested on its branch graph, as in :func:`find_reducible_thread`: it
+    reads the walk of :func:`_chain`, which carries each graph as tables
+    and builds only the terminal.  Step i's fingerprint is hashed from the
+    reprs of the host's sorted vertices and edge triples less those
+    threads 0..i-1 removed.
     """
     _require_top3(g)
     steps, terminal = _chain(g)
@@ -219,28 +221,34 @@ def _precedes(a: int, b: int) -> bool:
 
 
 @memoized
-def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
-    """The shortest non-separating circuit through the thread that meets
-    the vertices ``avoid`` only in its ends, the first by sorted edge ids
-    on ties: t plus an induced x-y path of the branch graph H - t's edge
-    off ``avoid``, as non-separating circuits are chordless in H.  H is
-    read as g's index lists and neighbor masks (:func:`_lists`), its live
-    indices being those not suppressed, and g's thread runs
-    (``circuits._thread_runs``), which below a decomposition's host
-    :func:`_handed_down` has handed down the ear walk; no graph is built
-    for it.  The path stops at the first neighbor of y, as an edge from a
-    path vertex to y would be a chord.  The search is deepened: every path
+def _theta(g: Graph, i: int, t: Thread, avoid: tuple) -> Circuit:
+    """The shortest non-separating circuit through the thread t of g_i,
+    level i of the ear walk of the host ``g`` (g_0 = g), that meets the
+    vertices ``avoid`` only in its ends, the first by sorted edge ids on
+    ties: t plus an induced x-y path of g_i's branch graph H - t's edge off
+    ``avoid``, as non-separating circuits are chordless in H.  H is read
+    as g_i's tables, the host's :func:`_lists` or those :func:`_chain`
+    keeps, its live indices being those not suppressed, and g_i's thread
+    runs, the host's ``circuits._thread_runs`` or those of
+    :func:`_handed_down`; no graph is built for it, and the result is kept
+    in the host's memo, keyed on i.  The path stops at the first neighbor
+    of y, as an edge from a path vertex to y would be a chord.  The search
+    is deepened: every path
     within a limit is yielded, and the limit rises by 1 from the least
     bound, so the first limit at which a circuit appears is the shortest
     one's length.  Candidates are compared on their edge bitmasks
     (:func:`_precedes`), only one that would be the new best is tested for
     bridges in H, and only the winner is built, from its vertex order.
-    The winner is not tested again in g: a circuit has as many bridges in
-    g as its cycle in H, and the callers certify what they return.
+    The winner is not tested again in g_i: a circuit has as many bridges
+    in g_i as its cycle in H, and the callers certify what they return.
     VerificationFailed if there is none."""
-    index, nbrs, masks, suppressed = _lists(g)
+    if i:
+        steps = _chain(g)[0]
+        (index, nbrs, masks, suppressed), runs = steps[i - 1][2], _handed_down(g)[i]
+        edges = len(g.edges) - sum(step[1].bit_count() for step in steps[:i])
+    else:
+        (index, nbrs, masks, suppressed), runs, edges = _lists(g), _thread_runs(g), len(g.edges)
     live = (1 << len(masks)) - 1 - sum(1 << v for v in suppressed)
-    runs = _thread_runs(g)
     vertex = list(index)
     x, y = (index[v] for v in t.endpoints)
     free = live & ~sum(1 << index[v] for v in avoid if v in index)
@@ -250,9 +258,9 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
     ends, tbits = sum(1 << w for w in to_y), runs[t.endpoints][0]
     limit = min((m.bit_count() + bound[w] for m, w in order[x]), default=math.inf)
     best, best_bits = None, 0
-    # on the length of the x-y path, which is shorter than all threads
-    # together: past that, the search was exhaustive
-    while best is None and limit < len(g.edges):
+    # on the length of the x-y path, which is shorter than all of g_i's
+    # threads together (its edges): past that, the search was exhaustive
+    while best is None and limit < edges:
         for path, bits, last in _induced_paths(masks, x, free, ends, order, limit):
             bits |= to_y[last] | tbits
             if best is None or _precedes(bits, best_bits):
@@ -261,7 +269,7 @@ def _theta(g: Graph, t: Thread, avoid: tuple) -> Circuit:
         limit += 1
     if best is None:
         raise VerificationFailed("the shortest non-separating theta pair is separating")
-    return _branch_cycle_circuit(g, [vertex[v] for v in best])
+    return _branch_cycle_circuit(runs, g.universe, [vertex[v] for v in best])
 
 
 def theta_pair(g: Graph, t: Thread) -> ThetaPair:
@@ -283,8 +291,8 @@ def theta_pair(g: Graph, t: Thread) -> ThetaPair:
     """
     _require_top3(g)
     _validate_thread(g, t)
-    first = _theta(g, t, t.endpoints)
-    second = _theta(g, t, first.vertex_cycle)
+    first = _theta(g, 0, t, t.endpoints)
+    second = _theta(g, 0, t, first.vertex_cycle)
     if _is_separating_edges(g, first.edges) or _is_separating_edges(g, second.edges):
         raise VerificationFailed("the shortest non-separating theta pair is separating")
     return ThetaPair(first, second, t)
@@ -323,28 +331,40 @@ def _catalog_matrix(g: Graph) -> Gf2Matrix:
 
 @memoized
 def _chain(g: Graph) -> tuple[tuple, Graph]:
-    """The ear steps of ``g`` as (t, t's edge bitmask, g_i - t), g_i the
-    graph t is removed from (g_0 = g), and the K4 terminal."""
+    """The ear steps of top-3-connected ``g`` as (t, t's edge bitmask,
+    g_i - t's tables), g_i the level t is removed from (g_0 = g), and the
+    K4 terminal.  The levels are tables, not graphs: the walk starts from
+    the host's threads and :func:`_lists`, and each step derives g_i - t's
+    tables by its removal test and its threads by
+    :func:`_threads_after_delete`, while more than four branch vertices are
+    live.  The terminal is the one graph built, from the host; it is not
+    handed a verdict, so its :func:`is_top_k4` test is the full one."""
+    ts, lists = _threads(g), _lists(g)
     steps = []
-    while not is_top_k4(g):
-        t, reduced = _ear_step(g)
+    while len(lists[0]) - len(lists[3]) > 4:
+        t, reduced = _first_removable(ts, lists)
         steps.append((t, sum(1 << e for e in t.edges), reduced))
-        g = reduced
-    return tuple(steps), g
+        ts, lists = _threads_after_delete(lists, t, ts), reduced
+    if not steps:
+        return (), g
+    inner = [v for t, _, _ in steps for v in t.inner_vertices()]
+    return tuple(steps), _subgraph(g, g.vertices.difference(inner),
+                                   [e for t, _, _ in steps for e in t.edges])
 
 
 @memoized
-def _handed_down(g: Graph) -> None:
-    """Hands each g_i - t of :func:`_chain` the thread runs of its branch
-    graph that :func:`_theta` reads, derived from g_i's: t's two pairs are
+def _handed_down(g: Graph) -> tuple:
+    """The thread runs of each level g_i of :func:`_chain`, the terminal
+    last, indexed by i, g_0's being the host's own: :func:`_theta` reads
+    them.  Each level's are derived from the one above: t's two pairs are
     dropped, and at each end of t left with degree 2 the two runs there are
     joined.  Walked once per host by :func:`_decompose`;
     :func:`ear_sequence` reads the same chain and pays for none of it."""
     runs = _thread_runs(g)
     index, _, _, before = _lists(g)
     vertex = list(index)  # the host's indices, kept down the chain
-    for t, _, reduced in _chain(g)[0]:
-        _, nbrs, _, suppressed = _lists(reduced)
+    out = [runs]
+    for t, _, (_, nbrs, _, suppressed) in _chain(g)[0]:
         runs = dict(runs)
         x, y = t.endpoints
         del runs[x, y], runs[y, x]
@@ -355,10 +375,9 @@ def _handed_down(g: Graph) -> None:
             bits |= q_bits
             runs[p, q] = bits, p_run + runs.pop((u, q))[1]
             runs[q, p] = bits, q_run + runs.pop((u, p))[1]
-        # circuits' own name: a tracer's wrapper on the name imported here
-        # would store the table under a key the memo never reads
-        _remember(reduced, circuits._thread_runs, runs)
+        out.append(runs)
         before = suppressed
+    return tuple(out)
 
 
 def _lift_bits(g: Graph, at: dict, t: Thread, tbits: int, q: int) -> tuple[int, ...]:
@@ -410,17 +429,15 @@ def _decompose(g: Graph, x: EdgeSet) -> set[int]:
     same parts.
     """
     steps, terminal = _chain(g)
-    _handed_down(g)
     parts: set[int] = set()
-    bits, level = x.bits, g
-    for i, (t, tbits, reduced) in enumerate(steps):
+    bits = x.bits
+    for i, (t, tbits, _) in enumerate(steps):
         if bits & tbits:
             if bits & tbits != tbits:
                 raise VerificationFailed("edge set meets the thread in a proper nonempty subset")
-            p = _theta(level, t, t.endpoints).edges.bits
+            p = _theta(g, i, t, t.endpoints).edges.bits
             parts ^= _lifted(g, i, p)
             bits ^= p
-        level = reduced
     members = non_separating_circuits(terminal).members
     coefficients = express_in_span(EdgeSet(bits, g.universe), _catalog_matrix(terminal)).coefficients
     for j in coefficients:

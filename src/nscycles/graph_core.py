@@ -7,15 +7,14 @@ across a graph and its minors.
 Derived results (fingerprints, connectivity tests, threads, circuit
 catalogs, reductions, decomposition parts) are memoized on the ``Graph``
 that owns them, through :func:`memoized`: they live and die with that
-graph.  A graph may be handed results at birth: the g - t that the
-memoized :func:`_ear_step` keeps gets its degree table, threads and
-branch-graph tables derived from g's, and no reference to g.  The branch
-graph has one builder, :func:`_branch_graph`, and each graph one vertex
-numbering, :func:`_index`, with its neighbor index lists, from which
-:func:`_masks` derives its neighbor masks when they are first asked for.
-The 3-connectivity test reads the lists; an ear sequence's removal tests
-and the theta search of ``decomposition`` read both, as :func:`_lists`,
-so below the host they build no branch graph.
+graph.  The branch graph is built by one function, :func:`_branch_graph`,
+and each graph has one vertex numbering, :func:`_index`, with its neighbor
+index lists, from which :func:`_masks` derives its neighbor masks when
+they are first asked for.  The 3-connectivity test reads the lists; an
+ear walk reads both, as :func:`_lists`: each removal test
+(:func:`_removable`) derives g - t's tables from g's, and
+:func:`_threads_after_delete` its threads, so below the host the walk
+builds no graph, only tables.
 
 Reachability on vertex bitmasks is one flood, :func:`_flood`, over
 :func:`_masks`: it decides :func:`is_connected`, the components of
@@ -240,14 +239,6 @@ def memoized(fn):
         return result
 
     return wrapper
-
-
-def _remember(g: Graph, fn, value, *args) -> None:
-    """Record ``value`` as the result of the memoized ``fn(g, *args)``,
-    under the key :func:`memoized` uses.  ``fn`` must be this module's own
-    memoized name: a rebound wrapper, such as a tracer's on a name imported
-    elsewhere, stores it under a key that :func:`memoized` never reads."""
-    g._memo[(fn.__wrapped__, *args)] = value
 
 
 @memoized
@@ -607,19 +598,21 @@ def _threads(g: Graph) -> tuple[Thread, ...]:
     return tuple(out)
 
 
-def _threads_after_delete(g: Graph, t: Thread, ts: tuple) -> tuple:
-    """The threads of g - t from ``ts``, the threads of ``g``: every thread
-    but t, with the two threads at each end of t that is left with degree
-    two joined into one, found in the pass that drops t.  No join closes a
-    run on itself, nor does a thread meet both ends, when g's branch graph
-    is simple.
+def _threads_after_delete(lists: tuple, t: Thread, ts: tuple) -> tuple:
+    """The threads of g - t from ``ts``, the threads of ``g``, and g's
+    tables ``lists`` (see :func:`_lists`), whose neighbor index lists give
+    each branch vertex's degree: every thread but t, with the two threads
+    at each end of t that is left with degree two joined into one, found in
+    the pass that drops t.  No join closes a run on itself, nor does a
+    thread meet both ends, when g's branch graph is simple.
 
     The result keeps the walk's order: threads are edge-disjoint, so their
     sorted edge tuples compare by smallest edge, and a joined thread takes
     the place of the earlier of its two halves.
     """
+    index, nbrs = lists[:2]
     first, out = t.edges[0], []
-    at = {v: [] for v in t.endpoints if g.degree(v) == 3}  # v -> indices in out
+    at = {v: [] for v in t.endpoints if len(nbrs[index[v]]) == 3}  # v -> indices in out
     for s in ts:
         if s.edges[0] != first:
             u, w = s.vertices[0], s.vertices[-1]
@@ -739,8 +732,9 @@ def _lists(g: Graph) -> tuple[dict, list, list, tuple]:
     theta search read it: branch vertex -> index, index -> neighbor indices
     (one per thread end), index -> neighbor mask, and the indices
     suppressed, none here.  Read off the branch graph's :func:`_index` and
-    :func:`_masks` for a host; :func:`_ear_step` hands each g - t the
-    tables its removal test derived, which keep the host's indices."""
+    :func:`_masks` for a host; down an ear walk, each g - t has the tables
+    its removal test (:func:`_removable`) derived, which keep the host's
+    indices."""
     h = _branch(g)
     return (*_index(h), _masks(h), ())
 
@@ -805,35 +799,16 @@ def _removable(lists: tuple, i: int, j: int) -> tuple | None:
     return index, nbrs, masks, suppressed
 
 
-@memoized
-def _ear_step(g: Graph) -> tuple[Thread, Graph]:
-    """The first thread t of top-3-connected ``g`` whose removal leaves it
-    top-3-connected, and g - t; VerificationFailed if there is none.
-    Removals are decided on g's branch-graph lists, so g - t is built only
-    for the thread removed, t not validated again, and is kept as
-    ``thread_delete(g, t)``.  It is handed its degree table, its
-    connectivity, its threads derived from g's, the lists and masks its
-    removal test derived, and, while more than four branch vertices are left, that it
-    is no subdivision of K4, so walking the chain runs the full test only
-    on the host and the terminal."""
-    ts = _threads(g)
-    lists = _lists(g)
+def _first_removable(ts: tuple, lists: tuple) -> tuple[Thread, tuple]:
+    """The first thread t of ``ts``, the threads of top-3-connected g, whose
+    removal leaves g top-3-connected, and the tables of g - t, both decided
+    on g's tables ``lists`` (see :func:`_removable`); VerificationFailed if
+    there is none."""
     index = lists[0]
     for t in ts:
         x, y = t.endpoints
-        reduced_lists = _removable(lists, index[x], index[y])
-        if reduced_lists is not None:
-            reduced = _subgraph(g, g.vertices.difference(t.inner_vertices()), t.edges)
-            _remember(g, thread_delete, reduced, t)
-            # g's degree table was built by _threads(g) or handed down with it
-            reduced._deg = {**g._deg, x: g._deg[x] - 1, y: g._deg[y] - 1}
-            for v in t.inner_vertices():
-                del reduced._deg[v]
-            _remember(reduced, is_connected, True)
-            _remember(reduced, _threads, _threads_after_delete(g, t, ts))
-            _remember(reduced, _lists, reduced_lists)
-            if len(index) - len(reduced_lists[3]) > 4:
-                _remember(reduced, is_top_k4, False)
+        reduced = _removable(lists, index[x], index[y])
+        if reduced is not None:
             return t, reduced
     raise VerificationFailed(
         "no removable thread found; impossible for a subdivision of a 3-connected graph"

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AllDegreesTwo, GraphError, TooLarge, VerificationFailed
+from .errors import AllDegreesTwo, TooLarge, VerificationFailed
 from .graph_core import (
     EdgeSet,
     Graph,
@@ -200,10 +200,13 @@ def _check_decomposition_replay(g: Graph, rng: random.Random) -> tuple[bool, str
 def _check_ear_assembly(g: Graph) -> tuple[bool, str]:
     if is_top_k4(g):
         return True, "already a subdivision of K4"
+    # every graph of the walk, the terminal too, must be top-3-connected:
+    # the walk stops on a count of branch vertices, so a wrong removal can
+    # be its last step
     seq, walk = ear_sequence(g), _replica(g)
-    for (step_fingerprint, _), current in zip(seq.steps, walk):
-        if fingerprint(current) != step_fingerprint or not is_top_3_connected(current):
-            return False, "intermediate graph fails the reduction invariant"
+    if [fp for fp, _ in seq.steps] != list(map(fingerprint, walk[:-1])) \
+            or not all(map(is_top_3_connected, walk)):
+        return False, "intermediate graph fails the reduction invariant"
     if walk[-1] != seq.terminal or not is_top_k4(walk[-1]):
         return False, "terminal graph is not a subdivision of K4"
     return True, f"{len(seq.steps)} reduction steps"
@@ -261,9 +264,9 @@ def _check_unit_overlap_witnesses(g: Graph, cap: int) -> tuple[bool, str]:
     return True, f"{len(pool)} cuts witnessed"
 
 
-def _check_cocircuit_recovery(g: Graph) -> tuple[bool | None, str]:
+def _check_cocircuit_recovery(g: Graph, cap: int) -> tuple[bool | None, str]:
     try:
-        ok = verify_cocircuit_identity(g)
+        ok = verify_cocircuit_identity(g, cap)
     except TooLarge as exc:
         return _skip(str(exc))
     return ok, "minimal cut candidates equal bonds" if ok else "families differ"
@@ -282,12 +285,14 @@ def _check_orthogonality(g: Graph) -> tuple[bool | None, str]:
 
 
 def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> VerificationReport:
-    """Run every named check against one graph."""
+    """Run every named check against one graph.  A check that raises fails,
+    its details the exception's type and message: a ``GraphError`` the
+    check met, or a fault of the code it checks."""
     rng = random.Random(f"verify:{name}:{fingerprint(g)}")
     started = time.monotonic()
     battery = [
         ("blocks_partition", None, lambda: _check_blocks_partition(g)),
-        ("cocircuit_recovery", _SIMPLE_3_CONNECTED, lambda: _check_cocircuit_recovery(g)),
+        ("cocircuit_recovery", _SIMPLE_3_CONNECTED, lambda: _check_cocircuit_recovery(g, cap)),
         ("cut_cycle_orthogonality", _CONNECTED, lambda: _check_orthogonality(g)),
         ("cycle_space_rank", _CONNECTED, lambda: _check_cycle_space_rank(g)),
         ("decomposition_replay", _TOP_3_CONNECTED,
@@ -310,7 +315,7 @@ def verify_graph(g: Graph, name: str, cap: int = DEFAULT_CIRCUIT_CAP) -> Verific
                 passed, details = _skip(hypothesis[1])
             else:
                 passed, details = run()
-        except GraphError as exc:
+        except Exception as exc:
             passed, details = False, f"{type(exc).__name__}: {exc}"
         check_ms = int((time.monotonic() - check_started) * 1000)
         results.append(CheckResult(check_name, passed, details, check_ms))

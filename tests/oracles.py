@@ -6,6 +6,8 @@ only the Graph/EdgeSet data accessors are shared.  The two exceptions run
 library steps another way: :func:`decompose_by_peeling` evaluates the
 induction in another order, and :func:`lifting_pairs_by_enumeration`
 finds the lifting step's split pairs among every circuit, not the catalog.
+:func:`ear_levels` rebuilds the graphs of the ear walk, which the library
+keeps as tables only, beside those tables.
 :func:`random_3connected_by_pair_list` keeps the random3c generator's
 earlier form, which lists every nonadjacent pair for each edge it adds, and
 :func:`bonds_by_bipartition` the bond enumeration's, which tries every
@@ -510,13 +512,11 @@ def decompose_by_peeling(g, x) -> list[tuple]:
     the library's own steps (reduction, theta pair, lift, peel, catalog);
     only the order of evaluation differs from the library's."""
     from nscycles import (Gf2Matrix, even_subgraph_to_circuits, express_in_span,
-                          is_top_k4, lift_circuit, non_separating_circuits)
-    from nscycles.decomposition import _theta
-    from nscycles.graph_core import _ear_step
+                          lift_circuit, non_separating_circuits)
+    from nscycles.decomposition import _chain, _theta
 
-    levels = [g]  # the graphs of the ear sequence, host first
-    while not is_top_k4(levels[-1]):
-        levels.append(_ear_step(levels[-1])[1])
+    steps = _chain(g)[0]
+    levels = [h for h, _ in ear_levels(g)]  # the graphs of the ear sequence, host first
     terminal = levels[-1]
     catalog = non_separating_circuits(terminal).members
     matrix = Gf2Matrix.from_rows([c.edges for c in catalog], terminal.universe)
@@ -535,10 +535,10 @@ def decompose_by_peeling(g, x) -> list[tuple]:
         if h is terminal:
             out = [catalog[i] for i in express_in_span(circ.edges, matrix).coefficients]
         else:
-            t = _ear_step(h)[0]
+            t = steps[level][0]
             parts, rest = [], circ.edges
             if set(t.edges) <= set(circ.edges.ids()):
-                p = _theta(h, t, t.endpoints)
+                p = _theta(g, level, t, t.endpoints)
                 parts, rest = [p], rest ^ p.edges
             for piece in even_subgraph_to_circuits(levels[level + 1], rest):
                 for q in decompose(level + 1, piece):
@@ -549,6 +549,21 @@ def decompose_by_peeling(g, x) -> list[tuple]:
 
     parts = cancel(q for piece in even_subgraph_to_circuits(g, x) for q in decompose(0, piece))
     return sorted((c.edges.ids(), c.vertex_cycle) for c in parts)
+
+
+def ear_levels(g) -> list[tuple]:
+    """(g_i, g_i's tables as the ear walk keeps them) for each level of the
+    ear walk of top-3-connected ``g``, the terminal last: g_0 = g with its
+    own ``_lists``, and each g_i after it rebuilt from the last by
+    ``thread_delete``, beside the tables the walk derived for it."""
+    from nscycles import thread_delete
+    from nscycles.decomposition import _chain
+    from nscycles.graph_core import _lists
+
+    levels = [(g, _lists(g))]
+    for t, _, lists in _chain(g)[0]:
+        levels.append((thread_delete(levels[-1][0], t), lists))
+    return levels
 
 
 def lifting_pairs_by_enumeration(g) -> list[tuple]:

@@ -32,8 +32,8 @@ from nscycles.circuits import (
     _induced_paths,
     _thread_runs,
 )
-from nscycles.decomposition import _distances_to
-from nscycles.graph_core import _branch_graph, _ear_step, _index, _lists, _masks, _threads, is_top_k4
+from nscycles.decomposition import _distances_to, _handed_down
+from nscycles.graph_core import _branch_graph, _index, _masks, _threads
 from nscycles.errors import (
     CircuitExplosion,
     NotACircuit,
@@ -285,11 +285,9 @@ def test_even_subgraph_peeling_replays(corpus):
 
 
 def _levels(g) -> list:
-    """g and every graph below it down its ear sequence."""
-    out = [g]
-    while not is_top_k4(out[-1]):
-        out.append(_ear_step(out[-1])[1])
-    return out
+    """(g_i, its tables, its thread runs) for g and every graph below it
+    down its ear walk, the tables and runs those the walk keeps."""
+    return [(h, lists, runs) for (h, lists), runs in zip(oracles.ear_levels(g), _handed_down(g))]
 
 
 def _paths(found, vertex=None) -> Counter:
@@ -327,17 +325,17 @@ def test_induced_paths_match_enumeration_oracle():
 def test_bounded_induced_paths_match_enumeration_oracle():
     # bounded as the theta search asks, with a fixed limit, on every graph
     # down the ear sequence, where threads have various lengths, on the
-    # index lists, neighbor masks and thread runs that search reads: every
+    # index lists, neighbor masks and thread runs the walk keeps for that
+    # search: every
     # path from x to a neighbor of y off the thread's ends within the
     # limit, its edge bitmask that of its threads in g
     for g in _oracle_hosts():
-        for lg in _levels(g):
+        for lg, lists, runs in _levels(g):
             h = _branch_graph(lg)
             ts = _threads(lg)
             weight = [len(t.edges) for t in ts]
             thread_bits = [sum(1 << e for e in t.edges) for t in ts]
-            index, nbrs, masks, _ = _lists(lg)
-            runs = _thread_runs(lg)
+            index, nbrs, masks, _ = lists
             vertex = list(index)
             for t in ts:
                 x, y = t.endpoints
@@ -362,7 +360,7 @@ def test_catalog_circuits_are_rebuilt_from_their_edges():
     named = [gen_corpus(name) for name in CORPUS_NAMES]
     hosts = named + [subdivide_every_edge(g) for g in named]
     hosts += [gen_corpus(f"random3c-{n}", 0) for n in range(8, 21)]
-    hosts += _levels(subdivide_every_edge(gen_corpus("random3c-10", 0)))
+    hosts += [h for h, _, _ in _levels(subdivide_every_edge(gen_corpus("random3c-10", 0)))]
     for g in hosts:
         for c in non_separating_circuits(g):
             assert c == circuit_from_edges(g, c.edges.ids()), fingerprint(g)
@@ -372,12 +370,13 @@ def test_branch_cycle_circuit_rejects_a_broken_order(prism):
     g = subdivide_every_edge(prism)
     square = next(order for order, _ in _chordless_cycles(_branch_graph(g), DEFAULT_CIRCUIT_CAP)
                   if len(order) == 4)
+    runs = _thread_runs(g)
     with pytest.raises(NotACircuit, match="not adjacent"):
-        _branch_cycle_circuit(g, square[:1] + square[2:])  # a corner cut off
+        _branch_cycle_circuit(runs, g.universe, square[:1] + square[2:])  # a corner cut off
     with pytest.raises(NotACircuit, match="repeat"):
-        _branch_cycle_circuit(g, square + square[-2:0:-1])  # around and back
+        _branch_cycle_circuit(runs, g.universe, square + square[-2:0:-1])  # around and back
     with pytest.raises(NotACircuit, match="repeat"):
-        _branch_cycle_circuit(g, square[:2])  # one thread there and back
+        _branch_cycle_circuit(runs, g.universe, square[:2])  # one thread there and back
 
 
 def test_chordless_cycle_orders_walk_the_branch_graph(corpus):

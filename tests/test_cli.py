@@ -364,6 +364,34 @@ def test_cli_verify_all_catches_a_wrong_split(monkeypatch, capsys):
     }
 
 
+def test_cli_verify_all_cap_reaches_every_catalog_check(capsys):
+    # K5 and its graphs minus a thread have more than 3 chordless cycles:
+    # each of the four checks that build a catalog fails under --cap 3,
+    # cocircuit_recovery as the other three do
+    code, payload = run_json(["verify-all", "--gen", "k5", "--cap", "3"], capsys)
+    assert code == 1
+    failed = {c["name"]: c["details"] for c in payload["checks"] if c["pass"] is False}
+    assert failed == dict.fromkeys(
+        ["cocircuit_recovery", "nc_spans_cycle_space", "path_chord_split_lifting",
+         "unit_overlap_witnesses"], "CircuitExplosion: more than 3 chordless cycles")
+
+
+def test_cli_verify_all_reports_a_crashing_check(monkeypatch, capsys):
+    # a fault of the code under check, here a removal test that indexes out
+    # of range, fails each check that walks the ear sequence, exit 1, and
+    # no traceback escapes
+    def out_of_range(lists, i, j):
+        return lists[1][len(lists[1])]
+
+    monkeypatch.setattr(graph_core, "_removable", out_of_range)
+    code, payload = run_json(["verify-all", "--gen", "k5"], capsys)
+    assert code == 1
+    failed = {c["name"]: c["details"] for c in payload["checks"] if c["pass"] is False}
+    assert failed == dict.fromkeys(
+        ["decomposition_replay", "ear_assembly_reduction", "path_chord_split_lifting",
+         "theta_pairs"], "IndexError: list index out of range")
+
+
 def test_cli_quiet(capsys):
     assert run_command(["info", "--gen", "k4", "--quiet"]) == 0
     assert capsys.readouterr().out == ""

@@ -107,9 +107,10 @@ def _relabelled(g, seed: int):
 
 
 def test_ear_steps_match_fresh_copies(corpus):
-    # each g_i below the host is handed its degree table and threads, and
-    # each step's fingerprint is joined from the host's reprs: all must be
-    # what a copy of g_i with an empty memo computes
+    # the walk derives each level's threads from the level above and its
+    # tables' degrees, each step's fingerprint is joined from the host's
+    # reprs, and the terminal is built from the host: all must be what a
+    # copy of g_i with an empty memo computes, g_i rebuilt by thread_delete
     hosts = [h for _, g in corpus for h in (g, subdivide_every_edge(g))]
     hosts += [_relabelled(gen_corpus(f"random3c-{n}"), seed)
               for n in (16, 24, 32) for seed in (1, 2)]
@@ -118,53 +119,54 @@ def test_ear_steps_match_fresh_copies(corpus):
         g = Graph(host.vertices, host.edges, host.psi, host.universe)
         seq = ear_sequence(g)
         steps, terminal = decomposition._chain(g)
-        below = [reduced for _, _, reduced in steps]
+        levels = oracles.ear_levels(g)
         assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
-        for (fp, _), h in zip(seq.steps, [g, *below]):
-            assert fp == fingerprint(Graph(h.vertices, h.edges, h.psi, h.universe))
-        for h in below:
+        ts = graph_core._threads(g)
+        for (fp, t), (h, lists) in zip(seq.steps, levels):
             fresh = Graph(h.vertices, h.edges, h.psi, h.universe)
-            assert h._deg == {v: fresh.degree(v) for v in fresh.vertices}
-            assert h._memo[(graph_core._threads.__wrapped__,)] == graph_core._threads(fresh)
-        walked += len(below)
+            assert fp == fingerprint(fresh)
+            assert ts == graph_core._threads(fresh)
+            ts = graph_core._threads_after_delete(lists, t, ts)
+        assert ts == graph_core._threads(levels[-1][0])
+        assert terminal == levels[-1][0] and (terminal is g) == (not steps)
+        walked += len(steps)
     assert walked > 300
 
 
-def _flooded(g) -> dict:
-    """The branch graph of ``g`` as the masks of :func:`graph_core._lists`
-    give it, read back to vertex labels: each vertex not suppressed -> its
-    neighbors."""
-    index, _, masks, suppressed = graph_core._lists(g)
+def _flooded(lists) -> dict:
+    """The branch graph that the masks of the tables ``lists`` (see
+    :func:`graph_core._lists`) give, read back to vertex labels: each
+    vertex not suppressed -> its neighbors."""
+    index, _, masks, suppressed = lists
     vertex = list(index)
     return {vertex[i]: {vertex[j] for j in range(len(vertex)) if masks[i] >> j & 1}
             for i in range(len(vertex)) if i not in suppressed}
 
 
 def test_theta_tables_handed_down_match_fresh_builds(corpus):
-    # the decomposition's walk hands each g_i below the host its thread
-    # runs, and the ear step its neighbor lists and masks, derived from the
-    # graph above: each must be what g_i's own lists give, and what a copy
-    # of g_i with an empty memo builds, including at steps that suppress
-    # both ends of the thread
+    # the decomposition's walk derives each g_i's thread runs, and the
+    # removal test its neighbor lists and masks, from the level above: each
+    # must be what g_i's own lists give, and what a copy of g_i with an
+    # empty memo builds, including at steps that suppress both ends of the
+    # thread
     hosts = [h for _, g in corpus for h in (g, subdivide_every_edge(g))]
     hosts += [_relabelled(gen_corpus(f"random3c-{n}"), seed)
               for n in (16, 24, 32) for seed in (1, 2)]
-    runs = circuits._thread_runs
     walked = both_suppressed = 0
     for host in hosts:
         g = Graph(host.vertices, host.edges, host.psi, host.universe)
         decompose_cs_element(g, fundamental_basis(g)[0])
-        steps, _ = decomposition._chain(g)
-        level = g
-        for _, _, h in steps:
+        levels = oracles.ear_levels(g)
+        runs = decomposition._handed_down(g)
+        assert len(runs) == len(levels) and runs[0] is circuits._thread_runs(g)
+        for (h, lists), (_, above), level_runs in zip(levels[1:], levels, runs[1:]):
             fresh = Graph(h.vertices, h.edges, h.psi, h.universe)
-            assert h._memo[(runs.__wrapped__,)] == runs(fresh)
-            _, nbrs, masks, _ = graph_core._lists(h)
+            assert level_runs == circuits._thread_runs(fresh)
+            _, nbrs, masks, suppressed = lists
             assert masks == [sum({1 << j for j in row}) for row in nbrs]
-            assert _flooded(h) == _flooded(fresh)
-            both_suppressed += len(graph_core._lists(h)[3]) - len(graph_core._lists(level)[3]) == 2
-            level = h
-        walked += len(steps)
+            assert _flooded(lists) == _flooded(graph_core._lists(fresh))
+            both_suppressed += len(suppressed) - len(above[3]) == 2
+        walked += len(levels) - 1
     assert walked > 300 and both_suppressed > 20
 
 
@@ -319,7 +321,8 @@ def test_lift_splits_exactly_the_circuits_through_both_thread_ends(name, seed):
     steps, _ = decomposition._chain(host)
     at = _incident_bits(host)
     g = host
-    for t, tbits, reduced in steps:
+    for t, tbits, _ in steps:
+        reduced = thread_delete(g, t)
         for q in non_separating_circuits(reduced).members:
             halves = oracles.split_by_enumeration(g, q.edges.ids(), t.edges)
             chord = set(t.endpoints) <= set(q.vertex_cycle)
@@ -511,12 +514,11 @@ def test_theta_tail_step_of_random3c_150_tests_few_paths(monkeypatch):
         return separates(*args)
 
     monkeypatch.setattr(decomposition, "_separates", counting)
-    level, counts = g, []
-    for t, _, reduced in steps:
+    counts = []
+    for i, (t, _, _) in enumerate(steps):
         tested.clear()
-        decomposition._theta(level, t, t.endpoints)
+        decomposition._theta(g, i, t, t.endpoints)
         counts.append(len(tested))
-        level = reduced
     assert len(counts) == 75
     assert min(counts) >= 1 and max(counts) <= 16
 

@@ -361,24 +361,24 @@ def test_top_3_connected_matches_suppression_oracle(corpus):
     assert answers == kinds == both
 
 
-def _removal_verdict(g, t) -> bool:
-    """The ear step's verdict on removing ``t`` from top-3-connected ``g``,
-    decided on g's branch-graph lists, those the ear sequence carried down
-    to g when it has."""
-    lists = _lists(g)
+def _removal_verdict(lists, t) -> bool:
+    """The ear step's verdict on removing ``t`` from a top-3-connected
+    graph, decided on its branch-graph tables ``lists``, those the ear
+    walk carries for it."""
     x, y = t.endpoints
     return _removable(lists, lists[0][x], lists[0][y]) is not None
 
 
 def test_removal_test_matches_full_test(corpus):
-    # every thread of every graph down the ear sequences; the full test runs
-    # on a fresh copy of g - t, so no memo of the removal can answer it
+    # every thread of every graph down the ear sequences, decided on the
+    # tables the walk carries; the full test runs on a fresh copy of g - t,
+    # so no memo of the removal can answer it
     outcomes = set()
     for label, host in corpus:
         for g in (host, subdivide_every_edge(host)):
-            for h in _down_ear_sequence(g):
+            for h, lists in oracles.ear_levels(g):
                 for t in threads(h):
-                    got = _removal_verdict(h, t)
+                    got = _removal_verdict(lists, t)
                     r = thread_delete(h, t)
                     fresh = Graph(r.vertices, r.edges, r.psi, r.universe)
                     assert got == is_top_3_connected(fresh), (label, t)
@@ -391,21 +391,22 @@ def _fresh(g):
     return Graph(g.vertices, g.edges, g.psi, g.universe)
 
 
-def _derived_threads_hold(g, t) -> None:
-    """Check g - t's threads, derived from g's, against a fresh walk of
-    g - t."""
-    derived = _threads_after_delete(g, t, _threads(g))
+def _derived_threads_hold(g, t, lists=None) -> None:
+    """Check g - t's threads, derived from g's and g's tables ``lists``
+    (g's own by default), against a fresh walk of g - t."""
+    derived = _threads_after_delete(lists or _lists(g), t, _threads(g))
     assert derived == _threads(_fresh(thread_delete(g, t))), t
 
 
 def test_derived_threads_match_a_fresh_walk(corpus):
     # every thread of every graph down the ear sequences of the corpus and
-    # of its subdivisions, where removals leave ends of degree 2 to join
+    # of its subdivisions, where removals leave ends of degree 2 to join,
+    # with the tables the walk carries
     for label, host in corpus:
         for g in (_fresh(host), subdivide_every_edge(host)):
-            for h in _down_ear_sequence(g):
+            for h, lists in oracles.ear_levels(g):
                 for t in threads(h):
-                    _derived_threads_hold(h, t)
+                    _derived_threads_hold(h, t, lists)
 
 
 def test_derived_threads_raise_as_the_walk_does():

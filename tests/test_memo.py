@@ -2,6 +2,7 @@ import functools
 import gc
 import inspect
 import operator
+import tracemalloc
 
 import pytest
 
@@ -26,10 +27,10 @@ from nscycles import (
     threads,
     verify_graph,
 )
-from nscycles import cocircuits, graph_core
-from nscycles.circuits import _is_separating_edges, _thread_runs
+from nscycles import cocircuits, decomposition, graph_core
+from nscycles.circuits import _is_separating_edges
 from nscycles.decomposition import _chain, _part, _theta
-from nscycles.graph_core import _ear_step, _incident_bits
+from nscycles.graph_core import Thread, _incident_bits
 from nscycles.errors import NotInNcOfReduced
 
 import oracles
@@ -60,12 +61,13 @@ def test_derived_results_die_with_their_graph():
 
 
 def test_ear_terminal_does_not_keep_its_host_alive():
-    # g - t is handed threads derived from g's, never g itself; what
-    # survives the host is the terminal and the branch graph in its memo
+    # the terminal is built from the host's vertex set and psi, never with
+    # a reference to it; what survives the host is the terminal and the
+    # branch graph its full K4 test builds
     before = _graph_count()
     g = subdivide_every_edge(gen_corpus("random3c-12"))
     terminal = ear_sequence(g).terminal
-    assert terminal is not g
+    assert terminal is not g and is_top_k4(terminal)
     for obj in gc.get_objects():
         if isinstance(obj, Graph):
             assert all(inspect.isfunction(key[0]) for key in obj._memo)
@@ -75,59 +77,93 @@ def test_ear_terminal_does_not_keep_its_host_alive():
     assert _graph_count() == before + 2
 
 
-def test_each_graph_of_an_ear_sequence_holds_only_the_removal_it_made():
-    # removals are decided on the branch graph, so the one g - t in a
-    # graph's memo is that of the thread removed
-    g = subdivide_every_edge(gen_corpus("random3c-12"))
-    seq = ear_sequence(g)
-    current = g
-    for _, t in seq.steps:
-        removals = [key for key in current._memo if key[0] is thread_delete.__wrapped__]
-        assert removals == [(thread_delete.__wrapped__, t)]
-        current = thread_delete(current, t)
-    assert current is seq.terminal
-    assert not any(key[0] is thread_delete.__wrapped__ for key in current._memo)
+def _graphs_reached(root) -> list:
+    """The graphs reachable from ``root`` through tuples, lists, sets,
+    dicts and threads, not through a graph."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Graph):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.items())
+        elif isinstance(obj, Thread):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def _counting_fills(monkeypatch) -> list:
+    """The graphs filled from now on, each one built, by ``Graph()`` or
+    ``graph_core._subgraph``."""
+    built = []
+    fill = Graph._fill
+
+    def counting(g, *args):
+        built.append(g)
+        fill(g, *args)
+
+    monkeypatch.setattr(Graph, "_fill", counting)
+    return built
 
 
 @pytest.mark.parametrize("subdivided", [False, True])
-def test_ear_sequence_builds_a_branch_graph_only_for_host_and_terminal(subdivided):
-    # every removal is decided on index lists carried down the chain; only
-    # a host with degree-2 vertices and the K4 terminal build a branch
-    # graph, for the full 3-connectivity test
+def test_ear_walk_holds_no_graph_but_the_terminal(monkeypatch, subdivided):
+    # each level of the walk is its tables: the walk builds one graph, the
+    # terminal, from the host, and its steps reach no graph
     g = subdivide_every_edge(gen_corpus("random3c-12")) if subdivided \
         else gen_corpus("random3c-40")
     g = Graph(g.vertices, g.edges, g.psi, g.universe)
-    seq = ear_sequence(g)
-    assert len(seq.steps) > 5
-    walk = [g]
-    for _, t in seq.steps:
-        walk.append(thread_delete(walk[-1], t))
-        assert (graph_core._lists.__wrapped__,) in walk[-1]._memo
-    assert walk[-1] is seq.terminal
-    built = [h for h in walk if (graph_core._branch_graph.__wrapped__,) in h._memo]
-    assert built == ([g] if subdivided else []) + [seq.terminal]
+    assert is_top_3_connected(g)
+    built = _counting_fills(monkeypatch)
+    steps, terminal = _chain(g)
+    assert len(steps) > 5
+    assert built == [terminal]
+    assert _graphs_reached(steps) == [] and _graphs_reached((steps, terminal)) == [terminal]
+    assert not any(key[0] is thread_delete.__wrapped__ for key in g._memo)
+    assert terminal._memo == {}
+
+
+def test_ear_walk_memory_grows_with_its_tables():
+    # the walk keeps per level a thread, its edge bitmask and the level's
+    # tables, O(n) pointers on top of the level above; with a graph per
+    # level, random3c-512 grew by 24.3 MiB
+    g = gen_corpus("random3c-512")
+    assert is_top_3_connected(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        steps, _ = _chain(g)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(steps) > 200
+    assert grown < 8 * 2**20, grown
 
 
 @pytest.mark.parametrize("name", ["petersen", "random3c-12", "random3c-10+subdivided"])
-def test_only_host_and_terminal_run_the_full_connectivity_test(name):
-    # verify-all tests 3-connectivity on its own copies of the g_i, and the
-    # decomposition reads no verdict on them, so neither tests it on a
-    # graph of the walk between the host and the terminal
+def test_only_host_and_terminal_run_the_full_connectivity_test(monkeypatch, name):
+    # the walk decides each removal on tables, so a decomposition runs the
+    # full 3-connectivity test on the host and on the K4 terminal only
     base, _, subdivided = name.partition("+")
     g = gen_corpus(base)
-    g = subdivide_every_edge(g) if subdivided else g
-    checks = {c.name: c.passed for c in verify_graph(g, name).checks}
-    assert checks["decomposition_replay"] and checks["path_chord_split_lifting"]
+    g = subdivide_every_edge(g) if subdivided else Graph(g.vertices, g.edges, g.psi, g.universe)
+    tested = []
+    k_connected = graph_core.is_k_connected
+
+    def counting(h, k):
+        tested.append(h)
+        return k_connected(h, k)
+
+    monkeypatch.setattr(graph_core, "is_k_connected", counting)
+    decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
     steps, terminal = _chain(g)
     assert len(steps) > 2
-
-    def tested(h):
-        branch = h._memo.get((graph_core._branch_graph.__wrapped__,))
-        return any(key[0] is graph_core.is_k_connected.__wrapped__
-                   for x in (h, branch) if x is not None for key in x._memo)
-
-    assert tested(g) and tested(terminal)
-    assert not any(tested(level) for _, _, level in steps[:-1])
+    assert tested == [graph_core._branch(g), graph_core._branch(terminal)]
 
 
 @pytest.mark.parametrize("subdivided", [False, True])
@@ -144,8 +180,8 @@ def test_host_lists_are_its_branch_graph_index_lists(corpus, subdivided):
 @pytest.mark.parametrize("subdivided", [False, True])
 def test_no_graph_below_the_host_sorts_its_key_or_counts_degrees(monkeypatch, subdivided):
     # each step's fingerprint is joined from the host's reprs and each
-    # g - t is handed its degree table, so no step sorts its O(m log m) key
-    # or rebuilds degrees from psi
+    # level's degrees are its tables' list lengths, so neither the walk nor
+    # its terminal sorts an O(m log m) key or counts degrees from psi
     counted = []
     degree = Graph.degree
 
@@ -158,26 +194,29 @@ def test_no_graph_below_the_host_sorts_its_key_or_counts_degrees(monkeypatch, su
     g = subdivide_every_edge(gen_corpus("random3c-30")) if subdivided \
         else gen_corpus("random3c-40")
     seq = ear_sequence(g)
-    below = [reduced for _, _, reduced in _chain(g)[0]]
-    assert len(below) > 10 and below[-1] is seq.terminal
-    assert all(h._key_tuple is None for h in below)
+    assert len(seq.steps) > 10 and seq.terminal is _chain(g)[1]
+    assert seq.terminal._key_tuple is None
     assert counted == [g]
 
 
-def test_ear_sequence_reads_the_chain_the_decomposition_walked():
+def test_ear_sequence_reads_the_chain_the_decomposition_walked(monkeypatch):
     g = subdivide_every_edge(gen_corpus("random3c-16"))
+    removals = []
+    first_removable = decomposition._first_removable
+
+    def counting(ts, lists):
+        removals.append(ts)
+        return first_removable(ts, lists)
+
+    monkeypatch.setattr(decomposition, "_first_removable", counting)
     decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
     steps, terminal = _chain(g)
-    walk = [g, *(reduced for _, _, reduced in steps)]
-
-    def reductions():
-        return sum(key[0] is _ear_step.__wrapped__ for h in walk for key in h._memo)
-
-    walked = reductions()
+    walked = len(removals)
     assert walked == len(steps) > 5
     seq = ear_sequence(g)
-    assert reductions() == walked
+    assert len(removals) == walked
     assert [t for _, t in seq.steps] == [t for t, _, _ in steps]
+    walk = [h for h, _ in oracles.ear_levels(g)]
     assert [fp for fp, _ in seq.steps] == [fingerprint(h) for h in walk[:-1]]
     assert seq.terminal is terminal
     # each step carries its thread's edge bitmask, and the lifts read each
@@ -187,9 +226,15 @@ def test_ear_sequence_reads_the_chain_the_decomposition_walked():
     assert at == {v: g.edge_set(e for e, _ in g.adjacency[v]).bits for v in g.vertices}
 
 
+def _theta_keys(g) -> list:
+    """The (level, thread, avoid) of each theta search kept in g's memo."""
+    return [key[1:] for key in g._memo if key[0] is _theta.__wrapped__]
+
+
 def test_decompose_runs_only_the_first_theta_search():
     # down the reduction chain each step needs one circuit through the
-    # removed thread, never a partner of it
+    # removed thread, never a partner of it; each search is kept in the
+    # host's memo, keyed on its level
     searched = 0
     for n in range(8, 21):
         host = gen_corpus(f"random3c-{n}")
@@ -200,60 +245,48 @@ def test_decompose_runs_only_the_first_theta_search():
                 decompose_cs_element(g, row)
                 total = total ^ row
             decompose_cs_element(g, total)
-            current = g
-            while not is_top_k4(current):
-                t, reduced = _ear_step(current)
-                keys = [key for key in current._memo if key[0] is _theta.__wrapped__]
-                assert all(key[1:] == (t, t.endpoints) for key in keys), keys
-                searched += len(keys)
-                current = reduced
+            steps, _ = _chain(g)
+            keys = _theta_keys(g)
+            assert set(keys) <= {(i, t, t.endpoints) for i, (t, _, _) in enumerate(steps)}, keys
+            searched += len(keys)
     assert searched > 100
     g = gen_corpus("random3c-12")
     t = threads(g)[0]
     pair = theta_pair(g, t)
-    keys = {key[1:] for key in g._memo if key[0] is _theta.__wrapped__}
-    assert keys == {(t, t.endpoints), (t, pair.first.vertex_cycle)}
+    assert set(_theta_keys(g)) == {(0, t, t.endpoints), (0, t, pair.first.vertex_cycle)}
 
 
 @pytest.mark.parametrize("subdivided", [False, True])
-def test_theta_below_the_host_builds_no_branch_graph(subdivided):
-    # the theta searches below the host read the lists, thread runs and
-    # neighbor masks the decomposition's walk hands down, so no level
-    # between the host and the terminal builds a branch graph or a vertex
-    # index; the walk is the decomposition's, so an ear sequence alone
-    # hands no thread runs down
+def test_theta_below_the_host_builds_no_graph(monkeypatch, subdivided):
+    # the theta searches below the host read the tables the walk keeps and
+    # the thread runs _handed_down derives, which an ear sequence alone
+    # does not; the one graph a decomposition builds is the terminal's
+    # branch graph, for its catalog
     g = subdivide_every_edge(gen_corpus("random3c-12")) if subdivided \
         else gen_corpus("random3c-40")
     g = Graph(g.vertices, g.edges, g.psi, g.universe)
-    ear_sequence(g)
-    below = [level for _, _, level in _chain(g)[0]]
-    assert len(below) > 5
-    assert not any((_thread_runs.__wrapped__,) in level._memo for level in below)
+    terminal = ear_sequence(g).terminal
+    assert (decomposition._handed_down.__wrapped__,) not in g._memo
+    built = _counting_fills(monkeypatch)
     decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
-    searched = 0
-    for level in below[:-1]:
-        searched += sum(1 for key in level._memo if key[0] is _theta.__wrapped__)
-        for fn in (graph_core._branch_graph, graph_core._index, graph_core._masks):
-            assert (fn.__wrapped__,) not in level._memo, (fn.__name__, fingerprint(level))
-    assert searched > 0
+    assert max(i for i, _, _ in _theta_keys(g)) > 0
+    assert built == [graph_core._branch(terminal)] != [terminal]
 
 
 def test_decompose_checks_only_its_final_parts():
     # the lifts down the ear sequence and the theta searches run no
-    # per-level checks: below the host no separation test is run; each
-    # final part is certified once, in the host
+    # per-level checks: no separation test is run but on the final parts,
+    # each certified once, in the host
     g = subdivide_every_edge(gen_corpus("random3c-12"))
     cert = decompose_cs_element(g, functools.reduce(operator.xor, fundamental_basis(g)))
-    steps, _ = _chain(g)
+    steps, terminal = _chain(g)
     assert len(steps) > 5
-    searched = 0
-    for _, _, level in steps:
-        searched += sum(1 for key in level._memo if key[0] is _theta.__wrapped__)
-        tested = [key for key in level._memo if key[0] is _is_separating_edges.__wrapped__]
-        assert not tested, fingerprint(level)
-    assert searched > 0
+    assert max(i for i, _, _ in _theta_keys(g)) > 0
     certified = {key[1] for key in g._memo if key[0] is _part.__wrapped__}
     assert certified == {p.edges.bits for p in cert.parts}
+    tested = {key[1].bits for key in g._memo if key[0] is _is_separating_edges.__wrapped__}
+    assert tested == certified
+    assert not any(key[0] is _is_separating_edges.__wrapped__ for key in terminal._memo)
     assert fingerprint(g) is cert.host_fingerprint
 
 

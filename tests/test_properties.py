@@ -13,7 +13,6 @@ from nscycles import (
     cyclomatic_number,
     decompose_cs_element,
     delete_edges,
-    ear_sequence,
     enumerate_circuits,
     even_subgraph_to_circuits,
     express_in_span,
@@ -36,7 +35,7 @@ from nscycles import (
     threads,
 )
 from nscycles.decomposition import _precedes
-from nscycles.graph_core import Graph, _branch_graph, _lists, _removable
+from nscycles.graph_core import Graph, _branch_graph, _removable
 from nscycles.errors import AllDegreesTwo, NotInSpan
 
 import oracles
@@ -317,16 +316,11 @@ def test_cut_candidate_search_matches_subset_oracle(g):
 @settings(max_examples=25, deadline=None)
 @given(top_3_connected_hosts(max_n=20))
 def test_removal_test_matches_full_test_down_the_ear_sequence(g):
-    # the full test and the thread walk run on a fresh copy of g - t, which
-    # has no memo, so neither reads the threads the ear step derived from
-    # h's; the host's removable threads and the K4 terminal's none give both
-    # answers
-    walk = [g]
-    for _, t in ear_sequence(g).steps:
-        walk.append(thread_delete(walk[-1], t))
+    # decided on the tables the ear walk carries; the full test and the
+    # thread walk run on a fresh copy of g - t, which has no memo; the
+    # host's removable threads and the K4 terminal's none give both answers
     outcomes = set()
-    for h in walk:
-        lists = _lists(h)
+    for h, lists in oracles.ear_levels(g):
         for t in threads(h):
             x, y = t.endpoints
             got = _removable(lists, lists[0][x], lists[0][y]) is not None
@@ -341,14 +335,10 @@ def test_removal_test_matches_full_test_down_the_ear_sequence(g):
 @settings(max_examples=25, deadline=None)
 @given(top_3_connected_hosts(max_n=20))
 def test_carried_lists_match_branch_graph_down_the_ear_sequence(g):
-    # each g - t holds the lists its removal test derived; they must name
-    # the live branch vertices of g - t and their neighbours exactly as the
-    # branch graph of a memo-free copy does
-    current = g
-    for _, t in ear_sequence(g).steps:
-        current = thread_delete(current, t)
-        assert (_lists.__wrapped__,) in current._memo
-        index, nbrs, masks, suppressed = _lists(current)
+    # the walk keeps for each g - t the lists its removal test derived;
+    # they must name the live branch vertices of g - t and their neighbours
+    # exactly as the branch graph of a memo-free copy does
+    for current, (index, nbrs, masks, suppressed) in oracles.ear_levels(g)[1:]:
         vertex = {i: v for v, i in index.items()}
         carried = {vertex[i]: sorted(vertex[w] for w in nbrs[i])
                    for i in vertex if i not in suppressed}

@@ -16,18 +16,26 @@ from nscycles import (
     non_separating_circuits,
     subdivide_every_edge,
     theta_pair,
+    thread_delete,
     thread_from_edges,
     verify,
     verify_graph,
 )
-from nscycles import decomposition
+from nscycles import decomposition, graph_core
 from nscycles.circuits import DEFAULT_CIRCUIT_CAP, NcCatalog, _is_separating_edges, _nc_catalog
 from nscycles.decomposition import DecompositionCertificate, ThetaPair
 from nscycles.errors import Disconnected
-from nscycles.graph_core import Graph, _incident_bits, _remember
+from nscycles.graph_core import Graph, _incident_bits
 
 from conftest import CORPUS_NAMES
 import oracles
+
+
+def _remember(g, fn, value, *args) -> None:
+    """Leave ``value`` in g's memo as the result of the memoized
+    ``fn(g, *args)``, under the key ``memoized`` reads: a verdict a check
+    must not trust."""
+    g._memo[(fn.__wrapped__, *args)] = value
 
 RUNNER = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus_verification.py"
 
@@ -211,7 +219,8 @@ def test_lifting_tests_halves_on_a_copy_of_each_graph():
     g = gen_corpus("wheel-5")
     expected = verify._check_path_chord_lifting(gen_corpus("wheel-5"), DEFAULT_CIRCUIT_CAP)
     assert expected[0] and expected[1] != "0 split pairs verified"
-    t, tbits, reduced = decomposition._chain(g)[0][0]
+    t, tbits, _ = decomposition._chain(g)[0][0]
+    reduced = thread_delete(g, t)
     c = next(c for c in non_separating_circuits(reduced) if set(t.endpoints) <= set(c.vertex_cycle))
     half = decomposition._lift_bits(g, _incident_bits(g), t, tbits, c.edges.bits)[0]
     _remember(g, _is_separating_edges, True, EdgeSet(half, g.universe))
@@ -219,14 +228,34 @@ def test_lifting_tests_halves_on_a_copy_of_each_graph():
 
 
 def test_lifting_builds_its_catalogs_on_its_own_copies():
-    # an empty catalog left in the memo of a graph of the decomposition's
-    # ear walk hides no split pair from the check
+    # an empty catalog left in the memo of each graph of the ear walk that
+    # the library holds, the walk's terminal and the host's thread_delete
+    # chain, hides no split pair from the check
     g = gen_corpus("random3c-12")
     expected = verify._check_path_chord_lifting(gen_corpus("random3c-12"), DEFAULT_CIRCUIT_CAP)
     assert expected[0] and expected[1] != "0 split pairs verified"
-    for _, _, reduced in decomposition._chain(g)[0]:
-        _remember(reduced, _nc_catalog, NcCatalog((), ""), DEFAULT_CIRCUIT_CAP)
+    steps, terminal = decomposition._chain(g)
+    current = g
+    for t, _, _ in steps:
+        current = thread_delete(current, t)
+        _remember(current, _nc_catalog, NcCatalog((), ""), DEFAULT_CIRCUIT_CAP)
+    _remember(terminal, _nc_catalog, NcCatalog((), ""), DEFAULT_CIRCUIT_CAP)
     assert verify._check_path_chord_lifting(g, DEFAULT_CIRCUIT_CAP) == expected
+
+
+def test_a_check_raising_any_exception_fails_with_it(monkeypatch):
+    # not only a GraphError: an exception from a fault of the checked code
+    # fails the check that met it, and the other checks still run
+    def out_of_range(lists, i, j):
+        return lists[1][len(lists[1])]
+
+    monkeypatch.setattr(graph_core, "_removable", out_of_range)
+    report = verify_graph(gen_corpus("random3c-12"), "random3c-12")
+    failed = {c.name: c.details for c in report.checks if c.passed is False}
+    assert failed == dict.fromkeys(
+        ["decomposition_replay", "ear_assembly_reduction", "path_chord_split_lifting",
+         "theta_pairs"], "IndexError: list index out of range")
+    assert len(report.checks) == 12 and not report.all_passed
 
 
 def test_verify_graph_copies_the_host_once(monkeypatch):
